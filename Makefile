@@ -5,7 +5,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke (see `make fuzz`).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-json bench-diff fuzz torture scenarios figures extensions verify report clean lint vet striplint lint-fixtures lint-alloc escapecheck
+.PHONY: all build test race bench bench-smoke fuzz torture scenarios figures extensions verify report clean lint vet striplint lint-fixtures lint-alloc escapecheck
 
 all: build lint test
 
@@ -74,23 +74,11 @@ scenarios:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Perf baseline: the three headline library benchmarks — sustained
-# ingest (updates/s), single-update install latency, and end-to-end
-# replica ingest — as machine-readable JSON. The committed BENCH_10.json
-# is regenerated by exactly this target.
-BENCH_BASELINE = BENCH_10.json
-BENCH_PREV = BENCH_9.json
-
-bench-json:
-	$(GO) test -run='^$$' -bench='^Benchmark(StripIngest|StripInstallLatency|ReplIngest)$$' \
-		-benchmem -count=1 . | $(GO) run ./cmd/benchjson > $(BENCH_BASELINE)
-
-# Allocation-budget regression gate: per-metric deltas between the
-# previous and current committed baselines; exits non-zero when ns/op
-# or allocs/op grows beyond 10% (ns/op noise margin; allocs/op is
-# exact, so any extra allocation on a 2-3 allocs/op path trips it).
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff $(BENCH_PREV) $(BENCH_BASELINE)
+# Smoke test of the repository's benchmark (bench/, run for real as
+# `bash bench/run.sh --workload <name>`; see bench/README.md). bench/
+# is a module of its own (repro/bench), so `./...` does not reach it.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Golden-fixture contract: every lint rule ships at least one positive
 # and one negative fixture.

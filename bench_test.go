@@ -13,11 +13,15 @@
 // Micro benches cover the simulator's hot paths: the event kernel, the
 // generation-ordered update queue, and whole simulation runs per
 // policy (reported as simulated-seconds-per-wall-second).
+//
+// The live engine's throughput and latency are not measured here: an
+// open-loop offer-rate loop counts ApplyUpdate returns, not installs.
+// Their ground is bench/ (see bench/README.md: feed_capacity for the
+// ingest path, stripd_pipeline for replication).
 package repro
 
 import (
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -284,61 +288,6 @@ func BenchmarkStripExec(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "txns/s")
 }
 
-func BenchmarkStripIngest(b *testing.B) {
-	db, err := strip.Open(strip.Config{Policy: strip.UpdatesFirst, IngestBuffer: 1 << 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	const nViews = 1000
-	for i := 0; i < nViews; i++ {
-		db.DefineView(fmt.Sprintf("v%03d", i), strip.Low)
-	}
-	names := make([]string, nViews)
-	for i := range names {
-		names[i] = fmt.Sprintf("v%03d", i)
-	}
-	now := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.ApplyUpdate(strip.Update{
-			Object:    names[i%nViews],
-			Value:     float64(i),
-			Generated: now.Add(time.Duration(i)),
-		})
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
-}
-
-// BenchmarkStripInstallLatency measures the single-update install
-// round trip — ApplyUpdate through the ingest buffer and scheduler to
-// watcher delivery — in lockstep, so ns/op is the end-to-end install
-// latency of an uncontended update.
-func BenchmarkStripInstallLatency(b *testing.B) {
-	db, err := strip.Open(strip.Config{Policy: strip.UpdatesFirst})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.DefineView("px", strip.High); err != nil {
-		b.Fatal(err)
-	}
-	ch, cancel, err := db.Watch("px", 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cancel()
-	now := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.ApplyUpdate(strip.Update{Object: "px", Value: float64(i), Generated: now.Add(time.Duration(i))})
-		<-ch
-	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us-install-latency")
-}
-
 func BenchmarkStripQuery(b *testing.B) {
 	db, err := strip.Open(strip.Config{Policy: strip.UpdatesFirst})
 	if err != nil {
@@ -404,54 +353,4 @@ func BenchmarkReplFrameDecode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-}
-
-// BenchmarkReplIngest measures end-to-end replica ingest throughput:
-// updates applied on a primary, framed, streamed over loopback TCP,
-// decoded and installed through the replica's scheduler.
-func BenchmarkReplIngest(b *testing.B) {
-	primary, err := strip.Open(strip.Config{Policy: strip.UpdatesFirst, IngestBuffer: 1 << 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer primary.Close()
-	const nViews = 256
-	for i := 0; i < nViews; i++ {
-		primary.DefineView(fmt.Sprintf("v%03d", i), strip.Low)
-	}
-	p := repl.NewPrimary(primary, repl.PrimaryConfig{RingFrames: 1 << 16})
-	defer p.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go p.Serve(l)
-
-	replica, err := strip.Open(strip.Config{Policy: strip.UpdatesFirst, IngestBuffer: 1 << 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer replica.Close()
-	r, err := repl.StartReplica(replica, repl.ReplicaConfig{Addr: l.Addr().String()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-
-	now := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		primary.ApplyUpdate(strip.Update{
-			Object:    fmt.Sprintf("v%03d", i%nViews),
-			Value:     float64(i),
-			Generated: now.Add(time.Duration(i)),
-		})
-	}
-	target := primary.Sequence()
-	for r.LastSeq() < target {
-		time.Sleep(100 * time.Microsecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(target)/b.Elapsed().Seconds(), "replicated/s")
 }

@@ -49,7 +49,7 @@ type Controller struct {
 	col     *metrics.Collector
 
 	osq *uqueue.OSQueue
-	uq  *classQueues
+	uq  *uqueue.ClassQueue
 
 	ready     readyQueue
 	current   *job
@@ -91,7 +91,7 @@ func newController(s *sim.Simulator, p *model.Params, policy Policy,
 		switchSec: p.Seconds(p.XSwitch),
 	}
 	if policy.usesUpdateQueue() {
-		c.uq = newClassQueues(p, queueSeed)
+		c.uq = uqueue.NewClassQueue(p.UQMax, queueSeed, p.CoalesceQueue)
 	}
 	if p.DiskResident {
 		c.bp = newBufferPool(p.BufferPoolPages)
@@ -242,42 +242,55 @@ func (c *Controller) dispatch() {
 		}
 	}
 
-	switch c.policy {
-	case UF:
-		if c.osq.Len() > 0 {
-			c.startInstallFromOS()
-			return
+	// The policy table picks the work; this loop only supplies its
+	// inputs and carries out its answer. A RunTxn answer can come to
+	// nothing — every candidate may fail the feasible-deadline test
+	// and be aborted on the way — in which case the table is asked
+	// again with no transaction ready.
+	for txnReady := c.suspended != nil || c.ready.Len() > 0; ; txnReady = false {
+		high, low := c.backlog()
+		act := Next(c.policy, high, low, txnReady)
+		if c.policy == FC && act == RunTxn && (high || low) &&
+			c.busyUpd < c.p.UpdateCPUFraction*(c.busyTxn+c.busyUpd) {
+			// FC: the update process is below its reserved CPU share,
+			// so its backlog runs ahead of the ready transaction.
+			act = InstallMerged
 		}
-		c.resumeOrNextTxn()
-	case TF, OD:
-		if c.resumeOrNextTxn() {
-			return
-		}
-		if c.uq.Len() > 0 {
-			c.startInstallFromQueue(c.installClass())
-			return
-		}
-	case SU:
-		if c.uq.LenClass(model.High) > 0 {
+		switch act {
+		case RunTxn:
+			if c.resumeOrNextTxn() {
+				return
+			}
+			continue
+		case InstallHigh:
 			c.startInstallFromQueue(int(model.High))
-			return
-		}
-		if c.resumeOrNextTxn() {
-			return
-		}
-		if c.uq.LenClass(model.Low) > 0 {
+		case InstallLow:
 			c.startInstallFromQueue(int(model.Low))
-			return
+		case InstallMerged:
+			if c.uq == nil {
+				c.startInstallFromOS()
+			} else {
+				c.startInstallFromQueue(c.mergedClass())
+			}
 		}
-	case FC:
-		c.dispatchFC()
+		return
 	}
 }
 
-// installClass returns the class selector for queue installs under TF
-// and OD: merged generation order by default, high-before-low with
-// the PartitionedQueues extension.
-func (c *Controller) installClass() int {
+// backlog reports which importance classes have update work waiting:
+// the update queue's two partitions, or — under UF, which installs
+// straight from the OS queue — that queue, reported as low.
+func (c *Controller) backlog() (high, low bool) {
+	if c.uq == nil {
+		return false, c.osq.Len() > 0
+	}
+	return c.uq.LenClass(model.High) > 0, c.uq.LenClass(model.Low) > 0
+}
+
+// mergedClass returns the class selector for a merged install: both
+// classes in generation order by default, high-before-low with the
+// PartitionedQueues extension.
+func (c *Controller) mergedClass() int {
 	if c.p.PartitionedQueues {
 		if c.uq.LenClass(model.High) > 0 {
 			return int(model.High)
@@ -287,44 +300,20 @@ func (c *Controller) installClass() int {
 	return -1
 }
 
-// dispatchFC implements the fixed-CPU-fraction policy: run update work
-// whenever the update process is below its reserved share, otherwise
-// prefer transactions; either side takes the CPU when the other has
-// nothing to do.
-func (c *Controller) dispatchFC() {
-	updWork := c.uq.Len() > 0
-	behind := c.busyUpd < c.p.UpdateCPUFraction*(c.busyTxn+c.busyUpd)
-	if updWork && behind {
-		c.startUpdateWorkFC()
-		return
-	}
-	if c.resumeOrNextTxn() {
-		return
-	}
-	if updWork {
-		c.startUpdateWorkFC()
-	}
-}
-
-// startUpdateWorkFC performs the next unit of update work for FC. The
-// OS queue has already been received at the top of dispatch, so the
-// work is always an install.
-func (c *Controller) startUpdateWorkFC() {
-	c.startInstallFromQueue(c.installClass())
-}
-
 // discardExpired drops every queued update older than Delta and
 // returns the modelled queue-removal cost in seconds.
 func (c *Controller) discardExpired(now float64) float64 {
 	cutoff := now - c.p.MaxAgeDelta
 	n := c.uq.Len()
-	discarded := c.uq.DiscardOlderGen(cutoff)
 	cost := 0.0
-	for i, u := range discarded {
-		c.tracker.Removed(u.Object, u.GenTime, now)
-		c.col.UpdateExpired()
-		c.traceUpdate(TraceUpdateExpired, u.Object)
-		cost += c.p.Seconds(removeCost(c.p.XQueue, n-i))
+	for _, class := range c.uq.DiscardOlderGen(cutoff) {
+		for _, u := range class {
+			c.tracker.Removed(u.Object, u.GenTime, now)
+			c.col.UpdateExpired()
+			c.traceUpdate(TraceUpdateExpired, u)
+			cost += c.p.Seconds(removeCost(c.p.XQueue, n))
+			n--
+		}
 	}
 	return cost
 }
@@ -458,35 +447,17 @@ func (c *Controller) onDeadline(tr *txnRun) {
 // queue and, depending on the policy, may immediately claim the CPU.
 func (c *Controller) onUpdateArrival(u *model.Update) {
 	c.col.UpdateArrived()
-	c.traceUpdate(TraceUpdateArrived, u.Object)
+	c.traceUpdate(TraceUpdateArrived, u)
 	if !c.osq.Offer(u) {
 		c.col.UpdateOSDropped()
-		c.traceUpdate(TraceUpdateDropped, u.Object)
+		c.traceUpdate(TraceUpdateDropped, u)
 		return
 	}
-	switch c.policy {
-	case UF:
-		if c.current == nil {
-			c.dispatch()
-		} else if c.current.preemptible {
-			c.preemptRunningTxn()
-			c.dispatch()
-		}
-	case SU:
-		if u.Class == model.High {
-			if c.current == nil {
-				c.dispatch()
-			} else if c.current.preemptible {
-				c.preemptRunningTxn()
-				c.dispatch()
-			}
-		} else if c.current == nil {
-			c.dispatch()
-		}
-	default: // TF, OD, FC: updates never interrupt
-		if c.current == nil {
-			c.dispatch()
-		}
+	if c.current == nil {
+		c.dispatch()
+	} else if c.current.preemptible && Preempts(c.policy, u.Class) {
+		c.preemptRunningTxn()
+		c.dispatch()
 	}
 }
 

@@ -527,3 +527,15 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced identical results")
 	}
 }
+
+func TestRemoveCost(t *testing.T) {
+	if removeCost(100, 0) != 0 || removeCost(100, 1) != 0 {
+		t.Fatal("cost for n<=1 should be zero")
+	}
+	if removeCost(0, 50) != 0 {
+		t.Fatal("zero xqueue should cost nothing")
+	}
+	if got, want := removeCost(100, 10), 100*math.Log(10); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("removeCost = %v, want %v", got, want)
+	}
+}

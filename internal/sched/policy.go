@@ -16,6 +16,8 @@ package sched
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/model"
 )
 
 // Policy selects the scheduling algorithm of §4.
@@ -89,3 +91,59 @@ func ParsePolicy(s string) (Policy, error) {
 // usesUpdateQueue reports whether the policy maintains an internal
 // update queue. UF installs straight from the OS queue (§4.1).
 func (p Policy) usesUpdateQueue() bool { return p != UF }
+
+// RefreshesOnRead reports whether a transaction reading a stale object
+// first searches the update queue and applies a suitable pending
+// update in-line (§4.4).
+func (p Policy) RefreshesOnRead() bool { return p == OD }
+
+// Action is the controller's next move at a scheduling point.
+type Action int
+
+const (
+	// Idle: nothing is runnable.
+	Idle Action = iota
+	// InstallHigh installs the next queued high-importance update.
+	InstallHigh
+	// InstallLow installs the next queued low-importance update.
+	InstallLow
+	// InstallMerged installs the next queued update of either class,
+	// in generation order across both.
+	InstallMerged
+	// RunTxn runs (or resumes) the best ready transaction.
+	RunTxn
+)
+
+// Next is the §4 policy table: given which importance classes have
+// updates waiting and whether a transaction is ready, it names the
+// work the single CPU does next. It is pure — the simulator's
+// controller and the live engine's scheduler both call it at every
+// scheduling point and keep only their clock and I/O. Under UF the
+// simulator's backlog is its OS queue, passed as lowQueued. FC answers
+// as transactions-first here; the simulator, which owns the CPU-share
+// ledger, overrides RunTxn while the update process is behind its
+// reservation.
+func Next(p Policy, highQueued, lowQueued, txnReady bool) Action {
+	switch {
+	case p == UF && (highQueued || lowQueued):
+		return InstallMerged
+	case p == SU && highQueued:
+		return InstallHigh
+	case txnReady:
+		return RunTxn
+	case p == SU && lowQueued:
+		return InstallLow
+	case highQueued || lowQueued:
+		return InstallMerged
+	default:
+		return Idle
+	}
+}
+
+// Preempts reports whether an update of the given class takes the CPU
+// from a running transaction — at arrival in the simulator, at the
+// next view-read point in the live engine: exactly when the table
+// installs that class ahead of a ready transaction.
+func Preempts(p Policy, class model.Importance) bool {
+	return Next(p, class == model.High, class == model.Low, true) != RunTxn
+}

@@ -1,6 +1,10 @@
 package sched
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/model"
+)
 
 func TestPolicyStrings(t *testing.T) {
 	cases := map[Policy]string{UF: "UF", TF: "TF", SU: "SU", OD: "OD", FC: "FC"}
@@ -51,5 +55,61 @@ func TestPoliciesList(t *testing.T) {
 	}
 	if len(AllPolicies) != 5 {
 		t.Fatalf("AllPolicies has %d entries, want 5", len(AllPolicies))
+	}
+}
+
+// TestNextTable pins the whole §4 decision table: every policy against
+// every backlog (high, low, both, none) with and without a ready
+// transaction.
+func TestNextTable(t *testing.T) {
+	type in struct{ high, low, txn bool }
+	// Columns, in order: backlog {high, low, both, none} without a
+	// ready transaction, then the same with one.
+	inputs := []in{
+		{true, false, false}, {false, true, false}, {true, true, false}, {false, false, false},
+		{true, false, true}, {false, true, true}, {true, true, true}, {false, false, true},
+	}
+	const (
+		idle, hi, lo, mrg, txn = Idle, InstallHigh, InstallLow, InstallMerged, RunTxn
+	)
+	want := map[Policy][]Action{
+		UF: {mrg, mrg, mrg, idle, mrg, mrg, mrg, txn},
+		TF: {mrg, mrg, mrg, idle, txn, txn, txn, txn},
+		SU: {hi, lo, hi, idle, hi, txn, hi, txn},
+		OD: {mrg, mrg, mrg, idle, txn, txn, txn, txn},
+		FC: {mrg, mrg, mrg, idle, txn, txn, txn, txn},
+	}
+	for _, p := range AllPolicies {
+		for i, x := range inputs {
+			if got := Next(p, x.high, x.low, x.txn); got != want[p][i] {
+				t.Errorf("Next(%v, high=%v, low=%v, txn=%v) = %d, want %d",
+					p, x.high, x.low, x.txn, got, want[p][i])
+			}
+		}
+	}
+}
+
+func TestPreempts(t *testing.T) {
+	want := map[Policy][2]bool{ // indexed by model.Importance
+		UF: {model.Low: true, model.High: true},
+		TF: {},
+		SU: {model.High: true},
+		OD: {},
+		FC: {},
+	}
+	for _, p := range AllPolicies {
+		for _, class := range []model.Importance{model.Low, model.High} {
+			if got := Preempts(p, class); got != want[p][class] {
+				t.Errorf("Preempts(%v, %v) = %v, want %v", p, class, got, want[p][class])
+			}
+		}
+	}
+}
+
+func TestRefreshesOnRead(t *testing.T) {
+	for _, p := range AllPolicies {
+		if got := p.RefreshesOnRead(); got != (p == OD) {
+			t.Errorf("%v.RefreshesOnRead() = %v", p, got)
+		}
 	}
 }

@@ -31,26 +31,75 @@ type Config struct {
 	UpdateTrace io.Reader
 }
 
-// Run executes one complete simulation and returns its metrics.
-func Run(cfg Config) (metrics.Result, error) {
+// run is one simulation in progress: the event kernel, the controller
+// and the metric sinks it reports to.
+type run struct {
+	cfg     Config
+	s       *sim.Simulator
+	c       *Controller
+	tracker trackerWithGen
+	col     *metrics.Collector
+}
+
+// newRun validates the configuration and wires a controller to a
+// fresh simulator; the caller schedules the arrivals.
+func newRun(cfg Config) (*run, error) {
 	if err := cfg.Params.Validate(); err != nil {
-		return metrics.Result{}, fmt.Errorf("sched: invalid parameters: %w", err)
+		return nil, fmt.Errorf("sched: invalid parameters: %w", err)
 	}
 	if cfg.Duration <= 0 {
-		return metrics.Result{}, fmt.Errorf("sched: duration %v must be positive", cfg.Duration)
+		return nil, fmt.Errorf("sched: duration %v must be positive", cfg.Duration)
 	}
-	p := cfg.Params
+	r := &run{cfg: cfg, s: sim.New()}
+	p := &r.cfg.Params
+	r.tracker = metrics.NewTracker(p).(trackerWithGen)
+	r.col = metrics.NewCollector(p)
+	r.c = newController(r.s, p, cfg.Policy, r.tracker, r.col, uint64(cfg.Seed*2654435761+1))
+	r.c.tracer = cfg.Tracer
+	return r, nil
+}
+
+// finish runs the simulation to the horizon and collects the metrics.
+func (r *run) finish() metrics.Result {
+	end := r.cfg.Duration
+	r.s.Run(end)
+	r.c.finish(end)
+	r.tracker.Finish(end)
+	r.col.Finish(end)
+	return r.col.Result(r.tracker)
+}
+
+// Replay executes a scripted simulation: the given updates and
+// transactions arrive at their ArrivalTime instead of the synthetic
+// sources' (cfg.Seed only seeds the queue balancing). With a Tracer it
+// is the oracle the live engine's scheduler is checked against: the
+// same script, the same policy table, simulated time instead of wall
+// time.
+func Replay(cfg Config, updates []*model.Update, txns []*model.Txn) (metrics.Result, error) {
+	r, err := newRun(cfg)
+	if err != nil {
+		return metrics.Result{}, err
+	}
+	for _, u := range updates {
+		r.s.At(u.ArrivalTime, func() { r.c.onUpdateArrival(u) })
+	}
+	for _, txn := range txns {
+		r.s.At(txn.ArrivalTime, func() { r.c.onTxnArrival(txn) })
+	}
+	return r.finish(), nil
+}
+
+// Run executes one complete simulation and returns its metrics.
+func Run(cfg Config) (metrics.Result, error) {
+	r, err := newRun(cfg)
+	if err != nil {
+		return metrics.Result{}, err
+	}
+	p, s, c := &r.cfg.Params, r.s, r.c
 
 	root := stats.NewRNG(cfg.Seed, 0x5DEECE66D)
 	updateRNG := root.Split()
 	txnRNG := root.Split()
-	queueSeed := uint64(cfg.Seed*2654435761 + 1)
-
-	s := sim.New()
-	tracker := metrics.NewTracker(&p).(trackerWithGen)
-	col := metrics.NewCollector(&p)
-	c := newController(s, &p, cfg.Policy, tracker, col, queueSeed)
-	c.tracer = cfg.Tracer
 
 	// The update source is the Poisson stream of §5.1 by default, or
 	// the §2 periodic per-object refresh model when configured.
@@ -58,10 +107,10 @@ func Run(cfg Config) (metrics.Result, error) {
 	var traceSrc *workload.TraceUpdateSource
 	switch {
 	case cfg.UpdateTrace != nil:
-		traceSrc = workload.NewTraceUpdateSource(&p, cfg.UpdateTrace)
+		traceSrc = workload.NewTraceUpdateSource(p, cfg.UpdateTrace)
 		nextUpdate = traceSrc.Next
 	case p.PeriodicPeriod > 0:
-		src := workload.NewPeriodicUpdateSource(&p, p.PeriodicPeriod, updateRNG)
+		src := workload.NewPeriodicUpdateSource(p, p.PeriodicPeriod, updateRNG)
 		nextUpdate = src.Next
 	case p.BurstFactor > 1:
 		quiet, burst := p.BurstQuietMean, p.BurstOnMean
@@ -71,10 +120,10 @@ func Run(cfg Config) (metrics.Result, error) {
 		if burst <= 0 {
 			burst = 1
 		}
-		src := workload.NewBurstyUpdateGenerator(&p, updateRNG, p.BurstFactor, quiet, burst)
+		src := workload.NewBurstyUpdateGenerator(p, updateRNG, p.BurstFactor, quiet, burst)
 		nextUpdate = src.Next
 	default:
-		ug := workload.NewUpdateGenerator(&p, updateRNG)
+		ug := workload.NewUpdateGenerator(p, updateRNG)
 		nextUpdate = ug.Next
 	}
 	var scheduleUpdate func()
@@ -90,7 +139,7 @@ func Run(cfg Config) (metrics.Result, error) {
 	}
 	scheduleUpdate()
 
-	tg := workload.NewTxnGenerator(&p, txnRNG)
+	tg := workload.NewTxnGenerator(p, txnRNG)
 	var scheduleTxn func()
 	scheduleTxn = func() {
 		txn := tg.Next()
@@ -104,16 +153,13 @@ func Run(cfg Config) (metrics.Result, error) {
 	}
 	scheduleTxn()
 
-	s.Run(cfg.Duration)
-	c.finish(cfg.Duration)
-	tracker.Finish(cfg.Duration)
-	col.Finish(cfg.Duration)
+	res := r.finish()
 	if traceSrc != nil {
 		if err := traceSrc.Err(); err != nil {
 			return metrics.Result{}, err
 		}
 	}
-	return col.Result(tracker), nil
+	return res, nil
 }
 
 // MustRun is Run for tests and examples where the configuration is

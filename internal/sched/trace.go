@@ -81,6 +81,10 @@ type TraceEvent struct {
 	Txn uint64
 	// Object is the view object for update-* events, -1 otherwise.
 	Object model.ObjectID
+	// Seq is the update's arrival sequence number for update-* events
+	// (with Object it identifies the update, so a trace yields every
+	// update's fate), zero otherwise.
+	Seq uint64
 }
 
 // Tracer receives scheduling events during a run. Implementations
@@ -122,9 +126,9 @@ func (c *Controller) traceTxn(kind TraceKind, tr *txnRun) {
 }
 
 // traceUpdate emits an update event if tracing is enabled.
-func (c *Controller) traceUpdate(kind TraceKind, obj model.ObjectID) {
+func (c *Controller) traceUpdate(kind TraceKind, u *model.Update) {
 	if c.tracer == nil {
 		return
 	}
-	c.tracer.Trace(TraceEvent{Time: c.sim.Now(), Kind: kind, Object: obj})
+	c.tracer.Trace(TraceEvent{Time: c.sim.Now(), Kind: kind, Object: u.Object, Seq: u.Seq})
 }

@@ -49,14 +49,16 @@ func (c *Controller) continueTxn(tr *txnRun) {
 }
 
 // startTxnBaseJob runs dur seconds of estimated transaction work.
-// Base jobs are preemptible by update arrivals under UF and SU.
+// Base jobs are preemptible under the policies where some update class
+// preempts (UF and SU); which arrivals actually do is decided per
+// update in onUpdateArrival.
 func (c *Controller) startTxnBaseJob(tr *txnRun, dur float64, onDone func()) {
 	c.startJob(&job{
 		kind:        metrics.CPUTxn,
 		dur:         dur,
 		tr:          tr,
 		base:        true,
-		preemptible: c.policy == UF || c.policy == SU,
+		preemptible: Preempts(c.policy, model.High),
 		onDone:      onDone,
 	})
 }
@@ -116,7 +118,7 @@ func (c *Controller) onReadDone(tr *txnRun) {
 	obj := tr.txn.ReadSet[tr.readIdx]
 	now := c.sim.Now()
 
-	if c.policy == OD {
+	if c.policy.RefreshesOnRead() {
 		c.odRead(tr, obj)
 		return
 	}
@@ -205,16 +207,17 @@ func (c *Controller) odAfterScan(tr *txnRun, obj model.ObjectID) {
 		return
 	}
 	// Superseded older updates for the object are discarded.
-	for range superseded {
+	for _, old := range superseded {
 		c.tracker.Removed(obj, newest.GenTime, now)
 		c.col.UpdateSkippedUnworthy()
-		c.traceUpdate(TraceUpdateSkipped, obj)
+		c.traceUpdate(TraceUpdateSkipped, old)
 	}
 	if newest.GenTime <= c.tracker.GenTime(obj) {
 		// The database already holds a newer value than anything
 		// queued: the queued updates were worthless.
 		c.tracker.Removed(obj, newest.GenTime, now)
 		c.col.UpdateSkippedUnworthy()
+		c.traceUpdate(TraceUpdateSkipped, newest)
 		if c.tracker.IsStale(obj, now) {
 			c.staleRead(tr)
 			return
@@ -235,7 +238,7 @@ func (c *Controller) odAfterScan(tr *txnRun, obj model.ObjectID) {
 			t := c.sim.Now()
 			c.tracker.Installed(obj, newest.GenTime, t)
 			c.col.UpdateInstalled()
-			c.traceUpdate(TraceUpdateInstalled, obj)
+			c.traceUpdate(TraceUpdateInstalled, newest)
 			if tr.abortPending {
 				c.resolve(tr, model.TxnAbortedDeadline)
 				c.dispatch()

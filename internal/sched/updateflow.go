@@ -1,9 +1,20 @@
 package sched
 
 import (
+	"math"
+
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
+
+// removeCost returns the instruction cost of one queue removal when
+// the queue holds n updates: xqueue·ln(n) (§3.3), zero for n <= 1.
+func removeCost(xqueue float64, n int) float64 {
+	if n <= 1 || xqueue <= 0 {
+		return 0
+	}
+	return xqueue * math.Log(float64(n))
+}
 
 // startInstallFromOS is the Updates First path (§4.1): the update at
 // the head of the OS queue is installed directly, with no internal
@@ -28,10 +39,10 @@ func (c *Controller) startInstallFromOS() {
 			if worthy {
 				c.tracker.Installed(u.Object, u.GenTime, c.sim.Now())
 				c.col.UpdateInstalled()
-				c.traceUpdate(TraceUpdateInstalled, u.Object)
+				c.traceUpdate(TraceUpdateInstalled, u)
 			} else {
 				c.col.UpdateSkippedUnworthy()
-				c.traceUpdate(TraceUpdateSkipped, u.Object)
+				c.traceUpdate(TraceUpdateSkipped, u)
 			}
 			c.dispatch()
 		},
@@ -66,7 +77,7 @@ func (c *Controller) startReceive() bool {
 			for _, ev := range c.uq.Insert(u) {
 				c.tracker.Removed(ev.Object, ev.GenTime, now)
 				c.col.UpdateOverflowDropped()
-				c.traceUpdate(TraceUpdateDropped, ev.Object)
+				c.traceUpdate(TraceUpdateDropped, ev)
 			}
 		}
 	}
@@ -110,11 +121,11 @@ func (c *Controller) startInstallFromQueue(class int) {
 			if worthy {
 				c.tracker.Installed(u.Object, u.GenTime, now)
 				c.col.UpdateInstalled()
-				c.traceUpdate(TraceUpdateInstalled, u.Object)
+				c.traceUpdate(TraceUpdateInstalled, u)
 			} else {
 				c.tracker.Removed(u.Object, u.GenTime, now)
 				c.col.UpdateSkippedUnworthy()
-				c.traceUpdate(TraceUpdateSkipped, u.Object)
+				c.traceUpdate(TraceUpdateSkipped, u)
 			}
 			c.dispatch()
 		},

@@ -1,24 +1,20 @@
-package sched
+package uqueue
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/model"
 )
 
-func newTestQueues(capacity int, coalesce bool) *classQueues {
-	p := model.DefaultParams()
-	p.UQMax = capacity
-	p.CoalesceQueue = coalesce
-	return newClassQueues(&p, 7)
+func newTestQueues(capacity int, coalesce bool) *ClassQueue {
+	return NewClassQueue(capacity, 7, coalesce)
 }
 
 func cu(seq uint64, obj model.ObjectID, class model.Importance, gen float64) *model.Update {
 	return &model.Update{Seq: seq, Object: obj, Class: class, GenTime: gen}
 }
 
-func TestClassQueuesMergedFIFO(t *testing.T) {
+func TestClassQueueMergedFIFO(t *testing.T) {
 	cq := newTestQueues(100, false)
 	cq.Insert(cu(1, 0, model.Low, 5))
 	cq.Insert(cu(2, 500, model.High, 3))
@@ -35,7 +31,7 @@ func TestClassQueuesMergedFIFO(t *testing.T) {
 	}
 }
 
-func TestClassQueuesMergedLIFO(t *testing.T) {
+func TestClassQueueMergedLIFO(t *testing.T) {
 	cq := newTestQueues(100, false)
 	cq.Insert(cu(1, 0, model.Low, 5))
 	cq.Insert(cu(2, 500, model.High, 9))
@@ -52,7 +48,7 @@ func TestClassQueuesMergedLIFO(t *testing.T) {
 	}
 }
 
-func TestClassQueuesMergedTieBreak(t *testing.T) {
+func TestClassQueueMergedTieBreak(t *testing.T) {
 	cq := newTestQueues(100, false)
 	cq.Insert(cu(2, 500, model.High, 5))
 	cq.Insert(cu(1, 0, model.Low, 5))
@@ -62,7 +58,7 @@ func TestClassQueuesMergedTieBreak(t *testing.T) {
 	}
 }
 
-func TestClassQueuesClassPop(t *testing.T) {
+func TestClassQueueClassPop(t *testing.T) {
 	cq := newTestQueues(100, false)
 	cq.Insert(cu(1, 0, model.Low, 1))
 	cq.Insert(cu(2, 500, model.High, 2))
@@ -74,7 +70,7 @@ func TestClassQueuesClassPop(t *testing.T) {
 	}
 }
 
-func TestClassQueuesJointCapacity(t *testing.T) {
+func TestClassQueueJointCapacity(t *testing.T) {
 	cq := newTestQueues(3, false)
 	cq.Insert(cu(1, 0, model.Low, 1))
 	cq.Insert(cu(2, 500, model.High, 2))
@@ -88,7 +84,7 @@ func TestClassQueuesJointCapacity(t *testing.T) {
 	}
 }
 
-func TestClassQueuesEmptyPops(t *testing.T) {
+func TestClassQueueEmptyPops(t *testing.T) {
 	cq := newTestQueues(10, false)
 	if cq.Pop(model.FIFO, -1) != nil || cq.Pop(model.LIFO, -1) != nil {
 		t.Fatal("pop on empty queues should be nil")
@@ -98,7 +94,7 @@ func TestClassQueuesEmptyPops(t *testing.T) {
 	}
 }
 
-func TestClassQueuesTakeForAndNewestFor(t *testing.T) {
+func TestClassQueueTakeForAndNewestFor(t *testing.T) {
 	cq := newTestQueues(100, false)
 	cq.Insert(cu(1, 42, model.Low, 1))
 	cq.Insert(cu(2, 42, model.Low, 7))
@@ -115,21 +111,22 @@ func TestClassQueuesTakeForAndNewestFor(t *testing.T) {
 	}
 }
 
-func TestClassQueuesDiscardBothClasses(t *testing.T) {
+func TestClassQueueDiscardBothClasses(t *testing.T) {
 	cq := newTestQueues(100, false)
 	cq.Insert(cu(1, 0, model.Low, 1))
 	cq.Insert(cu(2, 500, model.High, 2))
 	cq.Insert(cu(3, 1, model.Low, 9))
 	out := cq.DiscardOlderGen(5)
-	if len(out) != 2 {
-		t.Fatalf("discarded %d updates, want 2", len(out))
+	if len(out[model.Low]) != 1 || len(out[model.High]) != 1 {
+		t.Fatalf("discarded %d low and %d high updates, want 1 and 1",
+			len(out[model.Low]), len(out[model.High]))
 	}
 	if cq.Len() != 1 {
 		t.Fatalf("Len = %d after discard", cq.Len())
 	}
 }
 
-func TestClassQueuesCoalescing(t *testing.T) {
+func TestClassQueueCoalescing(t *testing.T) {
 	cq := newTestQueues(100, true)
 	cq.Insert(cu(1, 42, model.Low, 1))
 	ev := cq.Insert(cu(2, 42, model.Low, 7))
@@ -141,14 +138,20 @@ func TestClassQueuesCoalescing(t *testing.T) {
 	}
 }
 
-func TestRemoveCost(t *testing.T) {
-	if removeCost(100, 0) != 0 || removeCost(100, 1) != 0 {
-		t.Fatal("cost for n<=1 should be zero")
+func TestClassQueueCoalescingAtCapacity(t *testing.T) {
+	// A coalescing replace does not lengthen the queue, so it must not
+	// also evict for capacity; a new object at capacity must evict
+	// exactly the globally oldest update.
+	cq := newTestQueues(2, true)
+	cq.Insert(cu(1, 42, model.Low, 1))
+	cq.Insert(cu(2, 500, model.High, 2))
+	if ev := cq.Insert(cu(3, 42, model.Low, 3)); len(ev) != 1 || ev[0].Seq != 1 {
+		t.Fatalf("replace at capacity evicted %v, want only the superseded seq 1", ev)
 	}
-	if removeCost(0, 50) != 0 {
-		t.Fatal("zero xqueue should cost nothing")
+	if ev := cq.Insert(cu(4, 43, model.Low, 4)); len(ev) != 1 || ev[0].Seq != 2 {
+		t.Fatalf("overflow evicted %v, want the globally oldest (seq 2)", ev)
 	}
-	if got, want := removeCost(100, 10), 100*math.Log(10); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("removeCost = %v, want %v", got, want)
+	if cq.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", cq.Len())
 	}
 }

@@ -130,7 +130,7 @@ func TestTxnGeneratorShape(t *testing.T) {
 	const n = 50000
 	low := 0
 	var compSum, valueLowSum, valueHighSum float64
-	var lowCount, highCount int
+	var nLow, nHigh int
 	var readsSum float64
 	var lastArrival float64
 	for i := 0; i < n; i++ {
@@ -154,10 +154,10 @@ func TestTxnGeneratorShape(t *testing.T) {
 		}
 		if txn.Class == model.Low {
 			low++
-			lowCount++
+			nLow++
 			valueLowSum += txn.Value
 		} else {
-			highCount++
+			nHigh++
 			valueHighSum += txn.Value
 		}
 		compSum += txn.CompSeconds
@@ -177,10 +177,10 @@ func TestTxnGeneratorShape(t *testing.T) {
 		t.Fatalf("mean reads = %v, want about 2", m)
 	}
 	// Truncation at zero pulls the means slightly above the nominal.
-	if m := valueLowSum / float64(lowCount); m < 0.95 || m > 1.15 {
+	if m := valueLowSum / float64(nLow); m < 0.95 || m > 1.15 {
 		t.Fatalf("low value mean = %v, want about 1.0", m)
 	}
-	if m := valueHighSum / float64(highCount); m < 1.95 || m > 2.1 {
+	if m := valueHighSum / float64(nHigh); m < 1.95 || m > 2.1 {
 		t.Fatalf("high value mean = %v, want about 2.0", m)
 	}
 }

@@ -83,16 +83,18 @@ type DB struct {
 	obs      *dbObs
 	maxStale *metrics.MaxStaleness // guarded by mu
 
-	// Scheduler-owned state. pending and highCount are written only
-	// by the scheduler but read under mu by Peek, so their mutations
-	// take mu as well.
-	queue     uqueue.Queue
-	pending   []int // per-object queued-update count (UU criterion)
-	highCount int   // queued updates targeting High-importance views
-	ready     []*txnReq
-	// popBack is popClass's reused put-back scratch (scheduler-owned,
-	// references cleared after every use).
-	popBack []*model.Update
+	// Scheduler-owned state. pending is written only by the scheduler
+	// (in enqueue and settleLocked) but read under mu by Peek, so its
+	// mutations take mu as well. queue is the class-partitioned update
+	// queue the simulator's controller runs on too; order is its
+	// service discipline (Config.LIFO).
+	queue   *uqueue.ClassQueue
+	order   model.QueueOrder
+	pending []int // per-object queued-update count (UU criterion)
+	ready   []*txnReq
+	// onSettle, when set by an in-package test before the first step,
+	// observes every update leaving the queue (see settleLocked).
+	onSettle func(*model.Update, settleCause)
 
 	// ckptMu serializes Checkpoint calls; it guards no fields.
 	ckptMu sync.Mutex
@@ -129,6 +131,18 @@ type txnReq struct {
 
 // Open creates a database and starts its scheduler.
 func Open(cfg Config) (*DB, error) {
+	db, err := open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go db.loop()
+	return db, nil
+}
+
+// open builds a database whose scheduler goroutine is not running.
+// In-package tests drive such a database one scheduling point at a
+// time with step, against an injected Clock.
+func open(cfg Config) (*DB, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -177,12 +191,10 @@ func Open(cfg Config) (*DB, error) {
 		maxStale:   metrics.NewMaxStaleness(),
 	}
 	db.obs = newDBObs(db, cfg.Metrics, cfg.TraceDepth)
-	if cfg.Coalesce {
-		db.queue = uqueue.NewCoalescedQueue(cfg.QueueCapacity, 1)
-	} else {
-		db.queue = uqueue.NewGenQueue(cfg.QueueCapacity, 1)
+	db.queue = uqueue.NewClassQueue(cfg.QueueCapacity, 1, cfg.Coalesce)
+	if cfg.LIFO {
+		db.order = model.LIFO
 	}
-	go db.loop()
 	return db, nil
 }
 
@@ -227,6 +239,9 @@ func (db *DB) markClosed() bool {
 
 // DefineView registers a view object refreshed by the update stream.
 func (db *DB) DefineView(name string, importance Importance) error {
+	if err := checkImportance(importance); err != nil {
+		return err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -315,12 +330,15 @@ func (db *DB) arrivalNanos(u *model.Update) int64 {
 	return db.startNanos + int64(u.ArrivalTime*float64(time.Second))
 }
 
-// lookup resolves a view name.
-func (db *DB) lookup(name string) (model.ObjectID, bool) {
+// lookup resolves a view name to its object and importance class.
+func (db *DB) lookup(name string) (model.ObjectID, Importance, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	id, ok := db.names[name]
-	return id, ok
+	if !ok {
+		return 0, 0, false
+	}
+	return id, db.defs[id].importance, true
 }
 
 // staleLocked evaluates the staleness criterion for one object. A
@@ -349,18 +367,24 @@ func (db *DB) isStale(id model.ObjectID, now time.Time) bool {
 	return db.staleLocked(id, now)
 }
 
-// install writes an update into its view if it is worthy (newer than
-// the installed generation), then fires triggers and derived-view
-// recomputation. It is called on the scheduler goroutine. popNanos is
-// the clock reading taken when the update left the queue; the install
-// and trigger spans are measured from it. The entry write happens in
-// installEntry so the lock can be released by defer; triggers must
-// fire outside db.mu (fireTriggers and notifyWatchers re-acquire it).
-func (db *DB) install(u *model.Update, gen time.Time, popNanos int64) {
-	if !db.installEntry(u, gen, popNanos) {
+// install takes an update that has just left the queue — and, for an
+// OnDemand refresh, the queued updates it supersedes — and writes it
+// into its view if it is worthy (newer than the installed generation),
+// then fires triggers and derived-view recomputation. It is called on
+// the scheduler goroutine. The install and trigger spans are measured
+// from the clock reading taken here, as the update leaves the queue.
+// The entry write happens in installEntry so the lock can be released
+// by defer; triggers must fire outside db.mu (fireTriggers and
+// notifyWatchers re-acquire it).
+func (db *DB) install(u *model.Update, superseded []*model.Update) {
+	o := db.obs
+	popNanos := db.nowNanos()
+	if u.ArrivalTime > 0 {
+		o.stage[obs.StageQueueWait].Observe(popNanos - db.arrivalNanos(u))
+	}
+	if !db.installEntry(u, superseded, popNanos) {
 		return
 	}
-	o := db.obs
 	fired := db.fireTriggers(u.Object)
 	if o.ring != nil {
 		// The trigger span would cost a third clock reading on every
@@ -378,30 +402,28 @@ func (db *DB) install(u *model.Update, gen time.Time, popNanos int64) {
 	}
 }
 
-// installEntry applies the update under the write lock, reporting
-// whether it was worthy (newer than the installed generation). A
-// worthy install is published to the replication sink — and takes its
-// place in the replication total order — inside the same critical
-// section that writes the entry.
-func (db *DB) installEntry(u *model.Update, gen time.Time, popNanos int64) bool {
+// installEntry settles the departed updates and applies u in one
+// critical section, reporting whether u was worthy (newer than the
+// installed generation). Settling and writing under the same lock is
+// what keeps the UU criterion truthful: an object stops being stale at
+// the instant its value changes, never before. A worthy install is
+// published to the replication sink — and takes its place in the
+// replication total order — inside the same critical section.
+func (db *DB) installEntry(u *model.Update, superseded []*model.Update, popNanos int64) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	for _, old := range superseded {
+		db.settleLocked(old, settleSkipped)
+	}
+	gen := db.genTime(u)
+	e := &db.entries[u.Object]
 	// A replicated update admitted before the last ResetToSnapshot
 	// belongs to the deposed primary's stream: the reset adopted a
 	// state its history never produced, so installing it — however
 	// fresh its generation looks — would resurrect divergent writes.
-	if u.Replicated && u.Seq <= db.replBarrier {
-		db.stats.UpdatesSkipped++
-		db.lag.Removed(u.Object)
-		return false
-	}
-	e := &db.entries[u.Object]
-	worthy := gen.After(e.generated)
-	if !worthy {
-		db.stats.UpdatesSkipped++
-		if u.Replicated {
-			db.lag.Removed(u.Object)
-		}
+	// Anything else is skipped only when unworthy.
+	if (u.Replicated && u.Seq <= db.replBarrier) || !gen.After(e.generated) {
+		db.settleLocked(u, settleSkipped)
 		return false
 	}
 	if fields, ok := u.Aux.(partialFields); ok {
@@ -423,7 +445,7 @@ func (db *DB) installEntry(u *model.Update, gen time.Time, popNanos int64) bool 
 	}
 	e.generated = gen
 	db.recordHistoryLocked(u.Object)
-	db.stats.UpdatesInstalled++
+	db.settleLocked(u, settleInstalled)
 	if u.Replicated {
 		db.lag.Installed(u.Object, u.GenTime)
 	} else {

@@ -39,6 +39,23 @@ func mustOpen(t *testing.T, cfg Config) *DB {
 	return db
 }
 
+// mustOpenStepped builds a database whose scheduler goroutine is not
+// running: the test is the scheduler, calling db.step one scheduling
+// point at a time against its injected Clock. The goroutine is started
+// only at cleanup, so that Close has something to stop.
+func mustOpenStepped(t *testing.T, cfg Config) *DB {
+	t.Helper()
+	db, err := open(cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() {
+		go db.loop()
+		db.Close()
+	})
+	return db
+}
+
 // waitFor polls until cond returns true or the deadline expires.
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Helper()

@@ -37,7 +37,7 @@ func (db *DB) ApplyUpdate(u Update) error {
 	mu := &model.Update{
 		Seq:         seq,
 		Object:      id,
-		Class:       model.Importance(imp),
+		Class:       imp,
 		GenTime:     db.secs(gen),
 		ArrivalTime: db.secs(now),
 		Payload:     u.Value,

@@ -5,70 +5,63 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/strip/obs"
+	"repro/internal/sched"
 )
 
 // loop is the scheduler goroutine: the paper's controller and CPU in
-// one. Each pass receives pending arrivals, discards expired updates,
-// reaps dead transactions, then chooses between update installation
-// and transaction execution according to the policy.
+// one, stepping until shutdown and sleeping when a step finds nothing
+// to do.
 func (db *DB) loop() {
 	defer close(db.done)
 	for {
-		db.drainIngest()
-		db.expireQueue()
-		db.drainTxnCh()
-		db.reapDeadTxns()
-		db.publishQueueLen()
-
+		db.intake()
 		select {
 		case <-db.stopCh:
 			db.shutdown()
 			return
 		default:
 		}
-
-		switch {
-		case db.updateHasPriority():
-			db.installNext(db.priorityClass())
-		case len(db.ready) > 0:
-			db.runNextTxn()
-		case db.queue.Len() > 0:
-			db.installNext(-1)
-		default:
-			if !db.idleWait() {
-				db.shutdown()
-				return
-			}
+		if !db.act() && !db.idleWait() {
+			db.shutdown()
+			return
 		}
 	}
 }
 
-// updateHasPriority reports whether queued update work must run before
-// any transaction under the configured policy.
-func (db *DB) updateHasPriority() bool {
-	switch db.cfg.Policy {
-	case UpdatesFirst:
-		return db.queue.Len() > 0
-	case SplitUpdates:
-		return db.highPending() > 0
-	default:
-		return false
-	}
+// step is one scheduling point, as loop runs it between its shutdown
+// checks. It reports whether there was any work.
+func (db *DB) step() bool {
+	db.intake()
+	return db.act()
 }
 
-// priorityClass selects which updates the priority install drains.
-func (db *DB) priorityClass() int {
-	if db.cfg.Policy == SplitUpdates {
-		return int(model.High)
-	}
-	return -1
+// intake receives pending arrivals, discards expired updates and reaps
+// dead transactions.
+func (db *DB) intake() {
+	db.drainIngest()
+	db.expireQueue()
+	db.drainTxnCh()
+	db.reapDeadTxns()
+	db.publishQueueLen()
 }
 
-// highPending counts queued updates to High-importance views. The
-// queue stores the model class, which mirrors the view definition.
-func (db *DB) highPending() int {
-	return db.highCount
+// act does the one piece of work the policy table (sched.Next, shared
+// with the simulator's controller) names, reporting whether there was
+// any.
+func (db *DB) act() bool {
+	act := db.next(len(db.ready) > 0)
+	if act == sched.RunTxn {
+		db.runNextTxn()
+		return true
+	}
+	return db.installNext(act)
+}
+
+// next asks the policy table what to do given the queue's two class
+// backlogs.
+func (db *DB) next(txnReady bool) sched.Action {
+	return sched.Next(db.cfg.Policy,
+		db.queue.LenClass(model.High) > 0, db.queue.LenClass(model.Low) > 0, txnReady)
 }
 
 // drainIngest moves every buffered arrival into the update queue (the
@@ -84,6 +77,44 @@ func (db *DB) drainIngest() {
 	}
 }
 
+// settleCause says how a queued update left the queue.
+type settleCause int
+
+const (
+	settleInstalled settleCause = iota // written into its view
+	settleSkipped                      // superseded, coalesced or unworthy
+	settleEvicted                      // casualty of queue overflow
+	settleExpired                      // older than MaxAge
+)
+
+// settleLocked is the one exit from the update queue: every update
+// that enqueue counted in leaves through here, exactly once, so the
+// conservation ledger (received = installed + skipped + evicted +
+// expired + queued) and the UU pending counts hold by construction.
+// An update that leaves uninstalled also settles its replication-lag
+// account; an installed one settles it in installEntry, which knows
+// the generation it installed. Callers hold db.mu for writing.
+func (db *DB) settleLocked(u *model.Update, cause settleCause) {
+	db.pending[u.Object]--
+	if db.onSettle != nil {
+		db.onSettle(u, cause)
+	}
+	switch cause {
+	case settleInstalled:
+		db.stats.UpdatesInstalled++
+		return
+	case settleSkipped:
+		db.stats.UpdatesSkipped++
+	case settleEvicted:
+		db.stats.UpdatesEvicted++
+	case settleExpired:
+		db.stats.UpdatesExpired++
+	}
+	if u.Replicated {
+		db.lag.Removed(u.Object)
+	}
+}
+
 // enqueue inserts one received update, accounting for coalescing and
 // overflow evictions.
 func (db *DB) enqueue(u *model.Update) {
@@ -91,23 +122,13 @@ func (db *DB) enqueue(u *model.Update) {
 	db.mu.Lock()
 	db.stats.UpdatesReceived++
 	db.pending[u.Object]++
-	if u.Class == model.High {
-		db.highCount++
-	}
 	for _, ev := range evicted {
-		db.pending[ev.Object]--
-		if ev.Class == model.High {
-			db.highCount--
-		}
-		if ev.Replicated {
-			db.lag.Removed(ev.Object)
-		}
 		if ev.Object == u.Object {
 			// Same object: superseded by a newer generation
 			// (coalescing), not a capacity casualty.
-			db.stats.UpdatesSkipped++
+			db.settleLocked(ev, settleSkipped)
 		} else {
-			db.stats.UpdatesEvicted++
+			db.settleLocked(ev, settleEvicted)
 		}
 	}
 	db.mu.Unlock()
@@ -124,141 +145,48 @@ func (db *DB) expireQueue() {
 	}
 	cutoff := db.secs(db.now().Add(-db.cfg.MaxAge))
 	expired := db.queue.DiscardOlderGen(cutoff)
-	if len(expired) == 0 {
+	if len(expired[model.Low])+len(expired[model.High]) == 0 {
 		return
 	}
 	db.mu.Lock()
-	for _, u := range expired {
-		db.pending[u.Object]--
-		if u.Class == model.High {
-			db.highCount--
+	for _, class := range expired {
+		for _, u := range class {
+			db.settleLocked(u, settleExpired)
 		}
-		if u.Replicated {
-			db.lag.Removed(u.Object)
-		}
-		db.stats.UpdatesExpired++
 	}
 	db.mu.Unlock()
 }
 
-// installNext installs the next queued update of the given class (-1
-// for any), honouring the FIFO/LIFO configuration. It reports whether
-// an update was found.
-func (db *DB) installNext(class int) bool {
-	var u *model.Update
-	if class >= 0 {
-		u = db.popClass(model.Importance(class))
-	} else if db.cfg.LIFO {
-		u = db.queue.PopNewest()
-	} else {
-		u = db.queue.PopOldest()
+// installNext carries out one of the policy table's install actions:
+// it pops the next queued update of the class the action names,
+// honouring the FIFO/LIFO configuration, and installs it. It reports
+// whether there was one (never for Idle).
+func (db *DB) installNext(act sched.Action) bool {
+	class := -1
+	switch act {
+	case sched.InstallHigh:
+		class = int(model.High)
+	case sched.InstallLow:
+		class = int(model.Low)
+	case sched.InstallMerged:
+	default:
+		return false
 	}
+	u := db.queue.Pop(db.order, class)
 	if u == nil {
 		return false
 	}
-	popNanos := db.nowNanos()
-	if u.ArrivalTime > 0 {
-		db.obs.stage[obs.StageQueueWait].Observe(popNanos - db.arrivalNanos(u))
-	}
-	db.mu.Lock()
-	db.pending[u.Object]--
-	if u.Class == model.High {
-		db.highCount--
-	}
-	db.mu.Unlock()
-	db.install(u, db.genTime(u), popNanos)
+	db.install(u, nil)
 	return true
-}
-
-// popClass removes the next queued update targeting the given
-// importance class. The shared queue is generation-ordered across
-// classes, so this scans from the configured service end.
-func (db *DB) popClass(class model.Importance) *model.Update {
-	// Collect non-matching updates to put back; class-targeted pops
-	// are only used by SplitUpdates for the High class, which is
-	// drained eagerly, so the put-back list stays short-lived. The
-	// scratch lives on the DB (scheduler-owned) so repeated scans
-	// reuse one buffer.
-	back := db.popBack[:0]
-	var found *model.Update
-	for {
-		var u *model.Update
-		if db.cfg.LIFO {
-			u = db.queue.PopNewest()
-		} else {
-			u = db.queue.PopOldest()
-		}
-		if u == nil {
-			break
-		}
-		if u.Class == class {
-			found = u
-			break
-		}
-		back = append(back, u)
-	}
-	for _, u := range back {
-		db.queue.Insert(u)
-	}
-	// Clear the references before parking the scratch: a retained
-	// pointer would keep an installed update alive.
-	for i := range back {
-		back[i] = nil
-	}
-	db.popBack = back[:0]
-	return found
-}
-
-// installAll installs every queued update (class < 0) or every queued
-// update of one class. It is the cooperative preemption run at view
-// read points under UpdatesFirst and SplitUpdates.
-func (db *DB) installAll(class int) {
-	for {
-		if class >= 0 {
-			if db.highCount == 0 {
-				return
-			}
-		} else if db.queue.Len() == 0 {
-			return
-		}
-		if !db.installNext(class) {
-			return
-		}
-	}
 }
 
 // refreshOnDemand applies the newest queued update for the object, if
 // any (the OnDemand in-line refresh). All superseded queued updates
 // for the object are discarded.
-func (db *DB) refreshOnDemand(id model.ObjectID) {
-	newest, superseded := db.queue.TakeFor(id)
-	if newest == nil {
-		return
+func (db *DB) refreshOnDemand(id model.ObjectID, class Importance) {
+	if newest, superseded := db.queue.TakeFor(class, id); newest != nil {
+		db.install(newest, superseded)
 	}
-	popNanos := db.nowNanos()
-	if newest.ArrivalTime > 0 {
-		db.obs.stage[obs.StageQueueWait].Observe(popNanos - db.arrivalNanos(newest))
-	}
-	db.mu.Lock()
-	db.pending[id] -= len(superseded) + 1
-	if newest.Class == model.High {
-		db.highCount--
-	}
-	for _, u := range superseded {
-		if u.Class == model.High {
-			db.highCount--
-		}
-		if u.Replicated {
-			// Superseded without installing: settle its pending count
-			// in the lag account. Each entry carries its own flag — a
-			// local survivor can supersede replicated entries and vice
-			// versa, so the survivor's flag says nothing about them.
-			db.lag.Removed(id)
-		}
-		db.stats.UpdatesSkipped++
-	}
-	db.mu.Unlock()
-	db.install(newest, db.genTime(newest), popNanos)
 }
 
 // publishQueueLen exposes the queue length to Stats.

@@ -242,7 +242,7 @@ func Decode(payload []byte) (Msg, error) {
 		m := &UpdateMsg{Sequence: seq}
 		m.Generated = int64(d.u64())
 		m.Value = d.f64()
-		m.Importance = strip.Importance(d.u8())
+		m.Importance = d.importance()
 		flags := d.u8()
 		m.Partial = flags&flagPartial != 0
 		m.Object = d.str()
@@ -260,7 +260,7 @@ func Decode(payload []byte) (Msg, error) {
 		for i := 0; i < n && d.err == nil; i++ {
 			var v strip.SnapshotView
 			v.Name = d.str()
-			v.Importance = strip.Importance(d.u8())
+			v.Importance = d.importance()
 			v.Generated = nanosGen(int64(d.u64()))
 			v.Value = d.f64()
 			v.Fields = d.pairs16()
@@ -336,6 +336,17 @@ func (d *decoder) u8() byte {
 		return 0
 	}
 	return b[0]
+}
+
+// importance reads an importance class, rejecting values the
+// scheduler's class queue has no partition for: a version-skewed or
+// hostile peer must not get one past a valid checksum.
+func (d *decoder) importance() strip.Importance {
+	imp := strip.Importance(d.u8())
+	if d.err == nil && imp > strip.High {
+		d.err = fmt.Errorf("%w: importance out of range", ErrMalformed)
+	}
+	return imp
 }
 
 func (d *decoder) u16() uint16 {

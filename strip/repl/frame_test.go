@@ -255,9 +255,18 @@ func TestDecodeTruncatedPayloads(t *testing.T) {
 
 func TestDecodeMalformed(t *testing.T) {
 	up, _ := EncodeEvent(testUpdateEvent())
+	// A class the replica's scheduler has no queue partition for.
+	badEv := testUpdateEvent()
+	badEv.Importance = 2
+	badUp, _ := EncodeEvent(badEv)
+	badSnap := testSnapshot()
+	badSnap.Views[len(badSnap.Views)-1].Importance = 255
+	badSn, _ := EncodeSnapshot(badSnap)
 	cases := map[string][]byte{
-		"unknown kind":   {99, 0, 0, 0, 0, 0, 0, 0, 1},
-		"trailing bytes": append(bytes.Clone(up), 0xAA),
+		"unknown kind":             {99, 0, 0, 0, 0, 0, 0, 0, 1},
+		"trailing bytes":           append(bytes.Clone(up), 0xAA),
+		"update importance":        badUp,
+		"snapshot view importance": badSn,
 		"absurd batch count": {KindBatch, 0, 0, 0, 0, 0, 0, 0, 1,
 			0xFF, 0xFF, 0xFF, 0xFF},
 		"absurd view count": {KindSnapshot, 0, 0, 0, 0, 0, 0, 0, 1,

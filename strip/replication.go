@@ -248,13 +248,14 @@ func (db *DB) applyWritesLocked(writes map[string]float64) error {
 // ApplyReplicated submits one update received from a primary. It
 // differs from ApplyUpdate in three ways: an unknown view object is
 // defined on the fly with the carried importance (the replica imports
-// the primary's schema as it streams), the update is tagged for lag
+// the primary's schema as it streams; a view already defined here
+// keeps its local importance), the update is tagged for lag
 // accounting, and a full ingest buffer blocks instead of dropping —
 // replication applies backpressure to the stream rather than losing
 // updates. The update still flows through the normal scheduler queue,
 // so the configured policy governs install order on the replica too.
 func (db *DB) ApplyReplicated(u Update, imp Importance) error {
-	id, err := db.ensureView(u.Object, imp)
+	id, class, err := db.ensureView(u.Object, imp)
 	if err != nil {
 		return err
 	}
@@ -267,7 +268,7 @@ func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 	//striplint:ignore alloc-in-hotpath -- the update outlives ApplyReplicated by design: it escapes into the scheduler queue and is installed later
 	mu := &model.Update{
 		Object:      id,
-		Class:       model.Importance(imp),
+		Class:       class,
 		GenTime:     db.secs(gen),
 		ArrivalTime: db.secs(now),
 		Payload:     u.Value,
@@ -299,25 +300,42 @@ func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 	}
 }
 
-// ensureView resolves a view name, defining it with the given
-// importance when missing. Derived views cannot be fed externally.
-func (db *DB) ensureView(name string, imp Importance) (model.ObjectID, error) {
+// ensureView resolves a view name to its object and the class its
+// updates queue under, defining it with the given importance when
+// missing. An existing definition wins over the carried importance:
+// the local definition is what every read looks the class up by, so
+// it is also what the update must be queued under. Derived views
+// cannot be fed externally.
+func (db *DB) ensureView(name string, imp Importance) (model.ObjectID, Importance, error) {
+	if err := checkImportance(imp); err != nil {
+		return 0, 0, err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	if id, ok := db.names[name]; ok {
 		if db.defs[id].derived {
-			return 0, fmt.Errorf("%w: %q", ErrDerivedUpdate, name)
+			return 0, 0, fmt.Errorf("%w: %q", ErrDerivedUpdate, name)
 		}
-		return id, nil
+		return id, db.defs[id].importance, nil
 	}
-	return db.defineViewLocked(name, imp), nil
+	return db.defineViewLocked(name, imp), imp, nil
+}
+
+// checkSnapshot validates a snapshot before any of it is applied.
+func checkSnapshot(s Snapshot) error {
+	for _, v := range s.Views {
+		if err := checkImportance(v.Importance); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // defineViewLocked registers a view object. Callers hold db.mu for
-// writing and have checked the name is unused.
+// writing and have checked the name is unused and the importance valid.
 func (db *DB) defineViewLocked(name string, importance Importance) model.ObjectID {
 	id := model.ObjectID(len(db.defs))
 	db.names[name] = id
@@ -377,6 +395,9 @@ func (db *DB) ReplicaSnapshot() Snapshot {
 // It does not touch views the snapshot omits, so a replica can also
 // serve local data.
 func (db *DB) InstallSnapshot(s Snapshot) error {
+	if err := checkSnapshot(s); err != nil {
+		return err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -428,6 +449,9 @@ func (db *DB) InstallSnapshot(s Snapshot) error {
 // history's WAL and rejoins through the failover manager, which
 // re-points it at the leader and resets again.
 func (db *DB) ResetToSnapshot(s Snapshot) error {
+	if err := checkSnapshot(s); err != nil {
+		return err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {

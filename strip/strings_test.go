@@ -96,7 +96,7 @@ func TestReadAsOfBeforeAndAfterState(t *testing.T) {
 
 func TestSplitUpdatesLowDrainWhenIdle(t *testing.T) {
 	// Exercise the SU idle path: a low-importance update installs once
-	// nothing else is runnable (priorityClass / popClass low branch).
+	// nothing else is runnable (the policy table's InstallLow answer).
 	db := mustOpen(t, Config{Policy: SplitUpdates})
 	db.DefineView("lo", Low)
 	db.ApplyUpdate(Update{Object: "lo", Value: 3})

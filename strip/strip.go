@@ -52,64 +52,58 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/model"
+	"repro/internal/sched"
 	"repro/strip/fault"
 	"repro/strip/obs"
 )
 
 // Policy selects how the scheduler divides time between installing
-// updates and running transactions (§4 of the paper).
-type Policy int
+// updates and running transactions (§4 of the paper). It is the
+// simulator's policy type: the live scheduler and the simulated
+// controller consult the same decision table (sched.Next), so the
+// names below are the public names of the shared values. The
+// simulator-only fixed-CPU-fraction policy is rejected by Open.
+type Policy = sched.Policy
 
 const (
 	// UpdatesFirst installs every pending update before and during
 	// (at read points) any transaction work.
-	UpdatesFirst Policy = iota
+	UpdatesFirst = sched.UF
 	// TransactionsFirst runs transactions whenever any are queued;
 	// updates are installed only in idle time.
-	TransactionsFirst
+	TransactionsFirst = sched.TF
 	// SplitUpdates treats updates to High-importance views like
 	// UpdatesFirst and updates to Low-importance views like
 	// TransactionsFirst.
-	SplitUpdates
+	SplitUpdates = sched.SU
 	// OnDemand is TransactionsFirst plus in-line refresh: a
 	// transaction reading a stale view first applies a suitable
 	// pending update from the queue.
-	OnDemand
+	OnDemand = sched.OD
 )
-
-// String returns the paper's abbreviation.
-func (p Policy) String() string {
-	switch p {
-	case UpdatesFirst:
-		return "UF"
-	case TransactionsFirst:
-		return "TF"
-	case SplitUpdates:
-		return "SU"
-	case OnDemand:
-		return "OD"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
 
 // Importance classifies view objects for the SplitUpdates policy and
 // for monitoring.
-type Importance int
+type Importance = model.Importance
 
 const (
 	// Low importance views may go stale under pressure.
-	Low Importance = iota
+	Low = model.Low
 	// High importance views are kept fresh by SplitUpdates.
-	High
+	High = model.High
 )
 
-// String returns "low" or "high".
-func (i Importance) String() string {
-	if i == High {
-		return "high"
+var errImportance = errors.New("strip: importance is neither Low nor High")
+
+// checkImportance rejects a class the scheduler's queue has no
+// partition for. Every path that defines a view from outside input
+// (DefineView, a replicated update, a snapshot) passes through it.
+func checkImportance(imp Importance) error {
+	if imp < Low || imp > High {
+		return errImportance
 	}
-	return "low"
+	return nil
 }
 
 // StaleAction selects what a transaction does when it reads a stale

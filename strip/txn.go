@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"repro/internal/model"
 )
 
 // State is a transaction's terminal outcome.
@@ -220,24 +218,22 @@ func (tx *Tx) Read(name string) (Entry, error) {
 		return Entry{}, err
 	}
 	db := tx.db
-	id, ok := db.lookup(name)
+	id, class, ok := db.lookup(name)
 	if !ok {
 		return Entry{}, fmt.Errorf("%w: %q", ErrUnknownObject, name)
 	}
 
-	// Receive arrivals; install per policy at this yield point.
+	// Receive arrivals, then put the policy table's question with this
+	// transaction as the ready one: whatever it would install first
+	// (everything under UpdatesFirst, the High class under
+	// SplitUpdates) preempts the transaction at this yield point.
 	db.drainIngest()
-	switch db.cfg.Policy {
-	case UpdatesFirst:
-		db.installAll(-1)
-	case SplitUpdates:
-		db.installAll(int(model.High))
+	for db.installNext(db.next(true)) {
 	}
 
-	now := db.now()
-	stale := db.isStale(id, now)
-	if stale && db.cfg.Policy == OnDemand {
-		db.refreshOnDemand(id)
+	stale := db.isStale(id, db.now())
+	if stale && db.cfg.Policy.RefreshesOnRead() {
+		db.refreshOnDemand(id, class)
 		stale = db.isStale(id, db.now())
 	}
 
