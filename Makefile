@@ -5,7 +5,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke (see `make fuzz`).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-smoke fuzz torture scenarios figures extensions verify report clean lint vet striplint lint-fixtures lint-alloc escapecheck
+.PHONY: all build test race bench bench-smoke bench-ab fuzz torture scenarios figures extensions verify report clean lint vet striplint lint-fixtures lint-alloc escapecheck
 
 all: build lint test
 
@@ -37,8 +37,11 @@ lint-alloc: escapecheck
 escapecheck:
 	$(GO) run ./cmd/escapecheck
 
+# The second run repeats the tests of the lock-free offer path, whose
+# interleavings differ from run to run.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestConcurrentOffersDefinitionsAndClose|TestApplyUpdateTakesNoLock' ./strip
 
 # Fuzz smoke: run every Fuzz* target in ./strip, ./strip/repl and
 # ./strip/elect for FUZZTIME each. `go test -fuzz` accepts only one
@@ -79,6 +82,18 @@ bench:
 # is a module of its own (repro/bench), so `./...` does not reach it.
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# A/B runs of the benchmark, the way BENCHMARK.json judges a perf
+# change: BASE against the working tree in alternating pairs, then
+# -compare and the pairs each side won (see scripts/bench-ab.sh). Takes
+# 2 x PAIRS x run_seconds plus set-up; CI runs bench-smoke only.
+BASE ?=
+WORKLOAD ?= feed_capacity
+PAIRS ?= 10
+
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [WORKLOAD=feed_capacity] [PAIRS=10]"; exit 2; }
+	bash scripts/bench-ab.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)"
 
 # Golden-fixture contract: every lint rule ships at least one positive
 # and one negative fixture.

@@ -470,8 +470,8 @@ var HotPathRoots = []string{
 	"strip.DB.ApplyUpdate",
 	"strip.DB.ApplyReplicated",
 	"strip.DB.ApplyReplicatedBatch",
-	"strip.DB.enqueue",
-	"strip.DB.installNext",
+	"strip.DB.drainIngest",
+	"strip.DB.installRun",
 	"strip.DB.refreshOnDemand",
 	"strip.DB.install",
 	"strip.walWriter.appendBatch",

@@ -30,6 +30,7 @@ type ReplicaLag struct {
 	received []float64 // newest generation received (seconds)
 	applied  []float64 // newest generation installed (seconds)
 	seen     []bool    // object has received at least one update
+	nSeen    int       // objects with seen set
 	total    int       // sum of pending
 }
 
@@ -54,7 +55,10 @@ func (l *ReplicaLag) Received(obj model.ObjectID, gen float64) {
 	if !l.seen[obj] || gen > l.received[obj] {
 		l.received[obj] = gen
 	}
-	l.seen[obj] = true
+	if !l.seen[obj] {
+		l.seen[obj] = true
+		l.nSeen++
+	}
 	l.pending[obj]++
 	l.total++
 }
@@ -118,8 +122,13 @@ func (l *ReplicaLag) objectMA(i int) float64 {
 }
 
 // Aggregate returns the replica-wide lag: the maximum MA seconds over
-// all objects and the total UU backlog.
+// all objects and the total UU backlog. A tracker that has received
+// nothing — a primary, whose local installs only ever call Refreshed —
+// answers without scanning its objects.
 func (l *ReplicaLag) Aggregate() (maSeconds float64, uu int) {
+	if l.nSeen == 0 {
+		return 0, l.total
+	}
 	for i := range l.pending {
 		if d := l.objectMA(i); d > maSeconds {
 			maSeconds = d

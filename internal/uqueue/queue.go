@@ -1,6 +1,10 @@
 package uqueue
 
-import "repro/internal/model"
+import (
+	"math"
+
+	"repro/internal/model"
+)
 
 // Queue is the interface the scheduler uses to buffer unapplied
 // updates. Implementations keep updates ordered by generation time.
@@ -51,8 +55,14 @@ type Queue interface {
 // index used by On Demand, bounded at capacity (oldest dropped on
 // overflow).
 type GenQueue struct {
-	t     *treap
-	byObj map[model.ObjectID][]*model.Update
+	t *treap
+	// heads is the per-object index: heads[id] starts the chain of
+	// treap nodes holding the object's queued updates, most recently
+	// inserted first, linked through node.objNext/objPrev. ObjectIDs
+	// are dense in both engines, so the index is a slice: one word per
+	// object ever seen, nothing to allocate when an update is queued
+	// and nothing to delete when an object's chain empties.
+	heads []*node
 	cap   int
 }
 
@@ -61,19 +71,22 @@ var _ Queue = (*GenQueue)(nil)
 // NewGenQueue returns a queue bounded at capacity updates; capacity <= 0
 // means unbounded. The seed makes the internal balancing deterministic.
 func NewGenQueue(capacity int, seed uint64) *GenQueue {
-	return &GenQueue{
-		t:     newTreap(seed),
-		byObj: make(map[model.ObjectID][]*model.Update),
-		cap:   capacity,
-	}
+	return &GenQueue{t: newTreap(seed), cap: capacity}
 }
 
 // Insert adds u; if the queue exceeds its capacity the oldest update
 // is evicted and returned (§4.2: "discard the oldest updates when the
 // maximum queue size has been exceeded").
 func (q *GenQueue) Insert(u *model.Update) []*model.Update {
-	q.t.insert(u)
-	q.byObj[u.Object] = append(q.byObj[u.Object], u)
+	n := q.t.insert(u)
+	for len(q.heads) <= int(u.Object) {
+		q.heads = append(q.heads, nil)
+	}
+	if head := q.heads[u.Object]; head != nil {
+		n.objNext = head
+		head.objPrev = n
+	}
+	q.heads[u.Object] = n
 	if q.cap > 0 && q.t.len() > q.cap {
 		if old := q.PopOldest(); old != nil {
 			//striplint:ignore alloc-in-hotpath -- eviction slice is the Queue API contract; overflow is the capacity exception, not the steady state
@@ -93,80 +106,86 @@ func (q *GenQueue) PeekOldest() *model.Update { return q.t.min() }
 func (q *GenQueue) PeekNewest() *model.Update { return q.t.max() }
 
 // PopOldest removes and returns the oldest-generation update.
-func (q *GenQueue) PopOldest() *model.Update {
-	u := q.t.min()
-	if u == nil {
-		return nil
-	}
-	q.removeExact(u)
-	return u
-}
+func (q *GenQueue) PopOldest() *model.Update { return q.release(q.t.popMin(math.Inf(1))) }
 
 // PopNewest removes and returns the newest-generation update.
-func (q *GenQueue) PopNewest() *model.Update {
-	u := q.t.max()
-	if u == nil {
+func (q *GenQueue) PopNewest() *model.Update { return q.release(q.t.popMax()) }
+
+// release takes a node already unlinked from the tree out of its
+// object's chain, recycles it and returns its update (nil for nil).
+func (q *GenQueue) release(n *node) *model.Update {
+	if n == nil {
 		return nil
 	}
-	q.removeExact(u)
-	return u
+	if n.objPrev != nil {
+		n.objPrev.objNext = n.objNext
+	} else {
+		q.heads[n.update.Object] = n.objNext
+	}
+	if n.objNext != nil {
+		n.objNext.objPrev = n.objPrev
+	}
+	return q.t.recycle(n)
 }
 
-func (q *GenQueue) removeExact(u *model.Update) {
-	q.t.remove(u)
-	list := q.byObj[u.Object]
-	for i, cand := range list {
-		if cand.Seq == u.Seq {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
+// chain returns the first node of the object's chain, nil when nothing
+// is queued for it or the object has never been seen.
+func (q *GenQueue) chain(id model.ObjectID) *node {
+	if id < 0 || int(id) >= len(q.heads) {
+		return nil
 	}
-	if len(list) == 0 {
-		delete(q.byObj, u.Object)
-	} else {
-		q.byObj[u.Object] = list
-	}
+	return q.heads[id]
 }
 
 // NewestFor returns the newest queued update for the object, or nil.
 func (q *GenQueue) NewestFor(id model.ObjectID) *model.Update {
 	var newest *model.Update
-	for _, u := range q.byObj[id] {
-		if newest == nil || less(newest, u) {
-			newest = u
+	for n := q.chain(id); n != nil; n = n.objNext {
+		if newest == nil || less(newest, n.update) {
+			newest = n.update
 		}
 	}
 	return newest
 }
 
 // CountFor returns the number of queued updates for the object.
-func (q *GenQueue) CountFor(id model.ObjectID) int { return len(q.byObj[id]) }
+func (q *GenQueue) CountFor(id model.ObjectID) int {
+	count := 0
+	for n := q.chain(id); n != nil; n = n.objNext {
+		count++
+	}
+	return count
+}
 
 // TakeFor removes all updates for the object, returning the newest
-// and the superseded remainder.
+// and the superseded remainder in the order they were queued.
 func (q *GenQueue) TakeFor(id model.ObjectID) (*model.Update, []*model.Update) {
-	list := q.byObj[id]
-	if len(list) == 0 {
+	head := q.chain(id)
+	if head == nil {
 		return nil, nil
 	}
-	var newest *model.Update
-	for _, u := range list {
-		q.t.remove(u)
-		if newest == nil || less(newest, u) {
-			newest = u
+	newest, count := head.update, 0
+	for n := head; n != nil; n = n.objNext {
+		count++
+		if less(newest, n.update) {
+			newest = n.update
 		}
 	}
 	var superseded []*model.Update
-	if len(list) > 1 {
-		superseded = make([]*model.Update, 0, len(list)-1)
-		for _, u := range list {
-			if u != newest {
-				superseded = append(superseded, u)
-			}
-		}
+	if count > 1 {
+		superseded = make([]*model.Update, count-1, count-1)
 	}
-	delete(q.byObj, id)
+	q.heads[id] = nil
+	// The chain runs newest insert first; fill from the back.
+	i := len(superseded)
+	for n := head; n != nil; {
+		next := n.objNext
+		if u := q.t.recycle(q.t.remove(n.update)); u != newest {
+			i--
+			superseded[i] = u
+		}
+		n = next
+	}
 	return newest, superseded
 }
 
@@ -176,13 +195,12 @@ func (q *GenQueue) TakeFor(id model.ObjectID) (*model.Update, []*model.Update) {
 func (q *GenQueue) DiscardOlderGen(cutoff float64) []*model.Update {
 	var out []*model.Update
 	for {
-		u := q.t.min()
-		if u == nil || u.GenTime >= cutoff {
+		n := q.t.popMin(cutoff)
+		if n == nil {
 			return out
 		}
-		q.removeExact(u)
 		//striplint:ignore alloc-in-hotpath -- expiry sweep output: the count is unknowable in advance and amortized against the discarded work
-		out = append(out, u)
+		out = append(out, q.release(n))
 	}
 }
 
@@ -222,7 +240,7 @@ func (q *CoalescedQueue) Insert(u *model.Update) []*model.Update {
 			//striplint:ignore alloc-in-hotpath -- eviction slice is the Queue API contract; the caller must account for the rejected update
 			return []*model.Update{u}
 		}
-		q.t.remove(prev)
+		q.t.recycle(q.t.remove(prev))
 		q.t.insert(u)
 		q.byObj[u.Object] = u
 		//striplint:ignore alloc-in-hotpath -- eviction slice is the Queue API contract; the caller must account for the superseded update
@@ -249,25 +267,19 @@ func (q *CoalescedQueue) PeekOldest() *model.Update { return q.t.min() }
 func (q *CoalescedQueue) PeekNewest() *model.Update { return q.t.max() }
 
 // PopOldest removes and returns the oldest-generation update.
-func (q *CoalescedQueue) PopOldest() *model.Update {
-	u := q.t.min()
-	if u == nil {
-		return nil
-	}
-	q.t.remove(u)
-	delete(q.byObj, u.Object)
-	return u
-}
+func (q *CoalescedQueue) PopOldest() *model.Update { return q.release(q.t.popMin(math.Inf(1))) }
 
 // PopNewest removes and returns the newest-generation update.
-func (q *CoalescedQueue) PopNewest() *model.Update {
-	u := q.t.max()
-	if u == nil {
+func (q *CoalescedQueue) PopNewest() *model.Update { return q.release(q.t.popMax()) }
+
+// release drops a node already unlinked from the tree from the object
+// index, recycles it and returns its update (nil for nil).
+func (q *CoalescedQueue) release(n *node) *model.Update {
+	if n == nil {
 		return nil
 	}
-	q.t.remove(u)
-	delete(q.byObj, u.Object)
-	return u
+	delete(q.byObj, n.update.Object)
+	return q.t.recycle(n)
 }
 
 // NewestFor returns the queued update for the object, if any. This is
@@ -291,22 +303,18 @@ func (q *CoalescedQueue) TakeFor(id model.ObjectID) (*model.Update, []*model.Upd
 	if !ok {
 		return nil, nil
 	}
-	q.t.remove(u)
-	delete(q.byObj, id)
-	return u, nil
+	return q.release(q.t.remove(u)), nil
 }
 
 // DiscardOlderGen removes every update generated strictly before cutoff.
 func (q *CoalescedQueue) DiscardOlderGen(cutoff float64) []*model.Update {
 	var out []*model.Update
 	for {
-		u := q.t.min()
-		if u == nil || u.GenTime >= cutoff {
+		n := q.t.popMin(cutoff)
+		if n == nil {
 			return out
 		}
-		q.t.remove(u)
-		delete(q.byObj, u.Object)
 		//striplint:ignore alloc-in-hotpath -- expiry sweep output: the count is unknowable in advance and amortized against the discarded work
-		out = append(out, u)
+		out = append(out, q.release(n))
 	}
 }

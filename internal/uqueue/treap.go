@@ -17,7 +17,7 @@ type treap struct {
 	rngState uint64
 	size     int
 	// free is a recycled-node list threaded through right pointers:
-	// remove pushes, insert pops. A queue oscillating around a steady
+	// recycle pushes, insert pops. A queue oscillating around a steady
 	// depth allocates no nodes after warm-up, which keeps the
 	// per-update scheduler path allocation-free. Recycling is purely
 	// LIFO on removal order, so it is as deterministic as the treap
@@ -30,6 +30,12 @@ type node struct {
 	priority uint64
 	left     *node
 	right    *node
+	// objNext and objPrev thread GenQueue's per-object chain through
+	// the nodes it has queued (see GenQueue.heads); other users of the
+	// treap leave them nil. The node stays in the 48-byte size class
+	// a single link would already put it in.
+	objNext *node
+	objPrev *node
 }
 
 func newTreap(seed uint64) *treap {
@@ -60,7 +66,8 @@ func less(a, b *model.Update) bool {
 
 func (t *treap) len() int { return t.size }
 
-func (t *treap) insert(u *model.Update) {
+// insert adds u and returns the node that holds it.
+func (t *treap) insert(u *model.Update) *node {
 	n := t.free
 	if n != nil {
 		t.free = n.right
@@ -73,6 +80,7 @@ func (t *treap) insert(u *model.Update) {
 	n.priority = t.nextPriority()
 	t.root = t.insertNode(t.root, n)
 	t.size++
+	return n
 }
 
 func (t *treap) insertNode(root, n *node) *node {
@@ -131,38 +139,90 @@ func (t *treap) max() *model.Update {
 	return n.update
 }
 
-// remove deletes the node with exactly u's key and reports whether it
-// was present.
-func (t *treap) remove(u *model.Update) bool {
-	var removed bool
+// popMin unlinks and returns the oldest-generation node if it was
+// generated strictly before cutoff (+Inf takes whatever is oldest), in
+// one descent; nil otherwise. The leftmost node has no left child, so
+// its right subtree takes its place — the tree merge(nil, right) would
+// build. The caller hands the node back with recycle once it has read
+// it.
+func (t *treap) popMin(cutoff float64) *node {
+	n := t.root
+	if n == nil {
+		return nil
+	}
+	var parent *node
+	for n.left != nil {
+		parent, n = n, n.left
+	}
+	if n.update.GenTime >= cutoff {
+		return nil
+	}
+	if parent == nil {
+		t.root = n.right
+	} else {
+		parent.left = n.right
+	}
+	t.size--
+	return n
+}
+
+// popMax is popMin's mirror image for the newest-generation node.
+func (t *treap) popMax() *node {
+	n := t.root
+	if n == nil {
+		return nil
+	}
+	var parent *node
+	for n.right != nil {
+		parent, n = n, n.right
+	}
+	if parent == nil {
+		t.root = n.left
+	} else {
+		parent.right = n.left
+	}
+	t.size--
+	return n
+}
+
+// remove unlinks and returns the node with exactly u's key, or nil when
+// there is none. The caller recycles it.
+func (t *treap) remove(u *model.Update) *node {
+	var removed *node
 	t.root, removed = t.removeNode(t.root, u)
-	if removed {
+	if removed != nil {
 		t.size--
 	}
 	return removed
 }
 
-func (t *treap) removeNode(root *node, u *model.Update) (*node, bool) {
+func (t *treap) removeNode(root *node, u *model.Update) (*node, *node) {
 	if root == nil {
-		return nil, false
+		return nil, nil
 	}
 	if root.update.Seq == u.Seq && root.update.GenTime == u.GenTime {
-		merged := t.merge(root.left, root.right)
-		// Recycle the removed node, dropping its references so the
-		// freelist does not retain the update or a subtree.
-		root.update = nil
-		root.left = nil
-		root.right = t.free
-		t.free = root
-		return merged, true
+		return t.merge(root.left, root.right), root
 	}
-	var removed bool
+	var removed *node
 	if less(u, root.update) {
 		root.left, removed = t.removeNode(root.left, u)
 	} else {
 		root.right, removed = t.removeNode(root.right, u)
 	}
 	return root, removed
+}
+
+// recycle pushes an unlinked node onto the free list and returns the
+// update it held, dropping the node's references so the list retains
+// neither the update nor a subtree.
+func (t *treap) recycle(n *node) *model.Update {
+	u := n.update
+	n.update = nil
+	n.left = nil
+	n.objNext, n.objPrev = nil, nil
+	n.right = t.free
+	t.free = n
+	return u
 }
 
 // merge joins two treaps where every key in a precedes every key in b.

@@ -2,7 +2,9 @@ package strip
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -30,14 +32,32 @@ type DB struct {
 
 	// mu guards the registry, view entries, general store and stats.
 	// The update queue and ready list are owned by the scheduler
-	// goroutine and need no locking.
+	// goroutine and need no locking. names and defs are the working
+	// copy of the registry; readers that must not take mu (ApplyUpdate,
+	// Tx.Read) go through reg instead — see registry.
 	mu      sync.RWMutex
-	names   map[string]model.ObjectID
+	names   map[string]viewRef
+	shared  bool // names is the published map: clone before adding to it
 	defs    []viewDef
 	entries []viewEntry
 	general map[string]float64
 	stats   Stats
-	closed  bool
+
+	// The feed path's share of the state above, kept out of mu so that
+	// an offer never waits for the scheduler's install section (nor the
+	// scheduler for a monitor's Stats): reg holds the published name
+	// map, nothing until the first lock-free lookup; closed is set once
+	// by Close (under mu, so a define that holds mu sees it settled);
+	// arrival is the queue tie-break counter shared by ApplyUpdate and
+	// ApplyReplicated; dropped and malformed are the two loss counters
+	// producers bump themselves; queueLen is the update-queue length the
+	// scheduler publishes every pass for Stats.
+	reg       atomic.Value // map[string]viewRef
+	closed    atomic.Bool
+	arrival   atomic.Uint64
+	dropped   atomic.Uint64
+	malformed atomic.Uint64
+	queueLen  atomic.Int64
 
 	// Triggers and derived views (fired on the scheduler goroutine).
 	triggers       map[model.ObjectID][]func(Entry) // guarded by mu
@@ -64,15 +84,13 @@ type DB struct {
 	// is attached. epoch identifies this instance's sequence history
 	// in the resume handshake; it is set at Open and replaced only by
 	// AdoptReplicationEpoch when an election mints a new one.
-	// arrival is the queue tie-break counter for incoming updates.
 	// replBarrier discards queued replicated updates admitted before
-	// the last ResetToSnapshot (see installEntry): state adopted from
+	// the last ResetToSnapshot (see installLocked): state adopted from
 	// a newly elected primary must not be overwritten by leftovers of
 	// the deposed one's stream.
 	// lag tracks replica freshness under the MA and UU criteria.
 	seq         uint64              // guarded by mu
 	epoch       uint64              // guarded by mu
-	arrival     uint64              // guarded by mu
 	replBarrier uint64              // guarded by mu
 	sink        func(ReplEvent)     // guarded by mu
 	lag         *metrics.ReplicaLag // guarded by mu
@@ -84,9 +102,9 @@ type DB struct {
 	maxStale *metrics.MaxStaleness // guarded by mu
 
 	// Scheduler-owned state. pending is written only by the scheduler
-	// (in enqueue and settleLocked) but read under mu by Peek, so its
-	// mutations take mu as well. queue is the class-partitioned update
-	// queue the simulator's controller runs on too; order is its
+	// (in enqueueLocked and settleLocked) but read under mu by Peek, so
+	// its mutations take mu as well. queue is the class-partitioned
+	// update queue the simulator's controller runs on too; order is its
 	// service discipline (Config.LIFO).
 	queue   *uqueue.ClassQueue
 	order   model.QueueOrder
@@ -104,6 +122,73 @@ type viewDef struct {
 	name       string
 	importance Importance
 	derived    bool
+}
+
+// viewRef is what a view name resolves to: all that an offer or a read
+// needs to know about its target, so that one map lookup answers it. It
+// is packed into eight bytes (class is the Importance, which
+// checkImportance keeps to Low or High) so that the name map's slots
+// are no bigger than when they held the id alone.
+type viewRef struct {
+	id      model.ObjectID
+	class   int8
+	derived bool
+}
+
+// registry returns the name map for readers that take no lock. The map
+// is copy-on-write with a single copy: until a lock-free reader first
+// asks for it nothing is published and definitions add to db.names in
+// place, so set-up costs O(1) per DefineView; from then on the published
+// map IS db.names and nobody writes to it again — the next definition
+// clones it once (addDefLocked), further definitions in the same
+// critical section add to the clone, and publishLocked swaps it in
+// before mu is released (the old map is garbage as soon as its last
+// reader returns). So a view whose definition has returned is in every
+// map loaded afterwards, and a name missing from the map is unknown —
+// no lock is needed to be sure.
+func (db *DB) registry() map[string]viewRef {
+	if names, ok := db.reg.Load().(map[string]viewRef); ok {
+		return names
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if !db.shared {
+		db.reg.Store(db.names)
+		db.shared = true
+	}
+	return db.names
+}
+
+// idLocked resolves a view name to its object. Callers hold db.mu.
+func (db *DB) idLocked(name string) (model.ObjectID, bool) {
+	ref, ok := db.names[name]
+	return ref.id, ok
+}
+
+// addDefLocked adds a definition to the registry. Callers hold db.mu
+// for writing, have checked the name is unused, and call publishLocked
+// before they release the lock.
+func (db *DB) addDefLocked(name string, importance Importance, derived bool) model.ObjectID {
+	ref := viewRef{id: model.ObjectID(len(db.defs)), class: int8(importance), derived: derived}
+	if db.shared {
+		db.names = maps.Clone(db.names)
+		db.shared = false
+	}
+	db.names[name] = ref
+	db.defs = append(db.defs, viewDef{name: name, importance: importance, derived: derived})
+	db.entries = append(db.entries, viewEntry{})
+	db.pending = append(db.pending, 0)
+	return ref.id
+}
+
+// publishLocked makes the definitions added under this hold of db.mu
+// visible to lock-free readers, if there are any such readers yet (see
+// registry).
+func (db *DB) publishLocked() {
+	if !db.shared && db.reg.Load() != nil {
+		db.reg.Store(db.names)
+		db.shared = true
+	}
 }
 
 type viewEntry struct {
@@ -182,7 +267,7 @@ func open(cfg Config) (*DB, error) {
 		txnCh:      make(chan *txnReq, 256),
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
-		names:      make(map[string]model.ObjectID),
+		names:      make(map[string]viewRef),
 		general:    general,
 		wal:        wal,
 		fs:         fsys,
@@ -208,6 +293,7 @@ func (db *DB) Close() error {
 	}
 	close(db.stopCh)
 	<-db.done
+	db.dropStranded()
 	db.closeWatchers()
 	if db.wal != nil {
 		// The writer's fields are guarded by db.mu: a Checkpoint that
@@ -225,16 +311,14 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// markClosed flips the closed flag under the write lock, reporting
-// whether this call was the one that closed the database.
+// markClosed flips the closed flag under the write lock — a definition
+// or subscription that holds the lock therefore completes before the
+// flag turns or sees it turned — reporting whether this call was the
+// one that closed the database.
 func (db *DB) markClosed() bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return false
-	}
-	db.closed = true
-	return true
+	return db.closed.CompareAndSwap(false, true)
 }
 
 // DefineView registers a view object refreshed by the update stream.
@@ -244,13 +328,14 @@ func (db *DB) DefineView(name string, importance Importance) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	if _, ok := db.names[name]; ok {
 		return ErrDuplicateObject
 	}
-	db.defineViewLocked(name, importance)
+	db.addDefLocked(name, importance, false)
+	db.publishLocked()
 	return nil
 }
 
@@ -270,7 +355,7 @@ func (db *DB) Views() []string {
 func (db *DB) Peek(name string) (Entry, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.names[name]
+	id, ok := db.idLocked(name)
 	if !ok {
 		return Entry{}, ErrUnknownObject
 	}
@@ -289,7 +374,9 @@ func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	s := db.stats
-	s.QueueLen = db.queueLenLocked()
+	s.UpdatesDropped = db.dropped.Load()
+	s.FeedMalformed = db.malformed.Load()
+	s.QueueLen = int(db.queueLen.Load())
 	s.ReplicationSeq = db.seq
 	s.ReplicaLagSeconds, s.ReplicaLagUpdates = db.lag.Aggregate()
 	s.WALErrors = db.dur.WALErrors()
@@ -306,12 +393,6 @@ func (db *DB) Degraded() bool {
 	defer db.mu.RUnlock()
 	return db.dur.Degraded()
 }
-
-// queueLenLocked reads the queue length. The queue itself is owned by
-// the scheduler; the length is read opportunistically for monitoring
-// and is exact only at quiescent points, so it is stored in stats at
-// every scheduler pass instead of read from the structure here.
-func (db *DB) queueLenLocked() int { return db.stats.QueueLen }
 
 // now returns the configured clock's time.
 func (db *DB) now() time.Time { return db.cfg.Clock() }
@@ -330,15 +411,11 @@ func (db *DB) arrivalNanos(u *model.Update) int64 {
 	return db.startNanos + int64(u.ArrivalTime*float64(time.Second))
 }
 
-// lookup resolves a view name to its object and importance class.
+// lookup resolves a view name to its object and importance class
+// without taking mu (see registry).
 func (db *DB) lookup(name string) (model.ObjectID, Importance, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	id, ok := db.names[name]
-	if !ok {
-		return 0, 0, false
-	}
-	return id, db.defs[id].importance, true
+	ref, ok := db.registry()[name]
+	return ref.id, Importance(ref.class), ok
 }
 
 // staleLocked evaluates the staleness criterion for one object. A
@@ -367,51 +444,37 @@ func (db *DB) isStale(id model.ObjectID, now time.Time) bool {
 	return db.staleLocked(id, now)
 }
 
-// install takes an update that has just left the queue — and, for an
-// OnDemand refresh, the queued updates it supersedes — and writes it
-// into its view if it is worthy (newer than the installed generation),
-// then fires triggers and derived-view recomputation. It is called on
-// the scheduler goroutine. The install and trigger spans are measured
-// from the clock reading taken here, as the update leaves the queue.
-// The entry write happens in installEntry so the lock can be released
-// by defer; triggers must fire outside db.mu (fireTriggers and
-// notifyWatchers re-acquire it).
+// install applies one update taken from the queue outside a run — the
+// OnDemand refresh — together with the queued updates it supersedes,
+// as a run of one (see installRun).
 func (db *DB) install(u *model.Update, superseded []*model.Update) {
-	o := db.obs
-	popNanos := db.nowNanos()
-	if u.ArrivalTime > 0 {
-		o.stage[obs.StageQueueWait].Observe(popNanos - db.arrivalNanos(u))
-	}
-	if !db.installEntry(u, superseded, popNanos) {
-		return
-	}
-	fired := db.fireTriggers(u.Object)
-	if o.ring != nil {
-		// The trigger span would cost a third clock reading on every
-		// install, so it is measured only while tracing is active
-		// (TraceDepth > 0, as in stripd) and only when a trigger,
-		// watcher or derived recompute actually ran — pure clock-read
-		// jitter on trigger-less installs would drown the signal.
-		if fired {
-			trig := db.nowNanos() - o.installEnd
-			o.stage[obs.StageTrigger].Observe(trig)
-			o.cur.Spans[obs.StageTrigger] = trig
-		}
-		// cur was assembled by installEntry under the lock.
-		o.ring.Record(o.cur)
-	}
+	now := db.nowNanos()
+	db.mu.Lock()
+	worthy, hooked := db.installLocked(u, superseded, now)
+	db.endRunLocked(now, worthy)
+	db.mu.Unlock()
+	db.afterRun(u.Object, hooked)
 }
 
-// installEntry settles the departed updates and applies u in one
+// installLocked settles the departed updates and applies u in one
 // critical section, reporting whether u was worthy (newer than the
-// installed generation). Settling and writing under the same lock is
-// what keeps the UU criterion truthful: an object stops being stale at
-// the instant its value changes, never before. A worthy install is
-// published to the replication sink — and takes its place in the
-// replication total order — inside the same critical section.
-func (db *DB) installEntry(u *model.Update, superseded []*model.Update, popNanos int64) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+// installed generation; 1 or 0, for the run's count) and, if so,
+// whether anything waits to fire on its object — a trigger, a watcher
+// or a derived view, decided here so that an install nobody watches
+// never pays for the hooks' own locking. Settling and writing under the
+// same lock is what keeps the UU criterion truthful: an object stops
+// being stale at the instant its value changes, never before. A worthy
+// install is published to the replication sink — and takes its place in
+// the replication total order — inside the same critical section. now
+// is the run's clock reading: the moment the update left the queue.
+// Callers hold db.mu for writing and run on the scheduler goroutine.
+func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int64) (worthy int, hooked bool) {
+	o := db.obs
+	var arrived int64
+	if u.ArrivalTime > 0 {
+		arrived = db.arrivalNanos(u)
+		o.stage[obs.StageQueueWait].Observe(now - arrived)
+	}
 	for _, old := range superseded {
 		db.settleLocked(old, settleSkipped)
 	}
@@ -424,7 +487,7 @@ func (db *DB) installEntry(u *model.Update, superseded []*model.Update, popNanos
 	// Anything else is skipped only when unworthy.
 	if (u.Replicated && u.Seq <= db.replBarrier) || !gen.After(e.generated) {
 		db.settleLocked(u, settleSkipped)
-		return false
+		return 0, false
 	}
 	if fields, ok := u.Aux.(partialFields); ok {
 		// Partial update (§2): only the named attributes change;
@@ -454,43 +517,90 @@ func (db *DB) installEntry(u *model.Update, superseded []*model.Update, popNanos
 		// superseded are still being discarded.
 		db.lag.Refreshed(u.Object, u.GenTime)
 	}
-	o := db.obs
-	// The publish span reuses the clock reading the install span needs
-	// anyway, so a sink costs one extra read and its absence costs
-	// none.
-	published := db.sink != nil
-	var pubStart int64
-	if published {
-		pubStart = db.nowNanos()
+	// Only an attached sink has a publish span worth two clock readings.
+	published := int64(-1)
+	if db.sink != nil {
+		start := db.nowNanos()
+		db.emitInstallLocked(u, gen)
+		published = db.nowNanos() - start
+		o.stage[obs.StageReplPublish].Observe(published)
+	} else {
+		db.emitInstallLocked(u, gen)
 	}
-	db.emitInstallLocked(u, gen)
-	end := db.nowNanos()
-	o.installEnd = end
-	o.stage[obs.StageInstall].Observe(end - popNanos)
-	if published {
-		o.stage[obs.StageReplPublish].Observe(end - pubStart)
-	}
-	age := end - gen.UnixNano()
+	age := now - gen.UnixNano()
 	o.staleness.Observe(age)
 	db.maxStale.Observe(u.Object, float64(age)/1e9)
 	if u.Replicated {
 		o.replicaLag.Observe(age)
 	}
 	if o.ring != nil {
-		o.cur = obs.NewTrace()
-		o.cur.Seq = u.Seq
-		o.cur.Object = db.defs[u.Object].name
-		if u.ArrivalTime > 0 {
-			arr := db.arrivalNanos(u)
-			o.cur.ArrivalNanos = arr
-			o.cur.Spans[obs.StageQueueWait] = popNanos - arr
+		// endRunLocked fills in the install span, afterRun the trigger
+		// span, and then records the run's traces.
+		tr := obs.NewTrace()
+		tr.Seq = u.Seq
+		tr.Object = db.defs[u.Object].name
+		if arrived != 0 {
+			tr.ArrivalNanos = arrived
+			tr.Spans[obs.StageQueueWait] = now - arrived
 		}
-		o.cur.Spans[obs.StageInstall] = end - popNanos
-		if published {
-			o.cur.Spans[obs.StageReplPublish] = end - pubStart
-		}
+		tr.Spans[obs.StageReplPublish] = published
+		o.run = append(o.run, tr)
 	}
-	return true
+	return 1, db.hookedLocked(u.Object)
+}
+
+// hookedLocked reports whether an install of the object has anything
+// to fire. Callers hold db.mu.
+func (db *DB) hookedLocked(id model.ObjectID) bool {
+	return len(db.globalTriggers) > 0 || len(db.watchers) > 0 ||
+		len(db.triggers[id]) > 0 || len(db.watchersByID[id]) > 0 || len(db.derivedByDep[id]) > 0
+}
+
+// endRunLocked closes a run's critical section with the run's second
+// and last clock reading: each of its worthy installs is charged an
+// equal share of the time since the run's first reading, lock wait
+// included — one install-stage observation per installed update, as
+// when every install read the clock itself. Callers hold db.mu for
+// writing.
+func (db *DB) endRunLocked(now int64, worthy int) {
+	if worthy == 0 {
+		return
+	}
+	o := db.obs
+	o.installEnd = db.nowNanos()
+	span := (o.installEnd - now) / int64(worthy)
+	for i := 0; i < worthy; i++ {
+		o.stage[obs.StageInstall].Observe(span)
+	}
+	for i := range o.run {
+		o.run[i].Spans[obs.StageInstall] = span
+	}
+}
+
+// afterRun does what a run leaves for outside db.mu: it fires the hooks
+// of the run's last install, when that install had any (the run ended
+// there), and hands the run's traces to the ring.
+func (db *DB) afterRun(last model.ObjectID, hooked bool) {
+	if hooked {
+		db.fireTriggers(last)
+	}
+	o := db.obs
+	if len(o.run) == 0 {
+		return
+	}
+	if hooked {
+		// The trigger span costs a clock reading of its own, so it is
+		// measured only while tracing is active (TraceDepth > 0, as in
+		// stripd) and only when something actually fired — clock-read
+		// jitter on hook-less installs would drown the signal.
+		trig := db.nowNanos() - o.installEnd
+		o.stage[obs.StageTrigger].Observe(trig)
+		o.run[len(o.run)-1].Spans[obs.StageTrigger] = trig
+	}
+	for i := range o.run {
+		o.ring.Record(o.run[i])
+	}
+	o.run = o.run[:0]
 }
 
 // partialFields and completeFields tag the Aux payload with the

@@ -36,14 +36,14 @@ type derivedDef struct {
 func (db *DB) OnInstall(object string, fn func(Entry)) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	if object == "" {
 		db.globalTriggers = append(db.globalTriggers, fn)
 		return nil
 	}
-	id, ok := db.names[object]
+	id, ok := db.idLocked(object)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, object)
 	}
@@ -76,7 +76,7 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	if _, ok := db.names[name]; ok {
@@ -84,7 +84,7 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 	}
 	depIDs := make([]model.ObjectID, len(deps))
 	for i, dep := range deps {
-		id, ok := db.names[dep]
+		id, ok := db.idLocked(dep)
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownDependency, dep)
 		}
@@ -95,11 +95,8 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 		}
 		depIDs[i] = id
 	}
-	id := model.ObjectID(len(db.defs))
-	db.names[name] = id
-	db.defs = append(db.defs, viewDef{name: name, importance: Low, derived: true})
-	db.entries = append(db.entries, viewEntry{})
-	db.pending = append(db.pending, 0)
+	id := db.addDefLocked(name, Low, true)
+	db.publishLocked()
 	def := &derivedDef{id: id, deps: depIDs, compute: compute}
 	if db.derivedByDep == nil {
 		db.derivedByDep = make(map[model.ObjectID][]*derivedDef)
@@ -112,11 +109,11 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 	return nil
 }
 
-// fireTriggers runs install triggers and derived-view recomputation
-// for an installed object, reporting whether any trigger, watcher or
-// derived recompute actually ran (the trigger latency span is only
-// observed then). Called on the scheduler goroutine, outside db.mu.
-func (db *DB) fireTriggers(id model.ObjectID) bool {
+// fireTriggers runs install triggers, watcher delivery and derived-view
+// recomputation for an installed object. Called on the scheduler
+// goroutine, outside db.mu, and only for an install that found
+// something registered (see hookedLocked).
+func (db *DB) fireTriggers(id model.ObjectID) {
 	db.mu.RLock()
 	name := db.defs[id].name
 	e := Entry{
@@ -126,9 +123,8 @@ func (db *DB) fireTriggers(id model.ObjectID) bool {
 		Fields:    copyFields(db.entries[id].fields),
 	}
 	// Copy the trigger lists so they run outside the lock; the copy is
-	// sized exactly and skipped entirely when nothing is registered,
-	// so trigger-less installs (the common ingest path) allocate
-	// nothing here.
+	// sized exactly and skipped when only watchers or derived views are
+	// registered.
 	var fns []func(Entry)
 	if n := len(db.globalTriggers) + len(db.triggers[id]); n > 0 {
 		fns = make([]func(Entry), 0, n)
@@ -141,11 +137,10 @@ func (db *DB) fireTriggers(id model.ObjectID) bool {
 	for _, fn := range fns {
 		fn(e)
 	}
-	watched := db.notifyWatchers(id, e)
+	db.notifyWatchers(id, e)
 	for _, def := range derived {
 		db.recomputeDerived(def)
 	}
-	return len(fns) > 0 || watched || len(derived) > 0
 }
 
 // recomputeDerived evaluates one derived view from its dependencies.

@@ -25,7 +25,7 @@ func (db *DB) HistoryAt(name string, t time.Time) (Entry, error) {
 func (db *DB) readAsOf(name string, t time.Time) (Entry, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.names[name]
+	id, ok := db.idLocked(name)
 	if !ok {
 		return Entry{}, ErrUnknownObject
 	}
@@ -52,7 +52,7 @@ func (db *DB) readAsOf(name string, t time.Time) (Entry, error) {
 func (db *DB) History(name string) ([]Entry, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.names[name]
+	id, ok := db.idLocked(name)
 	if !ok {
 		return nil, ErrUnknownObject
 	}

@@ -13,14 +13,23 @@ import (
 	"repro/strip/obs"
 )
 
-// ApplyUpdate submits one update to the stream. It never blocks: when
-// the ingest buffer (the paper's OS queue) is full the update is
-// dropped and counted in Stats.UpdatesDropped. Updates for undefined
-// objects are rejected with ErrUnknownObject.
+// ApplyUpdate submits one update to the stream. It never blocks and
+// takes no lock — the registry is read from its published snapshot
+// (see registry), the closed flag, the arrival counter and the drop
+// counter are atomics — so a producer never waits for the scheduler's
+// install section: when the ingest buffer (the paper's OS queue) is
+// full the update is dropped and counted in Stats.UpdatesDropped.
+// Updates for undefined objects are rejected with ErrUnknownObject.
 func (db *DB) ApplyUpdate(u Update) error {
-	id, imp, err := db.updateTarget(u.Object)
-	if err != nil {
-		return err
+	if db.closed.Load() {
+		return ErrClosed
+	}
+	ref, ok := db.registry()[u.Object]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownObject, u.Object)
+	}
+	if ref.derived {
+		return fmt.Errorf("%w: %q", ErrDerivedUpdate, u.Object)
 	}
 
 	now := db.now()
@@ -28,16 +37,11 @@ func (db *DB) ApplyUpdate(u Update) error {
 	if gen.IsZero() {
 		gen = now
 	}
-	db.mu.Lock()
-	db.arrival++
-	seq := db.arrival
-	db.mu.Unlock()
-
 	//striplint:ignore alloc-in-hotpath -- the update outlives ApplyUpdate by design: it escapes into the scheduler queue and is installed later
 	mu := &model.Update{
-		Seq:         seq,
-		Object:      id,
-		Class:       imp,
+		Seq:         db.arrival.Add(1),
+		Object:      ref.id,
+		Class:       Importance(ref.class),
 		GenTime:     db.secs(gen),
 		ArrivalTime: db.secs(now),
 		Payload:     u.Value,
@@ -52,31 +56,32 @@ func (db *DB) ApplyUpdate(u Update) error {
 	}
 	select {
 	case db.ingestCh <- mu:
-		return nil
+		if db.closed.Load() {
+			// Close overtook this offer: the scheduler may have exited
+			// before the send, and nobody would ever receive the update.
+			db.dropStranded()
+		}
 	default:
-		db.mu.Lock()
-		db.stats.UpdatesDropped++
-		db.mu.Unlock()
-		return nil
+		db.dropped.Add(1)
 	}
+	return nil
 }
 
-// updateTarget resolves an update's object under the read lock,
-// rejecting closed databases, unknown objects and derived views.
-func (db *DB) updateTarget(name string) (model.ObjectID, Importance, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return 0, 0, ErrClosed
+// dropStranded empties the ingest buffer of a closed database into the
+// drop count, so that an update accepted while Close was under way is
+// either received by the scheduler's last pass or counted here — never
+// left behind uncounted. Close calls it once the scheduler has exited;
+// an offer that finds the database closed after its send calls it too,
+// because that send may have come after Close's own sweep.
+func (db *DB) dropStranded() {
+	for {
+		select {
+		case <-db.ingestCh:
+			db.dropped.Add(1)
+		default:
+			return
+		}
 	}
-	id, ok := db.names[name]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownObject, name)
-	}
-	if db.defs[id].derived {
-		return 0, 0, fmt.Errorf("%w: %q", ErrDerivedUpdate, name)
-	}
-	return id, db.defs[id].importance, nil
 }
 
 // IngestChannel forwards updates from ch until it is closed or the
@@ -149,7 +154,10 @@ func (db *DB) serveConn(conn net.Conn) {
 			start := db.nowNanos()
 			u, err := ParseUpdateLine(line)
 			if err != nil {
-				continue // malformed lines are skipped, the stream goes on
+				// A malformed line is counted and skipped; the stream
+				// goes on.
+				db.malformed.Add(1)
+				continue
 			}
 			db.obs.stage[obs.StageDecode].Observe(db.nowNanos() - start)
 			if db.ApplyUpdate(u) == ErrClosed {

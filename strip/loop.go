@@ -8,9 +8,13 @@ import (
 	"repro/internal/sched"
 )
 
+// installRunLen bounds how many updates the scheduler installs under
+// one critical section and one pair of clock readings (see installRun).
+const installRunLen = 64
+
 // loop is the scheduler goroutine: the paper's controller and CPU in
 // one, stepping until shutdown and sleeping when a step finds nothing
-// to do.
+// to do. Unlike step it installs a run of updates per scheduling point.
 func (db *DB) loop() {
 	defer close(db.done)
 	for {
@@ -21,18 +25,19 @@ func (db *DB) loop() {
 			return
 		default:
 		}
-		if !db.act() && !db.idleWait() {
+		if !db.act(installRunLen) && !db.idleWait() {
 			db.shutdown()
 			return
 		}
 	}
 }
 
-// step is one scheduling point, as loop runs it between its shutdown
-// checks. It reports whether there was any work.
+// step is one scheduling point that does exactly one piece of work, as
+// loop runs it between its shutdown checks with a run length of one. It
+// reports whether there was any work.
 func (db *DB) step() bool {
 	db.intake()
-	return db.act()
+	return db.act(1)
 }
 
 // intake receives pending arrivals, discards expired updates and reaps
@@ -42,19 +47,25 @@ func (db *DB) intake() {
 	db.expireQueue()
 	db.drainTxnCh()
 	db.reapDeadTxns()
-	db.publishQueueLen()
+	db.queueLen.Store(int64(db.queue.Len()))
 }
 
 // act does the one piece of work the policy table (sched.Next, shared
-// with the simulator's controller) names, reporting whether there was
-// any.
-func (db *DB) act() bool {
-	act := db.next(len(db.ready) > 0)
-	if act == sched.RunTxn {
+// with the simulator's controller) names — a transaction, or a run of
+// up to run installs — reporting whether there was any. While a
+// transaction is ready a run is a single install: the table may still
+// put updates first, but every one of them is followed by a scheduling
+// point at which the transaction's deadline is looked at again.
+func (db *DB) act(run int) bool {
+	txnReady := len(db.ready) > 0
+	if db.next(txnReady) == sched.RunTxn {
 		db.runNextTxn()
 		return true
 	}
-	return db.installNext(act)
+	if txnReady {
+		run = 1
+	}
+	return db.installRun(txnReady, run) > 0
 }
 
 // next asks the policy table what to do given the queue's two class
@@ -64,14 +75,25 @@ func (db *DB) next(txnReady bool) sched.Action {
 		db.queue.LenClass(model.High) > 0, db.queue.LenClass(model.Low) > 0, txnReady)
 }
 
-// drainIngest moves every buffered arrival into the update queue (the
-// paper's receive step) and maintains the UU pending counts.
+// drainIngest moves the buffered burst of arrivals into the update
+// queue (the paper's receive step, which takes every waiting update at
+// a scheduling point) under one critical section. The burst is what
+// was buffered when the scheduler looked: producers that keep offering
+// cannot hold the lock open.
 func (db *DB) drainIngest() {
-	for {
+	n := len(db.ingestCh)
+	if n == 0 {
+		return
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for ; n > 0; n-- {
 		select {
 		case u := <-db.ingestCh:
-			db.enqueue(u)
+			db.enqueueLocked(u)
 		default:
+			// Unreachable while the scheduler is the only receiver; a
+			// producer draining after Close may have been quicker.
 			return
 		}
 	}
@@ -92,7 +114,7 @@ const (
 // conservation ledger (received = installed + skipped + evicted +
 // expired + queued) and the UU pending counts hold by construction.
 // An update that leaves uninstalled also settles its replication-lag
-// account; an installed one settles it in installEntry, which knows
+// account; an installed one settles it in installLocked, which knows
 // the generation it installed. Callers hold db.mu for writing.
 func (db *DB) settleLocked(u *model.Update, cause settleCause) {
 	db.pending[u.Object]--
@@ -115,26 +137,30 @@ func (db *DB) settleLocked(u *model.Update, cause settleCause) {
 	}
 }
 
-// enqueue inserts one received update, accounting for coalescing and
-// overflow evictions.
-func (db *DB) enqueue(u *model.Update) {
-	evicted := db.queue.Insert(u)
-	db.mu.Lock()
+// enqueueLocked inserts one received update, accounting for coalescing
+// and overflow evictions and maintaining the UU pending counts. Callers
+// hold db.mu for writing and run on the scheduler goroutine.
+func (db *DB) enqueueLocked(u *model.Update) {
 	db.stats.UpdatesReceived++
 	db.pending[u.Object]++
-	for _, ev := range evicted {
-		if ev.Object == u.Object {
+	for _, ev := range db.queue.Insert(u) {
+		switch {
+		case ev == u && !db.cfg.Coalesce:
+			// The arrival is itself the oldest generation in a full
+			// queue: a capacity casualty like any other. (A coalescing
+			// queue hands the arrival back when it rejects it for a
+			// newer queued generation, which is a skip.)
+			db.settleLocked(ev, settleEvicted)
+		case ev.Object == u.Object:
 			// Same object: superseded by a newer generation
 			// (coalescing), not a capacity casualty.
 			db.settleLocked(ev, settleSkipped)
-		} else {
+		default:
 			db.settleLocked(ev, settleEvicted)
 		}
 	}
-	db.mu.Unlock()
 	// How many unapplied updates this arrival queues behind: the UU
-	// criterion's distribution. The queue is scheduler-owned and
-	// enqueue runs on the scheduler goroutine, so Len needs no lock.
+	// criterion's distribution.
 	db.obs.uuBacklog.Observe(int64(db.queue.Len()))
 }
 
@@ -157,11 +183,27 @@ func (db *DB) expireQueue() {
 	db.mu.Unlock()
 }
 
-// installNext carries out one of the policy table's install actions:
-// it pops the next queued update of the class the action names,
-// honouring the FIFO/LIFO configuration, and installs it. It reports
-// whether there was one (never for Idle).
-func (db *DB) installNext(act sched.Action) bool {
+// installRun installs a run of up to max queued updates under one
+// critical section and one pair of clock readings, and returns how many
+// left the queue. Before every pop it asks the policy table again, with
+// txnReady as the caller sees it, so the order of installs and the fate
+// of every update are what max == 1, one scheduling point per install,
+// produces. The run ends
+//
+//   - when the table's answer changes (the class is drained, or nothing
+//     is left),
+//   - at max,
+//   - when a transaction has been submitted (len(db.txnCh) > 0):
+//     transaction latency does not pay for feed throughput, or
+//   - at the first install with anything to fire: its triggers, watchers
+//     and derived views run outside db.mu and before the next install,
+//     and see their own update in the view.
+//
+// Within a run the clock stands still: MaxAge expiry and deadline
+// reaping happen at the scheduling point before it, not between its
+// installs. It runs on the scheduler goroutine.
+func (db *DB) installRun(txnReady bool, max int) int {
+	act := db.next(txnReady)
 	class := -1
 	switch act {
 	case sched.InstallHigh:
@@ -170,14 +212,33 @@ func (db *DB) installNext(act sched.Action) bool {
 		class = int(model.Low)
 	case sched.InstallMerged:
 	default:
-		return false
+		return 0
 	}
-	u := db.queue.Pop(db.order, class)
-	if u == nil {
-		return false
+	now := db.nowNanos()
+	var (
+		last             model.ObjectID
+		popped, installs int
+		hooked           bool
+	)
+	db.mu.Lock()
+	for {
+		u := db.queue.Pop(db.order, class)
+		if u == nil {
+			break
+		}
+		popped++
+		var worthy int
+		worthy, hooked = db.installLocked(u, nil, now)
+		installs += worthy
+		last = u.Object
+		if hooked || popped == max || len(db.txnCh) > 0 || db.next(txnReady) != act {
+			break
+		}
 	}
-	db.install(u, nil)
-	return true
+	db.endRunLocked(now, installs)
+	db.mu.Unlock()
+	db.afterRun(last, hooked)
+	return popped
 }
 
 // refreshOnDemand applies the newest queued update for the object, if
@@ -187,13 +248,6 @@ func (db *DB) refreshOnDemand(id model.ObjectID, class Importance) {
 	if newest, superseded := db.queue.TakeFor(class, id); newest != nil {
 		db.install(newest, superseded)
 	}
-}
-
-// publishQueueLen exposes the queue length to Stats.
-func (db *DB) publishQueueLen() {
-	db.mu.Lock()
-	db.stats.QueueLen = db.queue.Len()
-	db.mu.Unlock()
 }
 
 // drainTxnCh admits buffered transaction submissions to the ready
@@ -212,6 +266,9 @@ func (db *DB) drainTxnCh() {
 // reapDeadTxns aborts queued transactions whose firm deadline has
 // passed or that can no longer finish in time (feasible deadline).
 func (db *DB) reapDeadTxns() {
+	if len(db.ready) == 0 {
+		return
+	}
 	now := db.now()
 	kept := db.ready[:0]
 	for _, req := range db.ready {
@@ -289,7 +346,9 @@ func (db *DB) idleWait() bool {
 	}()
 	select {
 	case u := <-db.ingestCh:
-		db.enqueue(u)
+		db.mu.Lock()
+		db.enqueueLocked(u)
+		db.mu.Unlock()
 		return true
 	case req := <-db.txnCh:
 		db.ready = append(db.ready, req)

@@ -13,10 +13,10 @@ import (
 // paid (and benchmarked) unconditionally rather than hiding behind a
 // nil check the benchmarks would never take.
 //
-// The scratch fields (installEnd, cur) are written inside
-// installEntry under db.mu and read by install on the scheduler
-// goroutine immediately after; they carry state between the two
-// halves of one install without allocating.
+// The scratch fields (installEnd, run) are written inside a run's
+// critical section and read by afterRun on the scheduler goroutine
+// immediately after; they carry state between the two halves of one
+// run without allocating.
 type dbObs struct {
 	reg *obs.Registry
 
@@ -38,12 +38,13 @@ type dbObs struct {
 	// ring holds recent full traces; nil when Config.TraceDepth <= 0.
 	ring *obs.TraceRing
 
-	// installEnd is the clock reading taken at the end of the last
-	// worthy installEntry; install subtracts it from the post-trigger
-	// reading to get the trigger span.
+	// installEnd is the clock reading that closed the last run with a
+	// worthy install (endRunLocked); afterRun subtracts it from the
+	// post-trigger reading to get the trigger span.
 	installEnd int64
-	// cur is the trace under assembly for the current install.
-	cur obs.Trace
+	// run holds the traces under assembly for the current run's worthy
+	// installs; it stays empty (and unallocated) without a ring.
+	run []obs.Trace
 }
 
 // newDBObs builds the database's metric series in reg (a private
@@ -55,6 +56,9 @@ func newDBObs(db *DB, reg *obs.Registry, traceDepth int) *dbObs {
 		reg = obs.NewRegistry()
 	}
 	o := &dbObs{reg: reg, ring: obs.NewTraceRing(traceDepth)}
+	if o.ring != nil {
+		o.run = make([]obs.Trace, 0, installRunLen)
+	}
 
 	for i := range o.stage {
 		o.stage[i] = reg.Histogram(
@@ -82,6 +86,8 @@ func newDBObs(db *DB, reg *obs.Registry, traceDepth int) *dbObs {
 		func(s Stats) uint64 { return s.UpdatesReceived })
 	counter("strip_updates_dropped_total", "arrivals rejected by a full ingest buffer",
 		func(s Stats) uint64 { return s.UpdatesDropped })
+	counter("strip_feed_malformed_total", "feed lines that did not parse as an update",
+		func(s Stats) uint64 { return s.FeedMalformed })
 	counter("strip_updates_installed_total", "values written into views",
 		func(s Stats) uint64 { return s.UpdatesInstalled })
 	counter("strip_updates_skipped_total", "updates superseded or coalesced away",
@@ -159,7 +165,7 @@ func (db *DB) Traces() []obs.Trace { return db.obs.ring.Snapshot() }
 func (db *DB) MaxStaleness(name string) (float64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.names[name]
+	id, ok := db.idLocked(name)
 	if !ok {
 		return 0, ErrUnknownObject
 	}

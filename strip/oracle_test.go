@@ -45,9 +45,10 @@ import (
 // object), and the engine's in-line refresh applies the newest queued
 // update even when that one is itself older than MaxAge.
 type oracleScript struct {
-	params  model.Params
-	updates []*model.Update
-	txns    []*model.Txn
+	params   model.Params
+	queueCap int // Config.QueueCapacity; 0 for the default
+	updates  []*model.Update
+	txns     []*model.Txn
 }
 
 func newOracleScript() *oracleScript {
@@ -279,14 +280,18 @@ func (r *liveRun) body(txn *model.Txn) func(*Tx) error {
 	}
 }
 
-func (s *oracleScript) runLive(t *testing.T, policy Policy) *oracleOutcome {
+// runLive replays the script through a stepped DB whose scheduling
+// points install runs of up to run updates: 1 is db.step, installRunLen
+// is what db.loop does.
+func (s *oracleScript) runLive(t *testing.T, policy Policy, run int) *oracleOutcome {
 	out := newOracleOutcome()
 	clock := newFakeClock()
 	db := mustOpenStepped(t, Config{
-		Policy:  policy,
-		MaxAge:  time.Duration(s.params.MaxAgeDelta * float64(time.Second)),
-		OnStale: Warn,
-		Clock:   clock.Now,
+		Policy:        policy,
+		MaxAge:        time.Duration(s.params.MaxAgeDelta * float64(time.Second)),
+		OnStale:       Warn,
+		QueueCapacity: s.queueCap,
+		Clock:         clock.Now,
 	})
 	db.onSettle = func(u *model.Update, cause settleCause) {
 		// The engine numbers updates in arrival order, as the script
@@ -303,7 +308,7 @@ func (s *oracleScript) runLive(t *testing.T, policy Policy) *oracleOutcome {
 		updates: s.updates, txns: s.txns, reqs: map[uint64]*txnReq{},
 	}
 	for {
-		for db.step() {
+		for db.intake(); db.act(run); db.intake() {
 		}
 		next, ok := r.nextArrival()
 		if !ok {
@@ -333,7 +338,7 @@ func TestSimulatorIsOracleForLiveScheduler(t *testing.T) {
 	for _, policy := range []Policy{UpdatesFirst, TransactionsFirst, SplitUpdates, OnDemand} {
 		t.Run(policy.String(), func(t *testing.T) {
 			want := s.simulate(t, policy)
-			got := s.runLive(t, policy)
+			got := s.runLive(t, policy, 1)
 			if !reflect.DeepEqual(got.Installs, want.Installs) {
 				t.Errorf("install order\n live %v\n sim  %v", got.Installs, want.Installs)
 			}

@@ -132,7 +132,7 @@ func (db *DB) AdoptReplicationEpoch(epoch uint64) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	db.epoch = epoch
@@ -145,8 +145,7 @@ func (db *DB) AdoptReplicationEpoch(epoch uint64) error {
 // what makes the sequence a total order and snapshots consistent.
 // The repl-publish span — the encode-and-retain cost every write pays
 // while a Primary is attached — is measured by the callers
-// (installEntry, applyWritesLocked), which already hold clock
-// readings this function would otherwise re-take.
+// (installLocked, applyWritesLocked).
 func (db *DB) emitLocked(ev ReplEvent) {
 	db.seq++
 	if db.sink == nil {
@@ -283,8 +282,7 @@ func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 		}
 	}
 	db.mu.Lock()
-	db.arrival++
-	mu.Seq = db.arrival
+	mu.Seq = db.arrival.Add(1)
 	db.lag.Received(id, mu.GenTime)
 	db.mu.Unlock()
 
@@ -312,16 +310,18 @@ func (db *DB) ensureView(name string, imp Importance) (model.ObjectID, Importanc
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return 0, 0, ErrClosed
 	}
-	if id, ok := db.names[name]; ok {
-		if db.defs[id].derived {
+	if ref, ok := db.names[name]; ok {
+		if ref.derived {
 			return 0, 0, fmt.Errorf("%w: %q", ErrDerivedUpdate, name)
 		}
-		return id, db.defs[id].importance, nil
+		return ref.id, Importance(ref.class), nil
 	}
-	return db.defineViewLocked(name, imp), imp, nil
+	id := db.addDefLocked(name, imp, false)
+	db.publishLocked()
+	return id, imp, nil
 }
 
 // checkSnapshot validates a snapshot before any of it is applied.
@@ -334,17 +334,6 @@ func checkSnapshot(s Snapshot) error {
 	return nil
 }
 
-// defineViewLocked registers a view object. Callers hold db.mu for
-// writing and have checked the name is unused and the importance valid.
-func (db *DB) defineViewLocked(name string, importance Importance) model.ObjectID {
-	id := model.ObjectID(len(db.defs))
-	db.names[name] = id
-	db.defs = append(db.defs, viewDef{name: name, importance: importance})
-	db.entries = append(db.entries, viewEntry{})
-	db.pending = append(db.pending, 0)
-	return id
-}
-
 // ApplyReplicatedBatch applies one committed write batch received
 // from a primary: it is logged to the WAL, applied to the general
 // store and re-published (so replicas can chain), exactly like a
@@ -352,7 +341,7 @@ func (db *DB) defineViewLocked(name string, importance Importance) model.ObjectI
 func (db *DB) ApplyReplicatedBatch(writes []KeyValue) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	//striplint:ignore alloc-in-hotpath -- applyWritesLocked takes the batch as a map (the transaction API shape); one map per replicated batch
@@ -400,13 +389,14 @@ func (db *DB) InstallSnapshot(s Snapshot) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
+	defer db.publishLocked()
 	for _, v := range s.Views {
-		id, ok := db.names[v.Name]
+		id, ok := db.idLocked(v.Name)
 		if !ok {
-			id = db.defineViewLocked(v.Name, v.Importance)
+			id = db.addDefLocked(v.Name, v.Importance, false)
 		} else if db.defs[id].derived {
 			continue
 		}
@@ -454,16 +444,17 @@ func (db *DB) ResetToSnapshot(s Snapshot) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	//striplint:ignore alloc-in-hotpath -- a reset happens once per failover re-point, never on the per-frame path
 	inSnap := make(map[string]bool, len(s.Views))
+	defer db.publishLocked()
 	for _, v := range s.Views {
 		inSnap[v.Name] = true
-		id, ok := db.names[v.Name]
+		id, ok := db.idLocked(v.Name)
 		if !ok {
-			id = db.defineViewLocked(v.Name, v.Importance)
+			id = db.addDefLocked(v.Name, v.Importance, false)
 		} else if db.defs[id].derived {
 			continue
 		}
@@ -491,8 +482,8 @@ func (db *DB) ResetToSnapshot(s Snapshot) error {
 		db.lag.Removed(model.ObjectID(id))
 	}
 	// Everything already admitted to the scheduler queue predates the
-	// reset; the barrier makes installEntry discard it on arrival.
-	db.replBarrier = db.arrival
+	// reset; the barrier makes installLocked discard it on arrival.
+	db.replBarrier = db.arrival.Load()
 	db.stats.ReplSnapshotsInstalled++
 	//striplint:ignore alloc-in-hotpath -- a reset happens once per failover re-point, never on the per-frame path
 	general := make(map[string]float64, len(s.General))
@@ -519,7 +510,7 @@ func (db *DB) ReplicaLag() (maSeconds float64, uuUpdates int) {
 func (db *DB) ObjectLag(name string) (maSeconds float64, uuUpdates int, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.names[name]
+	id, ok := db.idLocked(name)
 	if !ok {
 		return 0, 0, ErrUnknownObject
 	}

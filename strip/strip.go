@@ -308,8 +308,11 @@ type Stats struct {
 	// UpdatesReceived counts updates accepted into the system.
 	UpdatesReceived uint64
 	// UpdatesDropped counts arrivals rejected by a full ingest
-	// buffer.
+	// buffer, or still in it when Close stopped the scheduler.
 	UpdatesDropped uint64
+	// FeedMalformed counts feed lines Serve could not parse as an
+	// update (see ParseUpdateLine) and skipped.
+	FeedMalformed uint64
 	// UpdatesInstalled counts values written into views.
 	UpdatesInstalled uint64
 	// UpdatesSkipped counts updates superseded by a newer generation

@@ -93,10 +93,7 @@ func (db *DB) Exec(spec TxnSpec) Result {
 	if spec.Func == nil {
 		return Result{State: Failed, Err: errors.New("strip: TxnSpec.Func is nil")}
 	}
-	db.mu.RLock()
-	closed := db.closed
-	db.mu.RUnlock()
-	if closed {
+	if db.closed.Load() {
 		return Result{State: Failed, Err: ErrClosed}
 	}
 	now := db.now()
@@ -228,7 +225,7 @@ func (tx *Tx) Read(name string) (Entry, error) {
 	// (everything under UpdatesFirst, the High class under
 	// SplitUpdates) preempts the transaction at this yield point.
 	db.drainIngest()
-	for db.installNext(db.next(true)) {
+	for db.installRun(true, installRunLen) > 0 {
 	}
 
 	stale := db.isStale(id, db.now())

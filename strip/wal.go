@@ -729,7 +729,7 @@ func (db *DB) Checkpoint() error {
 func (db *DB) checkpointRotate() (pairs []KeyValue, snapGen uint64, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return nil, 0, ErrClosed
 	}
 	//striplint:ignore block-under-lock -- sealing must be atomic with the commit path: group-commit accepts one segment fsync under db.mu per checkpoint
@@ -757,7 +757,7 @@ func (db *DB) checkpointHeal() {
 func (db *DB) Sync() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	if db.wal == nil {

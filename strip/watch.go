@@ -35,14 +35,14 @@ func (db *DB) Watch(object string, buffer int) (<-chan Entry, func(), error) {
 func (db *DB) addWatcher(object string, w *watcher) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	if object == "" {
 		db.watchers = append(db.watchers, w)
 		return nil
 	}
-	id, ok := db.names[object]
+	id, ok := db.idLocked(object)
 	if !ok {
 		return ErrUnknownObject
 	}
@@ -88,7 +88,7 @@ func (w *watcher) deliver(e Entry) {
 
 // notifyWatchers delivers an installed entry to the object's and the
 // global subscribers. Runs on the scheduler goroutine.
-func (db *DB) notifyWatchers(id model.ObjectID, e Entry) bool {
+func (db *DB) notifyWatchers(id model.ObjectID, e Entry) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, w := range db.watchers {
@@ -97,7 +97,6 @@ func (db *DB) notifyWatchers(id model.ObjectID, e Entry) bool {
 	for _, w := range db.watchersByID[id] {
 		w.deliver(e)
 	}
-	return len(db.watchers)+len(db.watchersByID[id]) > 0
 }
 
 // closeWatchers shuts every subscription down (database Close).
