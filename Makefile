@@ -5,7 +5,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke (see `make fuzz`).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-smoke bench-ab fuzz torture scenarios figures extensions verify report clean lint vet striplint lint-fixtures lint-alloc escapecheck
+.PHONY: all build test race bench bench-smoke bench-ab sim-identical fuzz torture scenarios figures extensions verify report clean lint vet striplint lint-fixtures lint-alloc escapecheck
 
 all: build lint test
 
@@ -94,6 +94,14 @@ PAIRS ?= 10
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [WORKLOAD=feed_capacity] [PAIRS=10]"; exit 2; }
 	bash scripts/bench-ab.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)"
+
+# The simulator's results against BASE's, byte for byte, over the
+# 60-configuration `stripsim -json` matrix (see scripts/sim-identical.sh):
+# the check a change to code the simulator shares with the live engine
+# runs to show the schedule did not move.
+sim-identical:
+	@test -n "$(BASE)" || { echo "usage: make sim-identical BASE=<rev>"; exit 2; }
+	bash scripts/sim-identical.sh "$(BASE)"
 
 # Golden-fixture contract: every lint rule ships at least one positive
 # and one negative fixture.

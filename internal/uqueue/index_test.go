@@ -53,14 +53,14 @@ func TestPopExtremeMatchesMinPlusRemove(t *testing.T) {
 				want.insert(u)
 				continue
 			case op == 3 || op == 4:
-				if n := got.popMin(math.Inf(1)); n != nil {
+				if n := got.popMin(math.Inf(1), nil); n != nil {
 					a = got.recycle(n)
 				}
 				if b = want.min(); b != nil {
 					want.recycle(want.remove(b))
 				}
 			case op == 5:
-				if n := got.popMax(); n != nil {
+				if n := got.popMax(nil); n != nil {
 					a = got.recycle(n)
 				}
 				if b = want.max(); b != nil {
@@ -69,7 +69,7 @@ func TestPopExtremeMatchesMinPlusRemove(t *testing.T) {
 			default:
 				// A bounded pop: only while the oldest is before the cutoff.
 				cutoff := float64(r.Intn(40))
-				if n := got.popMin(cutoff); n != nil {
+				if n := got.popMin(cutoff, nil); n != nil {
 					a = got.recycle(n)
 				}
 				if b = want.min(); b != nil && b.GenTime < cutoff {

@@ -54,16 +54,30 @@ type Queue interface {
 // unapplied updates ordered by generation time, with a per-object
 // index used by On Demand, bounded at capacity (oldest dropped on
 // overflow).
+//
+// A feed mostly arrives in generation order, and an ordered arrival
+// needs no search: an arrival that is not older than the newest one
+// that came in order is appended to a doubly-linked list (head oldest,
+// tail newest), and only an arrival older than the list's tail goes
+// into the treap. List and treap are each sorted, so the queue's oldest
+// (newest) update is the smaller (larger) of the list's end and the
+// treap's extreme. Both hold the same recycled nodes; a list node is
+// told apart by its zero priority.
 type GenQueue struct {
-	t *treap
+	t          *treap
+	head, tail *node
+	listLen    int
 	// heads is the per-object index: heads[id] starts the chain of
-	// treap nodes holding the object's queued updates, most recently
-	// inserted first, linked through node.objNext/objPrev. ObjectIDs
-	// are dense in both engines, so the index is a slice: one word per
-	// object ever seen, nothing to allocate when an update is queued
-	// and nothing to delete when an object's chain empties.
+	// nodes holding the object's queued updates, most recently inserted
+	// first, linked through node.objNext/objPrev. ObjectIDs are dense
+	// in both engines, so the index is a slice: one word per object
+	// ever seen, nothing to allocate when an update is queued and
+	// nothing to delete when an object's chain empties.
 	heads []*node
 	cap   int
+	// treapOnly sends every arrival into the treap: the reference the
+	// equivalence tests compare the list against.
+	treapOnly bool
 }
 
 var _ Queue = (*GenQueue)(nil)
@@ -78,7 +92,20 @@ func NewGenQueue(capacity int, seed uint64) *GenQueue {
 // is evicted and returned (§4.2: "discard the oldest updates when the
 // maximum queue size has been exceeded").
 func (q *GenQueue) Insert(u *model.Update) []*model.Update {
-	n := q.t.insert(u)
+	n := q.t.alloc(u)
+	if q.treapOnly || (q.tail != nil && less(u, q.tail.update)) {
+		q.t.link(n)
+	} else {
+		n.priority = 0
+		n.left = q.tail
+		if q.tail != nil {
+			q.tail.right = n
+		} else {
+			q.head = n
+		}
+		q.tail = n
+		q.listLen++
+	}
 	for len(q.heads) <= int(u.Object) {
 		q.heads = append(q.heads, nil)
 	}
@@ -87,7 +114,7 @@ func (q *GenQueue) Insert(u *model.Update) []*model.Update {
 		head.objPrev = n
 	}
 	q.heads[u.Object] = n
-	if q.cap > 0 && q.t.len() > q.cap {
+	if q.cap > 0 && q.Len() > q.cap {
 		if old := q.PopOldest(); old != nil {
 			//striplint:ignore alloc-in-hotpath -- eviction slice is the Queue API contract; overflow is the capacity exception, not the steady state
 			return []*model.Update{old}
@@ -97,21 +124,77 @@ func (q *GenQueue) Insert(u *model.Update) []*model.Update {
 }
 
 // Len returns the number of queued updates.
-func (q *GenQueue) Len() int { return q.t.len() }
+func (q *GenQueue) Len() int { return q.t.len() + q.listLen }
 
 // PeekOldest returns the oldest-generation update without removing it.
-func (q *GenQueue) PeekOldest() *model.Update { return q.t.min() }
+func (q *GenQueue) PeekOldest() *model.Update {
+	m := q.t.min()
+	if q.head != nil && (m == nil || less(q.head.update, m)) {
+		return q.head.update
+	}
+	return m
+}
 
 // PeekNewest returns the newest-generation update without removing it.
-func (q *GenQueue) PeekNewest() *model.Update { return q.t.max() }
+func (q *GenQueue) PeekNewest() *model.Update {
+	m := q.t.max()
+	if q.tail != nil && (m == nil || less(m, q.tail.update)) {
+		return q.tail.update
+	}
+	return m
+}
 
 // PopOldest removes and returns the oldest-generation update.
-func (q *GenQueue) PopOldest() *model.Update { return q.release(q.t.popMin(math.Inf(1))) }
+func (q *GenQueue) PopOldest() *model.Update { return q.release(q.popOldest(math.Inf(1))) }
 
 // PopNewest removes and returns the newest-generation update.
-func (q *GenQueue) PopNewest() *model.Update { return q.release(q.t.popMax()) }
+func (q *GenQueue) PopNewest() *model.Update {
+	tail := q.tail
+	if tail == nil {
+		return q.release(q.t.popMax(nil))
+	}
+	n := q.t.popMax(tail.update)
+	if n == nil {
+		n = tail
+		q.unlink(n)
+	}
+	return q.release(n)
+}
 
-// release takes a node already unlinked from the tree out of its
+// popOldest takes the oldest node out of the list or the treap if it
+// was generated strictly before cutoff; nil otherwise. The treap gives
+// its oldest up only when that one orders before the list's head.
+func (q *GenQueue) popOldest(cutoff float64) *node {
+	h := q.head
+	if h == nil {
+		return q.t.popMin(cutoff, nil)
+	}
+	if n := q.t.popMin(cutoff, h.update); n != nil {
+		return n
+	}
+	if h.update.GenTime >= cutoff {
+		return nil
+	}
+	q.unlink(h)
+	return h
+}
+
+// unlink takes a node out of the in-order list.
+func (q *GenQueue) unlink(n *node) {
+	if n.left != nil {
+		n.left.right = n.right
+	} else {
+		q.head = n.right
+	}
+	if n.right != nil {
+		n.right.left = n.left
+	} else {
+		q.tail = n.left
+	}
+	q.listLen--
+}
+
+// release takes a node already out of the list or the tree out of its
 // object's chain, recycles it and returns its update (nil for nil).
 func (q *GenQueue) release(n *node) *model.Update {
 	if n == nil {
@@ -180,7 +263,12 @@ func (q *GenQueue) TakeFor(id model.ObjectID) (*model.Update, []*model.Update) {
 	i := len(superseded)
 	for n := head; n != nil; {
 		next := n.objNext
-		if u := q.t.recycle(q.t.remove(n.update)); u != newest {
+		if n.priority == 0 {
+			q.unlink(n)
+		} else {
+			q.t.remove(n.update)
+		}
+		if u := q.t.recycle(n); u != newest {
 			i--
 			superseded[i] = u
 		}
@@ -190,12 +278,12 @@ func (q *GenQueue) TakeFor(id model.ObjectID) (*model.Update, []*model.Update) {
 }
 
 // DiscardOlderGen removes every update generated strictly before
-// cutoff. Because the queue is generation ordered this is a pop-min
+// cutoff. Because the queue is generation ordered this is a pop-oldest
 // loop, constant work per discarded update.
 func (q *GenQueue) DiscardOlderGen(cutoff float64) []*model.Update {
 	var out []*model.Update
 	for {
-		n := q.t.popMin(cutoff)
+		n := q.popOldest(cutoff)
 		if n == nil {
 			return out
 		}
@@ -206,7 +294,18 @@ func (q *GenQueue) DiscardOlderGen(cutoff float64) []*model.Update {
 
 // Walk visits every queued update in generation order. It is used by
 // tests and by the UU-strict staleness tracker.
-func (q *GenQueue) Walk(visit func(*model.Update)) { q.t.walk(visit) }
+func (q *GenQueue) Walk(visit func(*model.Update)) {
+	l := q.head
+	q.t.walk(func(u *model.Update) {
+		for ; l != nil && less(l.update, u); l = l.right {
+			visit(l.update)
+		}
+		visit(u)
+	})
+	for ; l != nil; l = l.right {
+		visit(l.update)
+	}
+}
 
 // CoalescedQueue is the paper's proposed hash-indexed queue (§4.2, §7):
 // for complete updates to snapshot views only the newest update per
@@ -267,10 +366,12 @@ func (q *CoalescedQueue) PeekOldest() *model.Update { return q.t.min() }
 func (q *CoalescedQueue) PeekNewest() *model.Update { return q.t.max() }
 
 // PopOldest removes and returns the oldest-generation update.
-func (q *CoalescedQueue) PopOldest() *model.Update { return q.release(q.t.popMin(math.Inf(1))) }
+func (q *CoalescedQueue) PopOldest() *model.Update {
+	return q.release(q.t.popMin(math.Inf(1), nil))
+}
 
 // PopNewest removes and returns the newest-generation update.
-func (q *CoalescedQueue) PopNewest() *model.Update { return q.release(q.t.popMax()) }
+func (q *CoalescedQueue) PopNewest() *model.Update { return q.release(q.t.popMax(nil)) }
 
 // release drops a node already unlinked from the tree from the object
 // index, recycles it and returns its update (nil for nil).
@@ -310,7 +411,7 @@ func (q *CoalescedQueue) TakeFor(id model.ObjectID) (*model.Update, []*model.Upd
 func (q *CoalescedQueue) DiscardOlderGen(cutoff float64) []*model.Update {
 	var out []*model.Update
 	for {
-		n := q.t.popMin(cutoff)
+		n := q.t.popMin(cutoff, nil)
 		if n == nil {
 			return out
 		}

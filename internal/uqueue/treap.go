@@ -26,7 +26,11 @@ type treap struct {
 }
 
 type node struct {
-	update   *model.Update
+	update *model.Update
+	// priority is the treap's heap key, never zero in the tree. GenQueue
+	// marks a node on its in-order list with a zero priority and reuses
+	// left and right there as the links to the next older and next
+	// newer node.
 	priority uint64
 	left     *node
 	right    *node
@@ -66,22 +70,31 @@ func less(a, b *model.Update) bool {
 
 func (t *treap) len() int { return t.size }
 
-// insert adds u and returns the node that holds it.
-func (t *treap) insert(u *model.Update) *node {
+// alloc returns an unlinked node holding u, recycled when there is one.
+func (t *treap) alloc(u *model.Update) *node {
 	n := t.free
-	if n != nil {
-		t.free = n.right
-		n.right = nil
-		n.update = u
-	} else {
+	if n == nil {
 		//striplint:ignore alloc-in-hotpath -- freelist miss: first insert at a new queue-depth high-water mark; steady state recycles removed nodes
-		n = &node{update: u}
+		return &node{update: u}
 	}
+	t.free = n.right
+	n.right = nil
+	n.update = u
+	return n
+}
+
+// link puts an unlinked node into the tree under a fresh priority.
+// nextPriority never yields zero (xorshift keeps a non-zero state and
+// the multiplier is odd), which leaves zero free to mark a node that is
+// queued outside the tree (see GenQueue).
+func (t *treap) link(n *node) {
 	n.priority = t.nextPriority()
 	t.root = t.insertNode(t.root, n)
 	t.size++
-	return n
 }
+
+// insert adds u.
+func (t *treap) insert(u *model.Update) { t.link(t.alloc(u)) }
 
 func (t *treap) insertNode(root, n *node) *node {
 	if root == nil {
@@ -140,12 +153,12 @@ func (t *treap) max() *model.Update {
 }
 
 // popMin unlinks and returns the oldest-generation node if it was
-// generated strictly before cutoff (+Inf takes whatever is oldest), in
-// one descent; nil otherwise. The leftmost node has no left child, so
-// its right subtree takes its place — the tree merge(nil, right) would
-// build. The caller hands the node back with recycle once it has read
-// it.
-func (t *treap) popMin(cutoff float64) *node {
+// generated strictly before cutoff (+Inf takes whatever is oldest) and,
+// when before is not nil, orders before it, in one descent; nil
+// otherwise. The leftmost node has no left child, so its right subtree
+// takes its place — the tree merge(nil, right) would build. The caller
+// hands the node back with recycle once it has read it.
+func (t *treap) popMin(cutoff float64, before *model.Update) *node {
 	n := t.root
 	if n == nil {
 		return nil
@@ -154,7 +167,7 @@ func (t *treap) popMin(cutoff float64) *node {
 	for n.left != nil {
 		parent, n = n, n.left
 	}
-	if n.update.GenTime >= cutoff {
+	if n.update.GenTime >= cutoff || (before != nil && !less(n.update, before)) {
 		return nil
 	}
 	if parent == nil {
@@ -166,8 +179,9 @@ func (t *treap) popMin(cutoff float64) *node {
 	return n
 }
 
-// popMax is popMin's mirror image for the newest-generation node.
-func (t *treap) popMax() *node {
+// popMax is popMin's mirror image for the newest-generation node: it
+// is taken unless after is not nil and the node does not order after it.
+func (t *treap) popMax(after *model.Update) *node {
 	n := t.root
 	if n == nil {
 		return nil
@@ -175,6 +189,9 @@ func (t *treap) popMax() *node {
 	var parent *node
 	for n.right != nil {
 		parent, n = n, n.right
+	}
+	if after != nil && !less(after, n.update) {
+		return nil
 	}
 	if parent == nil {
 		t.root = n.left

@@ -44,14 +44,17 @@ type DB struct {
 	stats   Stats
 
 	// The feed path's share of the state above, kept out of mu so that
-	// an offer never waits for the scheduler's install section (nor the
-	// scheduler for a monitor's Stats): reg holds the published name
-	// map, nothing until the first lock-free lookup; closed is set once
-	// by Close (under mu, so a define that holds mu sees it settled);
-	// arrival is the queue tie-break counter shared by ApplyUpdate and
-	// ApplyReplicated; dropped and malformed are the two loss counters
-	// producers bump themselves; queueLen is the update-queue length the
-	// scheduler publishes every pass for Stats.
+	// an offer never waits for the scheduler's install section. (Stats
+	// does: it takes mu for reading, so a monitor polling it waits out
+	// the run in progress and the next run waits for it — a convoy that
+	// DESIGN §4 measures and, for the transactions' sake, keeps.) reg
+	// holds the published name map, nothing until the first lock-free
+	// lookup; closed is set once by Close (under mu, so a define that
+	// holds mu sees it settled); arrival is the queue tie-break counter
+	// shared by ApplyUpdate and ApplyReplicated; dropped and malformed
+	// are the two loss counters producers bump themselves; queueLen is
+	// the update-queue length the scheduler publishes every pass for
+	// Stats.
 	reg       atomic.Value // map[string]viewRef
 	closed    atomic.Bool
 	arrival   atomic.Uint64
@@ -122,6 +125,13 @@ type viewDef struct {
 	name       string
 	importance Importance
 	derived    bool
+	// hooked is set once an install of this object has something of its
+	// own to fire — a trigger, a watcher, a derived view depending on it
+	// — by the three calls that register those (none is ever removed: a
+	// cancelled watcher stays listed, closed). It spares every install
+	// the three map lookups that would answer the same question (see
+	// hookedLocked).
+	hooked bool
 }
 
 // viewRef is what a view name resolves to: all that an offer or a read
@@ -359,14 +369,20 @@ func (db *DB) Peek(name string) (Entry, error) {
 	if !ok {
 		return Entry{}, ErrUnknownObject
 	}
+	return db.entryLocked(name, id, db.cfg.Clock()), nil
+}
+
+// entryLocked copies a view object's entry out, with its staleness at
+// now. Callers hold db.mu (read or write).
+func (db *DB) entryLocked(name string, id model.ObjectID, now time.Time) Entry {
 	e := db.entries[id]
 	return Entry{
 		Object:    name,
 		Value:     e.value,
 		Fields:    copyFields(e.fields),
 		Generated: e.generated,
-		Stale:     db.staleLocked(id, db.cfg.Clock()),
-	}, nil
+		Stale:     db.staleLocked(id, now),
+	}
 }
 
 // Stats returns a snapshot of the counters.
@@ -437,13 +453,6 @@ func (db *DB) staleLocked(id model.ObjectID, now time.Time) bool {
 	return db.pending[id] > 0
 }
 
-// isStale evaluates staleness with the registry lock.
-func (db *DB) isStale(id model.ObjectID, now time.Time) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.staleLocked(id, now)
-}
-
 // install applies one update taken from the queue outside a run — the
 // OnDemand refresh — together with the queued updates it supersedes,
 // as a run of one (see installRun).
@@ -473,7 +482,7 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 	var arrived int64
 	if u.ArrivalTime > 0 {
 		arrived = db.arrivalNanos(u)
-		o.stage[obs.StageQueueWait].Observe(now - arrived)
+		o.stage[obs.StageQueueWait].ObserveStaged(now - arrived)
 	}
 	for _, old := range superseded {
 		db.settleLocked(old, settleSkipped)
@@ -528,7 +537,7 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 		db.emitInstallLocked(u, gen)
 	}
 	age := now - gen.UnixNano()
-	o.staleness.Observe(age)
+	o.staleness.ObserveStaged(age)
 	db.maxStale.Observe(u.Object, float64(age)/1e9)
 	if u.Replicated {
 		o.replicaLag.Observe(age)
@@ -552,26 +561,28 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 // hookedLocked reports whether an install of the object has anything
 // to fire. Callers hold db.mu.
 func (db *DB) hookedLocked(id model.ObjectID) bool {
-	return len(db.globalTriggers) > 0 || len(db.watchers) > 0 ||
-		len(db.triggers[id]) > 0 || len(db.watchersByID[id]) > 0 || len(db.derivedByDep[id]) > 0
+	return db.defs[id].hooked || len(db.globalTriggers) > 0 || len(db.watchers) > 0
 }
 
-// endRunLocked closes a run's critical section with the run's second
-// and last clock reading: each of its worthy installs is charged an
-// equal share of the time since the run's first reading, lock wait
-// included — one install-stage observation per installed update, as
-// when every install read the clock itself. Callers hold db.mu for
-// writing.
+// endRunLocked closes a run's critical section. It folds the queue-wait
+// and staleness observations installLocked staged into their histograms
+// — before db.mu is released, so a scrape never counts fewer
+// observations than the Stats ledger counts installs — and takes the
+// run's second and last clock reading: each of its worthy installs is
+// charged an equal share of the time since the run's first reading,
+// lock wait included — one install-stage observation per installed
+// update, as when every install read the clock itself. Callers hold
+// db.mu for writing.
 func (db *DB) endRunLocked(now int64, worthy int) {
+	o := db.obs
+	o.stage[obs.StageQueueWait].Flush()
 	if worthy == 0 {
 		return
 	}
-	o := db.obs
+	o.staleness.Flush()
 	o.installEnd = db.nowNanos()
 	span := (o.installEnd - now) / int64(worthy)
-	for i := 0; i < worthy; i++ {
-		o.stage[obs.StageInstall].Observe(span)
-	}
+	o.stage[obs.StageInstall].ObserveN(span, worthy)
 	for i := range o.run {
 		o.run[i].Spans[obs.StageInstall] = span
 	}

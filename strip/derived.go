@@ -51,6 +51,7 @@ func (db *DB) OnInstall(object string, fn func(Entry)) error {
 		db.triggers = make(map[model.ObjectID][]func(Entry))
 	}
 	db.triggers[id] = append(db.triggers[id], fn)
+	db.defs[id].hooked = true
 	return nil
 }
 
@@ -104,6 +105,7 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 	}
 	for _, dep := range depIDs {
 		db.derivedByDep[dep] = append(db.derivedByDep[dep], def)
+		db.defs[dep].hooked = true
 	}
 	db.derivedByID[id] = def
 	return nil

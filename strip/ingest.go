@@ -32,20 +32,21 @@ func (db *DB) ApplyUpdate(u Update) error {
 		return fmt.Errorf("%w: %q", ErrDerivedUpdate, u.Object)
 	}
 
-	now := db.now()
-	gen := u.Generated
-	if gen.IsZero() {
-		gen = now
+	// A missing generation stamp means "now": the arrival reading.
+	arrival, wallGen := db.arrivalStamp()
+	gen := arrival
+	if !u.Generated.IsZero() {
+		gen, wallGen = db.secs(u.Generated), u.Generated.UnixNano()
 	}
 	//striplint:ignore alloc-in-hotpath -- the update outlives ApplyUpdate by design: it escapes into the scheduler queue and is installed later
 	mu := &model.Update{
 		Seq:         db.arrival.Add(1),
 		Object:      ref.id,
 		Class:       Importance(ref.class),
-		GenTime:     db.secs(gen),
-		ArrivalTime: db.secs(now),
+		GenTime:     gen,
+		ArrivalTime: arrival,
 		Payload:     u.Value,
-		WallGen:     gen.UnixNano(),
+		WallGen:     wallGen,
 	}
 	if u.Fields != nil {
 		if u.Partial {

@@ -86,7 +86,7 @@ func (db *DB) drainIngest() {
 		return
 	}
 	db.mu.Lock()
-	defer db.mu.Unlock()
+burst:
 	for ; n > 0; n-- {
 		select {
 		case u := <-db.ingestCh:
@@ -94,9 +94,11 @@ func (db *DB) drainIngest() {
 		default:
 			// Unreachable while the scheduler is the only receiver; a
 			// producer draining after Close may have been quicker.
-			return
+			break burst
 		}
 	}
+	db.obs.uuBacklog.Flush()
+	db.mu.Unlock()
 }
 
 // settleCause says how a queued update left the queue.
@@ -139,7 +141,9 @@ func (db *DB) settleLocked(u *model.Update, cause settleCause) {
 
 // enqueueLocked inserts one received update, accounting for coalescing
 // and overflow evictions and maintaining the UU pending counts. Callers
-// hold db.mu for writing and run on the scheduler goroutine.
+// hold db.mu for writing, run on the scheduler goroutine and flush
+// uuBacklog, which the burst's observations are staged in, before they
+// release the lock.
 func (db *DB) enqueueLocked(u *model.Update) {
 	db.stats.UpdatesReceived++
 	db.pending[u.Object]++
@@ -161,7 +165,7 @@ func (db *DB) enqueueLocked(u *model.Update) {
 	}
 	// How many unapplied updates this arrival queues behind: the UU
 	// criterion's distribution.
-	db.obs.uuBacklog.Observe(int64(db.queue.Len()))
+	db.obs.uuBacklog.ObserveStaged(int64(db.queue.Len()))
 }
 
 // expireQueue drops queued updates older than MaxAge (MA only).
@@ -242,12 +246,16 @@ func (db *DB) installRun(txnReady bool, max int) int {
 }
 
 // refreshOnDemand applies the newest queued update for the object, if
-// any (the OnDemand in-line refresh). All superseded queued updates
-// for the object are discarded.
-func (db *DB) refreshOnDemand(id model.ObjectID, class Importance) {
-	if newest, superseded := db.queue.TakeFor(class, id); newest != nil {
-		db.install(newest, superseded)
+// any (the OnDemand in-line refresh), and reports whether there was
+// one: the object's entry and its staleness are then to be read again.
+// All superseded queued updates for the object are discarded.
+func (db *DB) refreshOnDemand(id model.ObjectID, class Importance) bool {
+	newest, superseded := db.queue.TakeFor(class, id)
+	if newest == nil {
+		return false
 	}
+	db.install(newest, superseded)
+	return true
 }
 
 // drainTxnCh admits buffered transaction submissions to the ready
@@ -348,6 +356,7 @@ func (db *DB) idleWait() bool {
 	case u := <-db.ingestCh:
 		db.mu.Lock()
 		db.enqueueLocked(u)
+		db.obs.uuBacklog.Flush()
 		db.mu.Unlock()
 		return true
 	case req := <-db.txnCh:

@@ -6,7 +6,16 @@ import "sync/atomic"
 // (typically nanoseconds). Bounds are inclusive upper edges in
 // ascending order, with an implicit +Inf bucket at the end. Observe
 // is allocation-free: one linear scan over a small bound slice plus
-// two atomic adds, cheap enough for the install path.
+// two atomic adds.
+//
+// Two atomic adds per observation are still the dearest thing a
+// histogram does, so a writer that observes in runs has a staged form:
+// ObserveStaged counts into plain per-bucket cells and Flush folds them
+// into the atomics, once per run. The staged cells belong to a single
+// writer, which serialises ObserveStaged and Flush itself and flushes
+// before it lets a reader expect the observations (the database stages
+// and flushes inside one hold of its lock); readers only ever see the
+// atomics.
 //
 // A per-unit divisor converts raw observations to exposition units at
 // snapshot time — latency histograms observe nanoseconds and expose
@@ -18,6 +27,9 @@ type Histogram struct {
 	perUnit float64
 	counts  []atomic.Uint64
 	sum     atomic.Int64
+
+	staged    []uint64 // per bucket, not yet in counts
+	stagedSum int64
 }
 
 func newHistogram(bounds []int64, perUnit int64) *Histogram {
@@ -36,6 +48,7 @@ func newHistogram(bounds []int64, perUnit int64) *Histogram {
 		bounds:  bounds,
 		perUnit: float64(perUnit),
 		counts:  make([]atomic.Uint64, len(bounds)+1),
+		staged:  make([]uint64, len(bounds)+1),
 	}
 }
 
@@ -52,16 +65,54 @@ func (r *Registry) Histogram(name, help string, bounds []int64, perUnit int64) *
 // Observe records one value. Negative values (possible when spans are
 // computed across an injected clock that did not advance, or from a
 // stepping wall clock) clamp to zero rather than corrupting the sum.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value for the cost of
+// one.
+func (h *Histogram) ObserveN(v int64, n int) {
+	if n <= 0 {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
+	h.counts[h.bucket(v)].Add(uint64(n))
+	h.sum.Add(v * int64(n))
+}
+
+// ObserveStaged records one value (clamped like Observe's) in the
+// staged cells; it is not visible to readers until Flush. Single
+// writer only.
+func (h *Histogram) ObserveStaged(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	h.staged[h.bucket(v)]++
+	h.stagedSum += v
+}
+
+// Flush folds the staged observations into the histogram: one atomic
+// add per bucket that was hit and one for the sum. Single writer only.
+func (h *Histogram) Flush() {
+	for i, n := range h.staged {
+		if n != 0 {
+			h.counts[i].Add(n)
+			h.staged[i] = 0
+		}
+	}
+	if h.stagedSum != 0 {
+		h.sum.Add(h.stagedSum)
+		h.stagedSum = 0
+	}
+}
+
+// bucket returns the index of the bucket a non-negative value falls in.
+func (h *Histogram) bucket(v int64) int {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
+	return i
 }
 
 // Count returns the total number of observations.

@@ -88,6 +88,64 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
+// TestHistogramStagedAndObserveN: observations staged and flushed, and
+// n equal observations recorded at once, leave the histogram exactly as
+// recording each with Observe does — buckets and sum — and nothing is
+// visible before the flush or left staged after it.
+func TestHistogramStagedAndObserveN(t *testing.T) {
+	bounds := []int64{10, 100, 1000}
+	cases := []struct {
+		name   string
+		values []int64
+	}{
+		{"empty", nil},
+		{"one bucket", []int64{3, 3, 3}},
+		{"edges are inclusive", []int64{10, 11, 100, 101, 1000}},
+		{"negative clamps to zero", []int64{-3, -1 << 40, 0, 5}},
+		{"+Inf bucket", []int64{1001, 1 << 50, 7}},
+		{"a run of equal shares", []int64{42, 42, 42, 42, 42, 42}},
+	}
+	same := func(t *testing.T, what string, got, want *Histogram) {
+		t.Helper()
+		for i := range want.counts {
+			if got.counts[i].Load() != want.counts[i].Load() {
+				t.Errorf("%s: bucket %d = %d, want %d", what, i, got.counts[i].Load(), want.counts[i].Load())
+			}
+		}
+		if got.sum.Load() != want.sum.Load() {
+			t.Errorf("%s: sum = %d, want %d", what, got.sum.Load(), want.sum.Load())
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, staged, byN := newHistogram(bounds, 1), newHistogram(bounds, 1), newHistogram(bounds, 1)
+			for _, v := range c.values {
+				want.Observe(v)
+				staged.ObserveStaged(v)
+			}
+			if staged.Count() != 0 || staged.Sum() != 0 {
+				t.Errorf("staged observations are visible before Flush: count %d sum %v", staged.Count(), staged.Sum())
+			}
+			staged.Flush()
+			same(t, "staged", staged, want)
+			staged.Flush() // nothing left: a second flush adds nothing
+			same(t, "flushed twice", staged, want)
+
+			// Runs of equal values go in as one ObserveN each.
+			for i := 0; i < len(c.values); {
+				j := i
+				for j < len(c.values) && c.values[j] == c.values[i] {
+					j++
+				}
+				byN.ObserveN(c.values[i], j-i)
+				i = j
+			}
+			byN.ObserveN(99, 0) // no observations: no trace
+			same(t, "ObserveN", byN, want)
+		})
+	}
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	h := newHistogram([]int64{10, 100, 1000}, 1)
 	if q := h.Quantile(0.5); q != 0 {

@@ -186,3 +186,20 @@ func (db *DB) nowNanos() int64 {
 	}
 	return db.cfg.Clock().UnixNano()
 }
+
+// arrivalStamp reads the clock once for an offer, on both axes an
+// update carries: seconds since Open (the queue structures' axis) and
+// Unix nanoseconds (the generation stamp of an update that brought
+// none). Under the default clock it is the one monotonic reading
+// nowNanos takes — ApplyUpdate runs once per offered update, and on the
+// feed path a producer's nanosecond counts as much as the scheduler's —
+// so the stamps of one process never step backwards with the wall
+// clock. An injected Config.Clock is read directly.
+func (db *DB) arrivalStamp() (secs float64, unixNanos int64) {
+	if db.cfg.defaultedClock {
+		since := time.Since(db.start)
+		return since.Seconds(), db.startNanos + int64(since)
+	}
+	now := db.cfg.Clock()
+	return db.secs(now), now.UnixNano()
+}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/model"
 )
 
 // State is a transaction's terminal outcome.
@@ -228,23 +230,12 @@ func (tx *Tx) Read(name string) (Entry, error) {
 	for db.installRun(true, installRunLen) > 0 {
 	}
 
-	stale := db.isStale(id, db.now())
-	if stale && db.cfg.Policy.RefreshesOnRead() {
-		db.refreshOnDemand(id, class)
-		stale = db.isStale(id, db.now())
+	e := db.readEntry(name, id)
+	if e.Stale && db.cfg.Policy.RefreshesOnRead() && db.refreshOnDemand(id, class) {
+		e = db.readEntry(name, id)
 	}
 
-	db.mu.RLock()
-	e := Entry{
-		Object:    name,
-		Value:     db.entries[id].value,
-		Fields:    copyFields(db.entries[id].fields),
-		Generated: db.entries[id].generated,
-		Stale:     stale,
-	}
-	db.mu.RUnlock()
-
-	if stale {
+	if e.Stale {
 		tx.readStale = true
 		switch db.cfg.OnStale {
 		case Warn:
@@ -255,6 +246,15 @@ func (tx *Tx) Read(name string) (Entry, error) {
 		}
 	}
 	return e, nil
+}
+
+// readEntry copies a view object's entry and evaluates its staleness
+// under one hold of the lock and one clock reading.
+func (db *DB) readEntry(name string, id model.ObjectID) Entry {
+	now := db.now()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.entryLocked(name, id, now)
 }
 
 // Get reads general data, observing the transaction's own writes.
