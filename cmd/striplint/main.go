@@ -16,12 +16,6 @@
 // lock-acquisition-order graph in DOT form (mutex identities as nodes,
 // "acquired while held" edges labelled with their witness call sites,
 // deadlock cycles in red) for review alongside the lock-order rule.
-//
-// The -hotpaths mode dumps the hot-path closure — every function
-// reachable from the configured allocation-budget roots, with its
-// source extent and seeding root — the same set alloc-in-hotpath
-// reports over and cmd/escapecheck filters compiler escape
-// diagnostics to.
 package main
 
 import (
@@ -47,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	list := fs.Bool("list", false, "list available rules and exit")
 	lockgraph := fs.Bool("lockgraph", false, "dump the lock-acquisition-order graph as DOT and exit")
-	hotpaths := fs.Bool("hotpaths", false, "dump the hot-path closure (functions reachable from the\nconfigured roots, with source extents) and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: striplint [flags] [packages]\n\n"+
 			"Packages are directories, optionally ending in /... for a subtree\n"+
@@ -110,27 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *lockgraph {
 		facts := lint.BuildFacts(loader.All(), opts)
 		fmt.Fprint(stdout, facts.LockGraphDOT())
-		return 0
-	}
-
-	if *hotpaths {
-		facts := lint.BuildFacts(loader.All(), opts)
-		hot := facts.HotFunctions()
-		if *jsonOut {
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			if hot == nil {
-				hot = []lint.HotFunc{}
-			}
-			if err := enc.Encode(hot); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			return 0
-		}
-		for _, hf := range hot {
-			fmt.Fprintf(stdout, "%s:%d-%d\t%s\t(root %s)\n", hf.File, hf.StartLine, hf.EndLine, hf.Name, hf.Root)
-		}
 		return 0
 	}
 

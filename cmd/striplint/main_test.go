@@ -87,6 +87,9 @@ func TestRunList(t *testing.T) {
 			t.Errorf("-list missing rule %q:\n%s", rule, out.String())
 		}
 	}
+	if n := strings.Count(out.String(), "\n"); n != 13 {
+		t.Errorf("-list printed %d rules, want 13:\n%s", n, out.String())
+	}
 }
 
 // taintFixture hides nondeterminism sources behind helper functions;

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file builds the module-wide facts behind the interprocedural
@@ -55,39 +54,6 @@ type Facts struct {
 	// witness chain; durabilityOps are the intrinsic sources.
 	errProducers  map[*types.Func]*taintFact
 	durabilityOps map[*types.Func]string
-	// hot maps every module function reachable from a configured
-	// hot-path root (Options.HotRoots) to its witness chain back to
-	// that root. Unlike the other closures this one runs forward —
-	// from the roots down the call graph — because the property of
-	// interest ("work done per ingested update") belongs to callees.
-	hot map[*types.Func]*taintFact
-	// hotFuncs lists the hot functions with their source extents, for
-	// tools that correlate external diagnostics (cmd/escapecheck
-	// filters `go build -gcflags=-m` output to these ranges).
-	hotFuncs []HotFunc
-}
-
-// HotFunc is one function in the hot-path closure, positioned for
-// tools that need to map file:line diagnostics onto the closure.
-type HotFunc struct {
-	// Name is the display name (pkg.Func or pkg.Recv.Method).
-	Name string
-	// Root is the root spec this function is reachable from.
-	Root string
-	// File is the declaring file as the loader's FileSet renders it.
-	File string
-	// StartLine and EndLine bound the declaration, inclusive.
-	StartLine, EndLine int
-}
-
-// HotFunctions returns the hot-path closure as positioned entries,
-// sorted by file and line. Exposed for cmd/escapecheck and the
-// striplint -hotpaths dump.
-func (f *Facts) HotFunctions() []HotFunc {
-	if f == nil {
-		return nil
-	}
-	return f.hotFuncs
 }
 
 // taintFact is one function's entry in the taint closure: a witness
@@ -187,155 +153,7 @@ func BuildFacts(modules []*Package, opts *Options) *Facts {
 	f.durabilityOps = collectDurabilityOps(modules)
 	buildBlockFacts(f, order, nodes)
 	buildErrFacts(f, order, nodes)
-	buildHotFacts(f, order, nodes, opts)
 	return f
-}
-
-// hotRootSpec is one parsed Options.HotRoots entry:
-// "<pkg-suffix>.<Func>" or "<pkg-suffix>.<Type>.<Method>", where the
-// package suffix may contain slashes ("strip/repl.Primary.publish").
-type hotRootSpec struct {
-	raw  string
-	pkg  string // import-path suffix, e.g. "strip/repl"
-	recv string // receiver type name, "" for package-level functions
-	name string
-}
-
-// parseHotRoot splits a root spec. The package suffix is everything up
-// to the first dot after the last slash; one further dot separates a
-// receiver type from a method name.
-func parseHotRoot(raw string) (hotRootSpec, bool) {
-	head, tail := "", raw
-	if i := strings.LastIndex(raw, "/"); i >= 0 {
-		head, tail = raw[:i+1], raw[i+1:]
-	}
-	parts := strings.Split(tail, ".")
-	switch len(parts) {
-	case 2:
-		if parts[0] == "" || parts[1] == "" {
-			return hotRootSpec{}, false
-		}
-		return hotRootSpec{raw: raw, pkg: head + parts[0], name: parts[1]}, true
-	case 3:
-		if parts[0] == "" || parts[1] == "" || parts[2] == "" {
-			return hotRootSpec{}, false
-		}
-		return hotRootSpec{raw: raw, pkg: head + parts[0], recv: parts[1], name: parts[2]}, true
-	}
-	return hotRootSpec{}, false
-}
-
-// matches reports whether the declared function n is the one the spec
-// names, using the same import-path suffix matching as Scope.
-func (s hotRootSpec) matches(n *cgNode) bool {
-	if n.decl == nil || n.fn.Name() != s.name || recvTypeName(n.fn) != s.recv {
-		return false
-	}
-	path := n.pkg.Path
-	return path == s.pkg || hasPathSuffix(path, s.pkg)
-}
-
-// buildHotFacts resolves Options.HotRoots against the graph and runs a
-// forward breadth-first closure over direct and interface-dispatch
-// edges — from the roots down to everything they can call. Each hot
-// function's fact chains back toward its root: next is the caller it
-// was reached from and hopPos the mention site in that caller, so
-// hotChain can render "X is reached from Y" witness lines. Node and
-// edge order is source order, making the chosen chains deterministic.
-func buildHotFacts(f *Facts, order []*cgNode, nodes map[*types.Func]*cgNode, opts *Options) {
-	f.hot = make(map[*types.Func]*taintFact)
-	var specs []hotRootSpec
-	for _, raw := range opts.HotRoots {
-		if s, ok := parseHotRoot(raw); ok {
-			specs = append(specs, s)
-		}
-	}
-	var queue []*types.Func
-	for _, n := range order {
-		for _, s := range specs {
-			if !s.matches(n) {
-				continue
-			}
-			pos := n.pkg.Fset.Position(n.decl.Name.Pos())
-			f.hot[n.fn] = &taintFact{source: s.raw, srcPos: pos, hopPos: pos}
-			queue = append(queue, n.fn)
-			break
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		n := nodes[cur]
-		if n == nil {
-			continue
-		}
-		fact := f.hot[cur]
-		for _, edges := range [][]cgEdge{n.edges, n.ifaceEdges} {
-			for _, e := range edges {
-				if _, seen := f.hot[e.callee]; seen {
-					continue
-				}
-				f.hot[e.callee] = &taintFact{
-					source: fact.source,
-					srcPos: fact.srcPos,
-					next:   cur,
-					hopPos: n.pkg.Fset.Position(e.pos),
-				}
-				queue = append(queue, e.callee)
-			}
-		}
-	}
-	for _, n := range order {
-		fact := f.hot[n.fn]
-		if fact == nil || n.decl == nil {
-			continue
-		}
-		start := n.pkg.Fset.Position(n.decl.Pos())
-		end := n.pkg.Fset.Position(n.decl.End())
-		f.hotFuncs = append(f.hotFuncs, HotFunc{
-			Name:      funcDisplayName(n.fn),
-			Root:      fact.source,
-			File:      start.Filename,
-			StartLine: start.Line,
-			EndLine:   end.Line,
-		})
-	}
-	sort.Slice(f.hotFuncs, func(i, j int) bool {
-		a, b := f.hotFuncs[i], f.hotFuncs[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		return a.StartLine < b.StartLine
-	})
-}
-
-// Hot returns the hot-path fact for fn, or nil. Exposed for rules and
-// tests.
-func (f *Facts) Hot(fn *types.Func) *taintFact {
-	if f == nil {
-		return nil
-	}
-	return f.hot[fn]
-}
-
-// hotChain renders why fn sits on a hot path: one positioned line per
-// hop back up the call chain, ending at the configured root.
-func (f *Facts) hotChain(fn *types.Func) []string {
-	var notes []string
-	cur := fn
-	for cur != nil {
-		fact := f.hot[cur]
-		if fact == nil {
-			break
-		}
-		if fact.next == nil {
-			notes = append(notes, funcDisplayName(cur)+" is a configured hot-path root ("+fact.source+") at "+fact.srcPos.String())
-			break
-		}
-		notes = append(notes, funcDisplayName(cur)+" is reached from "+funcDisplayName(fact.next)+" at "+fact.hopPos.String())
-		cur = fact.next
-	}
-	return notes
 }
 
 // addInterfaceEdges creates a node for every method of every interface

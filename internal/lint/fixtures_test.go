@@ -12,10 +12,26 @@ import (
 // registered rule has a testdata/<rule>/ directory holding at least
 // one positive fixture (a .go file with // want expectations) and at
 // least one negative fixture (a .go file with none), so both firing
-// and staying silent are pinned. `make lint-fixtures` runs this test
-// by itself.
+// and staying silent are pinned — and, the other way round, every
+// directory under testdata belongs to a registered rule (or is the
+// call-graph fixture), so a deleted rule cannot leave its fixtures
+// behind. `make lint-fixtures` runs this test by itself.
 func TestFixtureInventory(t *testing.T) {
-	for _, a := range Analyzers() {
+	rules := Analyzers()
+	owned := map[string]bool{"callgraph": true}
+	for _, a := range rules {
+		owned[a.Name] = true
+	}
+	dirs, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !owned[d.Name()] {
+			t.Errorf("testdata/%s belongs to no registered rule", d.Name())
+		}
+	}
+	for _, a := range rules {
 		dir := filepath.Join("testdata", a.Name)
 		info, err := os.Stat(dir)
 		if err != nil || !info.IsDir() {

@@ -130,7 +130,6 @@ func TestUnusedIgnoreGolden(t *testing.T)         { runGolden(t, "unused-ignore"
 func TestLockOrderGolden(t *testing.T)            { runGolden(t, "lock-order") }
 func TestBlockUnderLockGolden(t *testing.T)       { runGolden(t, "block-under-lock") }
 func TestErrDropGolden(t *testing.T)              { runGolden(t, "err-drop") }
-func TestAllocInHotpathGolden(t *testing.T)       { runGolden(t, "alloc-in-hotpath") }
 
 // TestInterproceduralGain pins the reason nondeterminism-taint exists:
 // over the taint fixture — where time.Now is reached from the
@@ -281,7 +280,7 @@ func TestRuleScoping(t *testing.T) {
 	for _, p := range pkgs {
 		have[p.Path] = true
 	}
-	for _, scope := range []Scope{DeterministicPkgs, TaintPkgs, MapOrderPkgs, FloatStrictPkgs, RandAllowedPkgs, LockCheckedPkgs, LockOrderPkgs, ErrCheckedPkgs, AllocReportPkgs} {
+	for _, scope := range []Scope{DeterministicPkgs, TaintPkgs, MapOrderPkgs, FloatStrictPkgs, RandAllowedPkgs, LockCheckedPkgs, LockOrderPkgs, ErrCheckedPkgs} {
 		for _, entry := range scope {
 			found := false
 			for path := range have {
@@ -293,30 +292,6 @@ func TestRuleScoping(t *testing.T) {
 			if !found {
 				t.Errorf("scope entry %q matches no package in the tree; update the scope after the rename", entry)
 			}
-		}
-	}
-}
-
-// TestHotRootsResolve pins every configured hot-path root spec to a
-// real function in the tree: a rename that orphaned a spec would
-// silently shrink alloc-in-hotpath's coverage, exactly the failure
-// TestRuleScoping guards against for package scopes.
-func TestHotRootsResolve(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loader.Load(loader.Root() + "/..."); err != nil {
-		t.Fatal(err)
-	}
-	facts := BuildFacts(loader.All(), (&Options{}).effective())
-	resolved := make(map[string]bool)
-	for _, hf := range facts.HotFunctions() {
-		resolved[hf.Root] = true
-	}
-	for _, spec := range HotPathRoots {
-		if !resolved[spec] {
-			t.Errorf("hot-path root %q matches no function in the tree; update HotPathRoots after the rename", spec)
 		}
 	}
 }
@@ -366,18 +341,16 @@ func TestElectScopeCoverage(t *testing.T) {
 // TestObsScopeCoverage pins the metrics package inside the lint
 // coverage its contracts rest on: byte-identical exposition forbids
 // map-order leaks, the registry's snapshot-under-lock discipline is
-// lock-checked, a scrape-time inversion against db.mu must surface
-// as a lock-order cycle, and Observe/Inc anchor alloc-in-hotpath
-// reports because they run on every installed update. It must NOT be
-// in DeterministicPkgs — the atomics that make Observe lock-free are
-// exactly what that scope forbids.
+// lock-checked, and a scrape-time inversion against db.mu must surface
+// as a lock-order cycle. It must NOT be in DeterministicPkgs — the
+// atomics that make Observe lock-free are exactly what that scope
+// forbids.
 func TestObsScopeCoverage(t *testing.T) {
 	const pkg = "repro/strip/obs"
 	for name, scope := range map[string]Scope{
 		"MapOrderPkgs":    MapOrderPkgs,
 		"LockCheckedPkgs": LockCheckedPkgs,
 		"LockOrderPkgs":   LockOrderPkgs,
-		"AllocReportPkgs": AllocReportPkgs,
 	} {
 		if !scope.Match(pkg) {
 			t.Errorf("%s no longer covers %s", name, pkg)

@@ -131,7 +131,6 @@ func Analyzers() []*Analyzer {
 		LockOrder,
 		BlockUnderLock,
 		ErrDrop,
-		AllocInHotpath,
 		UnusedIgnore,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
@@ -185,14 +184,6 @@ type Options struct {
 	LockOrder Scope
 	// ErrChecked overrides ErrCheckedPkgs, the scope of err-drop.
 	ErrChecked Scope
-	// AllocReport overrides AllocReportPkgs, the scope whose functions
-	// may anchor an alloc-in-hotpath report (the closure itself is
-	// always module-wide).
-	AllocReport Scope
-	// HotRoots overrides HotPathRoots, the hot-path root set closed
-	// over the call graph. Entries are "<pkg-suffix>.<Func>" or
-	// "<pkg-suffix>.<Type>.<Method>".
-	HotRoots []string
 	// Modules is the full set of loaded module packages over which the
 	// interprocedural call graph is built (typically Loader.All()).
 	// When nil the analyzed packages alone are used, so taint chains
@@ -229,12 +220,6 @@ func (o *Options) effective() *Options {
 	}
 	if e.ErrChecked == nil {
 		e.ErrChecked = ErrCheckedPkgs
-	}
-	if e.AllocReport == nil {
-		e.AllocReport = AllocReportPkgs
-	}
-	if e.HotRoots == nil {
-		e.HotRoots = HotPathRoots
 	}
 	return &e
 }
@@ -441,48 +426,4 @@ var ErrCheckedPkgs = Scope{
 	"strip/repl",
 	"strip/fault",
 	"strip/elect",
-}
-
-// AllocReportPkgs lists the packages whose functions may anchor an
-// alloc-in-hotpath report: the live strip/ runtime, its replication
-// subsystem, and the update queue the scheduler drains per update. The
-// hot-path closure is module-wide (a chain may pass through any
-// package), but findings in simulator-only code would be noise — the
-// simulator allocates freely and is measured for fidelity, not
-// nanoseconds.
-var AllocReportPkgs = Scope{
-	"strip",
-	"strip/repl",
-	"internal/uqueue",
-	// Histogram.Observe and Counter.Inc run on every update the
-	// pipeline installs; an allocation there taxes every install.
-	"strip/obs",
-}
-
-// HotPathRoots is the default hot-path root set: the per-update entry
-// points whose transitive cost bounds the soft real-time budget —
-// feed ingest and replicated apply, the scheduler's enqueue/install
-// path, WAL batch encoding, replication frame encode/decode and
-// fan-out, the update-queue operations the scheduler performs per
-// update, and the simulator's dispatch loop (kept hot so the sim
-// mirrors production costs). Specs resolve via TestHotRootsResolve.
-var HotPathRoots = []string{
-	"strip.DB.ApplyUpdate",
-	"strip.DB.ApplyReplicated",
-	"strip.DB.ApplyReplicatedBatch",
-	"strip.DB.drainIngest",
-	"strip.DB.installRun",
-	"strip.DB.refreshOnDemand",
-	"strip.DB.install",
-	"strip.walWriter.appendBatch",
-	"strip/repl.EncodeEvent",
-	"strip/repl.Decode",
-	"strip/repl.WriteFrame",
-	"strip/repl.ReadFrame",
-	"strip/repl.Primary.publish",
-	"strip/repl.Replica.apply",
-	"internal/uqueue.GenQueue.Insert",
-	"internal/uqueue.GenQueue.TakeFor",
-	"internal/uqueue.CoalescedQueue.Insert",
-	"internal/sched.Controller.dispatch",
 }

@@ -37,7 +37,6 @@ func NewClassQueue(capacity int, seed uint64, coalesce bool) *ClassQueue {
 func (cq *ClassQueue) Insert(u *model.Update) []*model.Update {
 	evicted := cq.q[u.Class].Insert(u)
 	if cq.cap > 0 && cq.Len() > cq.cap {
-		//striplint:ignore alloc-in-hotpath -- eviction slice is the Queue API contract; overflow is the capacity exception, not the steady state
 		evicted = append(evicted, cq.Pop(model.FIFO, -1))
 	}
 	return evicted

@@ -250,3 +250,65 @@ func TestGenQueueSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("steady-state Insert+PopOldest allocates %v times per update, want 0", allocs)
 	}
 }
+
+// TestTakeForAllocatesTheSupersededSlice pins GenQueue.TakeFor, the
+// on-demand refresh's queue operation: taking an object's only queued
+// update allocates nothing, and taking one that supersedes older ones
+// allocates once — the slice it returns them in.
+func TestTakeForAllocatesTheSupersededSlice(t *testing.T) {
+	const obj = model.ObjectID(7)
+	q := NewGenQueue(0, 1)
+	us := make([]*model.Update, 3)
+	for i := range us {
+		us[i] = cu(uint64(i+1), obj, model.Low, float64(i))
+	}
+	for _, c := range []struct {
+		queued int
+		want   float64
+		why    string
+	}{
+		{1, 0, "nothing superseded, nothing returned"},
+		{3, 1, "the slice of superseded updates"},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, u := range us[:c.queued] {
+				q.Insert(u)
+			}
+			if newest, old := q.TakeFor(obj); newest != us[c.queued-1] || len(old) != c.queued-1 {
+				t.Fatalf("TakeFor = %v and %d superseded, want %v and %d", newest, len(old), us[c.queued-1], c.queued-1)
+			}
+		})
+		if allocs != c.want {
+			t.Errorf("Insert x%d + TakeFor allocates %v times, want %v (%s)", c.queued, allocs, c.want, c.why)
+		}
+	}
+}
+
+// TestCoalescedInsertAllocatesTheEvictionSlice pins the coalescing
+// queue's Insert: a first update for an object allocates nothing once
+// the free list is warm, and one that supersedes (or is rejected by) a
+// queued update allocates once — the one-element slice that hands the
+// loser back to the caller, who must account for it.
+func TestCoalescedInsertAllocatesTheEvictionSlice(t *testing.T) {
+	const obj = model.ObjectID(7)
+	q := NewCoalescedQueue(0, 1)
+	older, newer := cu(1, obj, model.Low, 1), cu(2, obj, model.Low, 2)
+	if allocs := testing.AllocsPerRun(100, func() {
+		q.Insert(older)
+		q.TakeFor(obj)
+	}); allocs != 0 {
+		t.Errorf("a coalesced Insert that supersedes nothing allocates %v times, want 0", allocs)
+	}
+	for _, pair := range [][2]*model.Update{{older, newer}, {newer, older}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			q.Insert(pair[0])
+			if out := q.Insert(pair[1]); len(out) != 1 || out[0] != older {
+				t.Fatalf("second Insert returned %v, want the older update", out)
+			}
+			q.TakeFor(obj)
+		})
+		if allocs != 1 {
+			t.Errorf("a coalesced Insert that loses an update allocates %v times, want 1 (the returned slice)", allocs)
+		}
+	}
+}

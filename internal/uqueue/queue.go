@@ -116,7 +116,6 @@ func (q *GenQueue) Insert(u *model.Update) []*model.Update {
 	q.heads[u.Object] = n
 	if q.cap > 0 && q.Len() > q.cap {
 		if old := q.PopOldest(); old != nil {
-			//striplint:ignore alloc-in-hotpath -- eviction slice is the Queue API contract; overflow is the capacity exception, not the steady state
 			return []*model.Update{old}
 		}
 	}
@@ -287,7 +286,6 @@ func (q *GenQueue) DiscardOlderGen(cutoff float64) []*model.Update {
 		if n == nil {
 			return out
 		}
-		//striplint:ignore alloc-in-hotpath -- expiry sweep output: the count is unknowable in advance and amortized against the discarded work
 		out = append(out, q.release(n))
 	}
 }
@@ -336,20 +334,17 @@ func (q *CoalescedQueue) Insert(u *model.Update) []*model.Update {
 	if prev, ok := q.byObj[u.Object]; ok {
 		if !less(prev, u) {
 			// The queued update is at least as new: reject u.
-			//striplint:ignore alloc-in-hotpath -- eviction slice is the Queue API contract; the caller must account for the rejected update
 			return []*model.Update{u}
 		}
 		q.t.recycle(q.t.remove(prev))
 		q.t.insert(u)
 		q.byObj[u.Object] = u
-		//striplint:ignore alloc-in-hotpath -- eviction slice is the Queue API contract; the caller must account for the superseded update
 		return []*model.Update{prev}
 	}
 	q.t.insert(u)
 	q.byObj[u.Object] = u
 	if q.cap > 0 && q.t.len() > q.cap {
 		if old := q.PopOldest(); old != nil {
-			//striplint:ignore alloc-in-hotpath -- eviction slice is the Queue API contract; overflow is the capacity exception, not the steady state
 			return []*model.Update{old}
 		}
 	}
@@ -415,7 +410,6 @@ func (q *CoalescedQueue) DiscardOlderGen(cutoff float64) []*model.Update {
 		if n == nil {
 			return out
 		}
-		//striplint:ignore alloc-in-hotpath -- expiry sweep output: the count is unknowable in advance and amortized against the discarded work
 		out = append(out, q.release(n))
 	}
 }

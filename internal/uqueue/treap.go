@@ -74,7 +74,6 @@ func (t *treap) len() int { return t.size }
 func (t *treap) alloc(u *model.Update) *node {
 	n := t.free
 	if n == nil {
-		//striplint:ignore alloc-in-hotpath -- freelist miss: first insert at a new queue-depth high-water mark; steady state recycles removed nodes
 		return &node{update: u}
 	}
 	t.free = n.right

@@ -502,7 +502,6 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 		// Partial update (§2): only the named attributes change;
 		// the scalar value and other fields are retained.
 		if e.fields == nil {
-			//striplint:ignore alloc-in-hotpath -- lazily creates the entry's field map on its first partial update; later partials mutate it in place
 			e.fields = make(map[string]float64, len(fields))
 		}
 		for k, v := range fields {

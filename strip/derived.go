@@ -148,7 +148,8 @@ func (db *DB) fireTriggers(id model.ObjectID) {
 // recomputeDerived evaluates one derived view from its dependencies.
 func (db *DB) recomputeDerived(def *derivedDef) {
 	db.mu.Lock()
-	//striplint:ignore alloc-in-hotpath -- def.compute is user code that may retain the slice, so each recompute hands it a fresh one
+	// def.compute is user code that may retain the slice, so each
+	// recompute hands it a fresh one.
 	values := make([]float64, len(def.deps))
 	oldest := db.entries[def.deps[0]].generated
 	for i, dep := range def.deps {
@@ -191,7 +192,6 @@ func copyFields(m map[string]float64) map[string]float64 {
 	if len(m) == 0 {
 		return nil
 	}
-	//striplint:ignore alloc-in-hotpath -- the copy decouples the entry from the caller's map; field-less updates take the nil fast path above
 	out := make(map[string]float64, len(m))
 	for k, v := range m {
 		out[k] = v

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/strip/fault"
 )
 
 // The feed path — ApplyUpdate, the ingest buffer, the queue, install —
@@ -339,13 +341,14 @@ func TestFeedPathAllocations(t *testing.T) {
 		db.DefineView(names[i], Low)
 	}
 	n := 0
-	offer := func() {
+	offerTo := func(name string) {
 		n++
 		clock.Advance(time.Microsecond)
-		if err := db.ApplyUpdate(Update{Object: names[n%views], Value: float64(n), Generated: clock.Now()}); err != nil {
+		if err := db.ApplyUpdate(Update{Object: name, Value: float64(n), Generated: clock.Now()}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	offer := func() { offerTo(names[(n+1)%views]) }
 	// Warm-up: the queue's free list and index grow to the deepest
 	// backlog the test builds.
 	for i := 0; i < 2*batch; i++ {
@@ -375,5 +378,72 @@ func TestFeedPathAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1, func() { db.act(installRunLen) }); allocs != 0 {
 		t.Errorf("a hook-less run allocates %v times, want 0", allocs)
+	}
+	for db.step() {
+	}
+
+	// The on-demand refresh: taking the object's queued updates out and
+	// installing the newest. The offers are part of each run, so the
+	// refresh's own share is the count less one per offer.
+	id0, _, _ := db.lookup(names[0])
+	for _, c := range []struct {
+		queued int
+		want   float64
+		why    string
+	}{
+		{1, 0, "nothing superseded: TakeFor and the install allocate nothing"},
+		{3, 1, "TakeFor's slice of the two superseded updates"},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < c.queued; i++ {
+				offerTo(names[0])
+			}
+			db.intake()
+			if !db.refreshOnDemand(id0, Low) {
+				t.Fatal("nothing queued to refresh from")
+			}
+		})
+		if got := allocs - float64(c.queued); got != c.want {
+			t.Errorf("an on-demand refresh over %d queued updates allocates %v times, want %v (%s)", c.queued, got, c.want, c.why)
+		}
+	}
+
+	// The replica's side of the stream. ApplyReplicated blocks on a full
+	// ingest buffer, so each run receives what it offered.
+	if allocs := testing.AllocsPerRun(100, func() {
+		clock.Advance(time.Microsecond)
+		if err := db.ApplyReplicated(Update{Object: names[0], Value: 1, Generated: clock.Now()}, Low); err != nil {
+			t.Fatal(err)
+		}
+		db.intake()
+	}); allocs != 1 {
+		t.Errorf("ApplyReplicated allocates %v times per update, want 1 (the queued update)", allocs)
+	}
+	writes := []KeyValue{{Key: "last-price", Value: 1.5}, {Key: "position", Value: -3}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := db.ApplyReplicatedBatch(writes); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ApplyReplicatedBatch allocates %v times per batch, want 0 (a two-write batch's map stays on the stack; no WAL, no sink)", allocs)
+	}
+}
+
+// TestWALAppendAllocatesNothing pins the WAL's share of a commit on the
+// real filesystem: once the writer's scratch has grown to the batch,
+// encoding it, buffering it and flushing it to the OS allocate nothing.
+func TestWALAppendAllocatesNothing(t *testing.T) {
+	w, err := openWAL(fault.OS, filepath.Join(t.TempDir(), "strip.wal"), walState{nextGen: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	writes := map[string]float64{"last-price": 1.6612, "position": -3}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := w.appendBatch(writes); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("walWriter.appendBatch allocates %v times per batch, want 0", allocs)
 	}
 }

@@ -98,22 +98,26 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // returns the verified payload aliasing buf's storage plus the
 // possibly-grown buffer to reuse for the next call. The payload is
 // valid only until that next call; retaining callers must copy
-// (Decode already copies every string and pair out).
+// (Decode already copies every string and pair out). The length prefix
+// is read into buf too — a local header array would escape through
+// io.ReadFull's interface argument — so once buf has reached the
+// largest frame's size a call allocates nothing.
 func ReadFrameBuf(r io.Reader, buf []byte) (payload, newBuf []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		if errors.Is(err, io.EOF) && err != io.ErrUnexpectedEOF {
 			return nil, buf, io.EOF
 		}
 		return nil, buf, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n == 0 || n > MaxFrame {
 		return nil, buf, ErrFrameTooLarge
 	}
 	need := int(n) + 4
 	if cap(buf) < need {
-		//striplint:ignore alloc-in-hotpath -- grows the caller's scratch once per frame-size high-water mark; steady state reuses it
 		buf = make([]byte, need)
 	}
 	body := buf[:need]
@@ -238,7 +242,6 @@ func Decode(payload []byte) (Msg, error) {
 	seq := d.u64()
 	switch kind {
 	case KindUpdate:
-		//striplint:ignore alloc-in-hotpath -- the decoded message is the API's return value; one boxed message per frame is the decode contract
 		m := &UpdateMsg{Sequence: seq}
 		m.Generated = int64(d.u64())
 		m.Value = d.f64()
@@ -249,12 +252,10 @@ func Decode(payload []byte) (Msg, error) {
 		m.Fields = d.pairs16()
 		return finish(&d, m)
 	case KindBatch:
-		//striplint:ignore alloc-in-hotpath -- the decoded message is the API's return value; one boxed message per frame is the decode contract
 		m := &BatchMsg{Sequence: seq}
 		m.Writes = d.pairs32()
 		return finish(&d, m)
 	case KindSnapshot:
-		//striplint:ignore alloc-in-hotpath -- the decoded message is the API's return value; snapshots are bootstrap-rare
 		m := &SnapshotMsg{Snap: strip.Snapshot{Seq: seq}}
 		n := d.count32(minViewBytes)
 		for i := 0; i < n && d.err == nil; i++ {
@@ -381,7 +382,7 @@ func (d *decoder) str() string {
 	if b == nil {
 		return ""
 	}
-	//striplint:ignore alloc-in-hotpath -- decode must copy out of the caller's reused read buffer (ReadFrameBuf aliases it)
+	// A copy: b aliases the caller's reused read buffer (ReadFrameBuf).
 	return string(b)
 }
 

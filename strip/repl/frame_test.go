@@ -238,6 +238,66 @@ func TestReadFrameOversized(t *testing.T) {
 	}
 }
 
+// TestFrameAllocations pins the codec's share of the per-update budget
+// on the replication path, for the field-less update the primary
+// publishes per install: what each call allocates once the caller's
+// scratch buffers have reached the frame's size.
+func TestFrameAllocations(t *testing.T) {
+	ev := strip.ReplEvent{Seq: 7, Kind: strip.ReplUpdate, Object: "DEM/USD.LON", Value: 1.6612, Generated: time.Unix(0, 1700000000000000001)}
+	payload, err := EncodeEvent(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := AppendFrame(nil, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]byte, 0, len(frame))
+	readBuf := make([]byte, len(frame))
+	r := bytes.NewReader(frame)
+	for _, c := range []struct {
+		name string
+		want float64
+		why  string
+		fn   func() error
+	}{
+		{"EncodeEvent", 1, "the payload it returns", func() error {
+			_, err := EncodeEvent(ev)
+			return err
+		}},
+		{"AppendFrame into scratch", 0, "the scratch is large enough", func() error {
+			_, err := AppendFrame(scratch[:0], payload)
+			return err
+		}},
+		{"WriteFrame", 1, "the assembled frame; connection handlers use AppendFrame", func() error {
+			return WriteFrame(io.Discard, payload)
+		}},
+		{"ReadFrameBuf into a warm buffer", 0, "header and body both land in the reused buffer", func() error {
+			r.Reset(frame)
+			_, _, err := ReadFrameBuf(r, readBuf)
+			return err
+		}},
+		{"ReadFrame", 2, "the header's scratch + the payload the caller owns", func() error {
+			r.Reset(frame)
+			_, err := ReadFrame(r)
+			return err
+		}},
+		{"Decode", 2, "the decoded message + the object name", func() error {
+			_, err := Decode(payload)
+			return err
+		}},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := c.fn(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if allocs != c.want {
+			t.Errorf("%s allocates %v times, want %v (%s)", c.name, allocs, c.want, c.why)
+		}
+	}
+}
+
 // TestDecodeTruncatedPayloads decodes every prefix of every valid
 // payload: all must error (never panic, never a partial message).
 func TestDecodeTruncatedPayloads(t *testing.T) {

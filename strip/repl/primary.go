@@ -110,7 +110,6 @@ func (p *Primary) publish(ev strip.ReplEvent) {
 		// An unencodable event (oversized key) cannot be replicated;
 		// drop it loudly. Replicas that resume across the gap are
 		// re-bootstrapped by the ring reset.
-		//striplint:ignore alloc-in-hotpath -- error exit: an unencodable event is dropped loudly, never on the steady-state publish path
 		p.logf("repl: dropping unencodable event seq %d: %v", ev.Seq, err)
 		return
 	}

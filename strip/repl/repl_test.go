@@ -599,3 +599,32 @@ func TestDeadConnectionReaped(t *testing.T) {
 		return openConns(p) == 0
 	})
 }
+
+// TestPublishAndApplyAllocations pins the two ends of the stream for a
+// field-less update, each against a live database: what the primary's
+// sink allocates per published event, and what the replica allocates
+// per applied message (the database's scheduler goroutine, which
+// installs what apply queues, is inside the count).
+func TestPublishAndApplyAllocations(t *testing.T) {
+	p := NewPrimary(openDB(t, strip.Config{}), PrimaryConfig{RingFrames: 8})
+	defer p.Close()
+	ev := strip.ReplEvent{Kind: strip.ReplUpdate, Object: "x", Value: 1, Generated: time.Unix(0, 1)}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ev.Seq++
+		p.publish(ev)
+	}); allocs != 1 {
+		t.Errorf("Primary.publish allocates %v times per event, want 1 (the payload the ring retains)", allocs)
+	}
+
+	r := &Replica{db: openDB(t, strip.Config{})}
+	msg := &UpdateMsg{Object: "x", Value: 1, Generated: 1}
+	if allocs := testing.AllocsPerRun(100, func() {
+		msg.Sequence++
+		msg.Generated++
+		if err := r.apply(msg, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("Replica.apply allocates %v times per update message, want 1 (the queued update)", allocs)
+	}
+}

@@ -441,7 +441,6 @@ func kvMap(kvs []strip.KeyValue) map[string]float64 {
 	if len(kvs) == 0 {
 		return nil
 	}
-	//striplint:ignore alloc-in-hotpath -- the attribute map is handed to the database, which owns it; pair-less updates take the nil fast path above
 	m := make(map[string]float64, len(kvs))
 	for _, kv := range kvs {
 		m[kv.Key] = kv.Value

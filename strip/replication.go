@@ -264,7 +264,6 @@ func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 		gen = now
 	}
 	arrival := now.UnixNano()
-	//striplint:ignore alloc-in-hotpath -- the update outlives ApplyReplicated by design: it escapes into the scheduler queue and is installed later
 	mu := &model.Update{
 		Object:      id,
 		Class:       class,
@@ -344,7 +343,6 @@ func (db *DB) ApplyReplicatedBatch(writes []KeyValue) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	//striplint:ignore alloc-in-hotpath -- applyWritesLocked takes the batch as a map (the transaction API shape); one map per replicated batch
 	m := make(map[string]float64, len(writes))
 	for _, kv := range writes {
 		m[kv.Key] = kv.Value
@@ -415,7 +413,6 @@ func (db *DB) InstallSnapshot(s Snapshot) error {
 	if len(s.General) == 0 {
 		return nil
 	}
-	//striplint:ignore alloc-in-hotpath -- snapshot install happens once per bootstrap, not per frame
 	m := make(map[string]float64, len(s.General))
 	for _, kv := range s.General {
 		m[kv.Key] = kv.Value
@@ -447,7 +444,6 @@ func (db *DB) ResetToSnapshot(s Snapshot) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	//striplint:ignore alloc-in-hotpath -- a reset happens once per failover re-point, never on the per-frame path
 	inSnap := make(map[string]bool, len(s.Views))
 	defer db.publishLocked()
 	for _, v := range s.Views {
@@ -485,7 +481,6 @@ func (db *DB) ResetToSnapshot(s Snapshot) error {
 	// reset; the barrier makes installLocked discard it on arrival.
 	db.replBarrier = db.arrival.Load()
 	db.stats.ReplSnapshotsInstalled++
-	//striplint:ignore alloc-in-hotpath -- a reset happens once per failover re-point, never on the per-frame path
 	general := make(map[string]float64, len(s.General))
 	for _, kv := range s.General {
 		general[kv.Key] = kv.Value
@@ -547,7 +542,6 @@ func kvFields(kvs []KeyValue) map[string]float64 {
 	if len(kvs) == 0 {
 		return nil
 	}
-	//striplint:ignore alloc-in-hotpath -- the entry owns its attribute map; only snapshot installs (bootstrap-rare) reach this on a hot chain
 	m := make(map[string]float64, len(kvs))
 	for _, kv := range kvs {
 		m[kv.Key] = kv.Value
