@@ -27,11 +27,12 @@ vet:
 striplint:
 	$(GO) run ./cmd/striplint ./...
 
-# The second run repeats the tests of the lock-free offer path, whose
-# interleavings differ from run to run.
+# The second run repeats the tests of the lock-free offer path and of
+# the replication ring's concurrent readers, whose interleavings differ
+# from run to run.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestConcurrentOffersDefinitionsAndClose|TestApplyUpdateTakesNoLock' ./strip
+	$(GO) test -race -count=10 -run 'TestConcurrentOffersDefinitionsAndClose|TestApplyUpdateTakesNoLock|TestRingConcurrentReadersSeeEveryFrame' ./strip ./strip/repl
 
 # Fuzz smoke: run every Fuzz* target in ./strip, ./strip/repl and
 # ./strip/elect for FUZZTIME each. `go test -fuzz` accepts only one

@@ -75,8 +75,9 @@ func AppendFrame(dst, payload []byte) ([]byte, error) {
 
 // WriteFrame writes one frame assembled into a single buffer, so it
 // reaches the writer in one Write call. It allocates the buffer per
-// call; the connection handlers use AppendFrame with per-connection
-// scratch instead.
+// call; the connection handlers write stream frames straight from the
+// ring's wire bytes and frame snapshots with AppendFrame into
+// per-connection scratch.
 func WriteFrame(w io.Writer, payload []byte) error {
 	buf, err := AppendFrame(make([]byte, 0, len(payload)+frameOverhead), payload)
 	if err != nil {
@@ -110,7 +111,7 @@ func ReadFrameBuf(r io.Reader, buf []byte) (payload, newBuf []byte, err error) {
 		if errors.Is(err, io.EOF) && err != io.ErrUnexpectedEOF {
 			return nil, buf, io.EOF
 		}
-		return nil, buf, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return nil, buf, truncated(err)
 	}
 	n := binary.BigEndian.Uint32(buf[:4])
 	if n == 0 || n > MaxFrame {
@@ -122,7 +123,7 @@ func ReadFrameBuf(r io.Reader, buf []byte) (payload, newBuf []byte, err error) {
 	}
 	body := buf[:need]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, buf, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return nil, buf, truncated(err)
 	}
 	payload = body[:n]
 	want := binary.BigEndian.Uint32(body[n:])
@@ -130,6 +131,16 @@ func ReadFrameBuf(r io.Reader, buf []byte) (payload, newBuf []byte, err error) {
 		return nil, buf, ErrChecksum
 	}
 	return payload, buf, nil
+}
+
+// truncated wraps a short read in ErrTruncated, keeping its cause:
+// io.ErrUnexpectedEOF when the stream ended inside the frame (an EOF
+// there is never clean), the transport's error otherwise.
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("%w: %w", ErrTruncated, err)
 }
 
 // Msg is a decoded frame payload: *UpdateMsg, *BatchMsg or
@@ -182,25 +193,51 @@ const flagPartial = 1
 
 // EncodeEvent encodes one replication event as a frame payload.
 func EncodeEvent(ev strip.ReplEvent) ([]byte, error) {
+	n := 16 + 16*len(ev.Writes)
+	if ev.Kind == strip.ReplUpdate {
+		n = 64 + len(ev.Object) + 12*len(ev.Fields)
+	}
+	return appendEvent(make([]byte, 0, n), ev)
+}
+
+// appendEventFrame appends one replication event to dst as a whole
+// frame — the bytes AppendFrame(dst, EncodeEvent(ev)) would produce —
+// encoding the payload in place after a length prefix it patches once
+// the payload's size is known. The primary frames each event into its
+// ring with it, once.
+func appendEventFrame(dst []byte, ev strip.ReplEvent) ([]byte, error) {
+	start := len(dst)
+	dst, err := appendEvent(append(dst, 0, 0, 0, 0), ev)
+	if err != nil {
+		return nil, err
+	}
+	payload := dst[start+4:]
+	if len(payload) > MaxFrame {
+		return nil, ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload)), nil
+}
+
+// appendEvent appends one replication event's payload to b.
+func appendEvent(b []byte, ev strip.ReplEvent) ([]byte, error) {
 	switch ev.Kind {
 	case strip.ReplUpdate:
 		var flags byte
 		if ev.Partial {
 			flags |= flagPartial
 		}
-		b := make([]byte, 0, 64+len(ev.Object)+12*len(ev.Fields))
 		b = append(b, KindUpdate)
 		b = binary.BigEndian.AppendUint64(b, ev.Seq)
 		b = binary.BigEndian.AppendUint64(b, uint64(genNanos(ev.Generated)))
 		b = appendF64(b, ev.Value)
 		b = append(b, byte(ev.Importance), flags)
-		b, err := appendString(b, ev.Object)
-		if err != nil {
+		var err error
+		if b, err = appendString(b, ev.Object); err != nil {
 			return nil, err
 		}
 		return appendPairs16(b, ev.Fields)
 	case strip.ReplBatch:
-		b := make([]byte, 0, 16+16*len(ev.Writes))
 		b = append(b, KindBatch)
 		b = binary.BigEndian.AppendUint64(b, ev.Seq)
 		return appendPairs32(b, ev.Writes)

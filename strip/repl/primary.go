@@ -18,7 +18,10 @@ import (
 type PrimaryConfig struct {
 	// RingFrames bounds the in-memory frame log. A replica that falls
 	// further behind than this is re-bootstrapped with a snapshot.
-	// Default 4096.
+	// Default 4096. A held frame costs its wire bytes (the payload plus
+	// 8) and a 4-byte index entry, in 64 KiB chunks allocated as the
+	// stream fills them; nothing is allocated in proportion to
+	// RingFrames itself.
 	RingFrames int
 	// Metrics, when set, registers the primary's series (events
 	// captured, snapshots served, live connections) into the registry —
@@ -58,10 +61,12 @@ type Primary struct {
 	logf func(string, ...any)
 	wg   sync.WaitGroup
 
-	// events counts captured replication events, snapshots the
-	// bootstrap payloads served; both count whether or not a registry
-	// is attached.
+	// events counts captured replication events, dropped the events
+	// that could not be encoded (and so never reached the ring),
+	// snapshots the bootstrap payloads served; all count whether or not
+	// a registry is attached.
 	events    *obs.Counter
+	dropped   *obs.Counter
 	snapshots *obs.Counter
 
 	mu     sync.Mutex
@@ -79,6 +84,7 @@ func NewPrimary(db *strip.DB, cfg PrimaryConfig) *Primary {
 		logf:      cfg.Logf,
 		conns:     make(map[net.Conn]struct{}),
 		events:    obs.NewCounter(),
+		dropped:   obs.NewCounter(),
 		snapshots: obs.NewCounter(),
 	}
 	if p.logf == nil {
@@ -87,6 +93,8 @@ func NewPrimary(db *strip.DB, cfg PrimaryConfig) *Primary {
 	if reg := cfg.Metrics; reg != nil {
 		reg.CounterFunc("strip_repl_primary_events_total",
 			"replication events captured into the frame ring", p.events.Value)
+		reg.CounterFunc("strip_repl_primary_events_dropped_total",
+			"replication events dropped as unencodable (oversized key or frame)", p.dropped.Value)
 		reg.CounterFunc("strip_repl_primary_snapshots_total",
 			"bootstrap snapshots served to replicas", p.snapshots.Value)
 		reg.GaugeFunc("strip_repl_primary_connections",
@@ -101,19 +109,20 @@ func NewPrimary(db *strip.DB, cfg PrimaryConfig) *Primary {
 	return p
 }
 
-// publish is the database's replication sink: encode and retain. It
-// runs inside the database's write lock and must not call back into
-// the database.
+// publish is the database's replication sink: frame the event once,
+// straight into the ring's tail chunk. It runs inside the database's
+// write lock and must not call back into the database.
 func (p *Primary) publish(ev strip.ReplEvent) {
-	payload, err := EncodeEvent(ev)
-	if err != nil {
-		// An unencodable event (oversized key) cannot be replicated;
-		// drop it loudly. Replicas that resume across the gap are
-		// re-bootstrapped by the ring reset.
+	if err := p.ring.append(ev.Seq, func(dst []byte) ([]byte, error) {
+		return appendEventFrame(dst, ev)
+	}); err != nil {
+		// An unencodable event (oversized key or frame) cannot be
+		// replicated; drop it, counted. Replicas that resume across the
+		// gap are re-bootstrapped by the ring reset.
+		p.dropped.Inc()
 		p.logf("repl: dropping unencodable event seq %d: %v", ev.Seq, err)
 		return
 	}
-	p.ring.append(ev.Seq, payload)
 	p.events.Inc()
 }
 
@@ -243,19 +252,11 @@ func (p *Primary) serveConn(conn net.Conn) {
 	if _, err := fmt.Fprintf(w, "EPOCH %d\n", p.db.ReplicationEpoch()); err != nil {
 		return
 	}
-	// Per-connection frame scratch: the whole streaming loop reframes
-	// payloads through it, so a session allocates one buffer per frame
-	// size high-water mark, not one per frame.
+	// Per-connection scratch: snapshots are framed through frameScratch;
+	// stream frames are already wire bytes in the ring, whose spans are
+	// collected into spans and written as they are.
 	var frameScratch []byte
-	writeFrame := func(payload []byte) error {
-		buf, err := AppendFrame(frameScratch[:0], payload)
-		if err != nil {
-			return err
-		}
-		frameScratch = buf
-		_, err = w.Write(buf)
-		return err
-	}
+	var spans [][]byte
 	// A replica from a different history — a previous primary process,
 	// or no history at all (epoch 0, cold) — cannot resume: its
 	// sequence numbers describe a state this database never held.
@@ -271,28 +272,34 @@ func (p *Primary) serveConn(conn net.Conn) {
 				p.logf("repl: snapshot encode failed: %v", err)
 				return
 			}
-			if writeFrame(payload) != nil || w.Flush() != nil {
+			if frameScratch, err = AppendFrame(frameScratch[:0], payload); err != nil {
+				p.logf("repl: snapshot frame: %v", err)
+				return
+			}
+			if _, err := w.Write(frameScratch); err != nil || w.Flush() != nil {
 				return
 			}
 			p.snapshots.Inc()
 			from = snap.Seq + 1
 		}
-		frames, err := p.ring.awaitFrom(from, gone.Load)
+		var n int
+		spans, n, err = p.ring.awaitFrom(from, spans[:0], gone.Load)
 		if err == errTooOld {
 			continue // lapsed while waiting: snapshot again
 		}
 		if err != nil {
 			return // ring closed or connection gone
 		}
-		for _, f := range frames {
-			if writeFrame(f) != nil {
+		for _, s := range spans {
+			if _, err := w.Write(s); err != nil {
 				return
 			}
 		}
+		clear(spans) // hold no chunk past its last write
 		if w.Flush() != nil {
 			return
 		}
-		from += uint64(len(frames))
+		from += uint64(n)
 	}
 }
 

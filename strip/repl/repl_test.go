@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -602,9 +603,10 @@ func TestDeadConnectionReaped(t *testing.T) {
 
 // TestPublishAndApplyAllocations pins the two ends of the stream for a
 // field-less update, each against a live database: what the primary's
-// sink allocates per published event, and what the replica allocates
-// per applied message (the database's scheduler goroutine, which
-// installs what apply queues, is inside the count).
+// sink allocates per published event, what a caught-up connection
+// handler allocates per wake, and what the replica allocates per
+// applied message (the database's scheduler goroutine, which installs
+// what apply queues, is inside the count).
 func TestPublishAndApplyAllocations(t *testing.T) {
 	p := NewPrimary(openDB(t, strip.Config{}), PrimaryConfig{RingFrames: 8})
 	defer p.Close()
@@ -612,8 +614,19 @@ func TestPublishAndApplyAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		ev.Seq++
 		p.publish(ev)
-	}); allocs != 1 {
-		t.Errorf("Primary.publish allocates %v times per event, want 1 (the payload the ring retains)", allocs)
+	}); allocs != 0 {
+		t.Errorf("Primary.publish allocates %v times per event, want 0 (framed in place; one 64 KiB chunk per ~1 400 frames)", allocs)
+	}
+
+	var gone atomic.Bool
+	spans := make([][]byte, 0, 1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if spans, _, err = p.ring.awaitFrom(ev.Seq, spans[:0], gone.Load); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("awaitFrom allocates %v times for a caught-up reader, want 0 (spans alias the ring; the slice is reused)", allocs)
 	}
 
 	r := &Replica{db: openDB(t, strip.Config{})}

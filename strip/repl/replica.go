@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -63,12 +64,17 @@ type Replica struct {
 
 	// connects counts established sessions, frames the messages
 	// applied, reconnects the dial attempts after the first (the
-	// link's flap count); all count whether or not a registry is
-	// attached. attempts is the current backoff streak: consecutive
-	// dial rounds without a single applied frame.
+	// link's flap count), corrupt the sessions ended by a frame that
+	// failed its checksum, was cut short, oversized or did not decode,
+	// seqGaps the sessions ended by a hole in the sequence; all count
+	// whether or not a registry is attached. attempts is the current
+	// backoff streak: consecutive dial rounds without a single applied
+	// frame.
 	connects   *obs.Counter
 	frames     *obs.Counter
 	reconnects *obs.Counter
+	corrupt    *obs.Counter
+	seqGaps    *obs.Counter
 	attempts   atomic.Int64
 
 	stop chan struct{}
@@ -98,6 +104,8 @@ func StartReplica(db *strip.DB, cfg ReplicaConfig) (*Replica, error) {
 		connects:   obs.NewCounter(),
 		frames:     obs.NewCounter(),
 		reconnects: obs.NewCounter(),
+		corrupt:    obs.NewCounter(),
+		seqGaps:    obs.NewCounter(),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -112,6 +120,11 @@ func StartReplica(db *strip.DB, cfg ReplicaConfig) (*Replica, error) {
 		reg.CounterFunc("strip_repl_reconnects_total",
 			"re-dial attempts after the first replication session (link flaps)",
 			r.reconnects.Value)
+		reg.CounterFunc("strip_repl_replica_corrupt_frames_total",
+			"replication sessions ended by a corrupt frame (checksum, truncation, oversize, malformed payload)",
+			r.corrupt.Value)
+		reg.CounterFunc("strip_repl_replica_seq_gaps_total",
+			"replication sessions ended by a sequence gap in the stream", r.seqGaps.Value)
 		reg.GaugeFunc("strip_repl_backoff_attempts",
 			"consecutive dial rounds without an applied frame (current backoff streak)",
 			func() float64 { return float64(r.attempts.Load()) })
@@ -265,15 +278,22 @@ func (r *Replica) stream(conn net.Conn) int {
 		payload, buf, err := ReadFrameBuf(br, frameBuf)
 		frameBuf = buf
 		if err != nil {
+			if corruptFrame(err) {
+				r.corrupt.Inc()
+			}
 			r.logStreamEnd(err, applied)
 			return applied
 		}
 		msg, err := Decode(payload)
 		if err != nil {
+			r.corrupt.Inc()
 			r.logf("repl: dropping connection on corrupt frame: %v", err)
 			return applied
 		}
 		if err := r.apply(msg, connEpoch); err != nil {
+			if errors.Is(err, errSeqGap) {
+				r.seqGaps.Inc()
+			}
 			r.logf("repl: apply failed at seq %d: %v", msg.Seq(), err)
 			return applied
 		}
@@ -314,6 +334,15 @@ func readGreeting(br *bufio.Reader) (uint64, error) {
 		return 0, fmt.Errorf("repl: primary sent zero epoch")
 	}
 	return epoch, nil
+}
+
+// corruptFrame reports whether a ReadFrameBuf error condemns the bytes
+// received rather than the link: a failed checksum, an impossible
+// length, or a stream that ended inside a frame. A transport error
+// (reset, closed connection) is a link failure, counted by reconnects.
+func corruptFrame(err error) bool {
+	return errors.Is(err, ErrChecksum) || errors.Is(err, ErrFrameTooLarge) ||
+		errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // logStreamEnd reports why a session ended, quietly for plain EOF.
