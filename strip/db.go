@@ -3,6 +3,7 @@ package strip
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,16 +31,22 @@ type DB struct {
 	stopCh   chan struct{}
 	done     chan struct{}
 
-	// mu guards the registry, view entries, general store and stats.
+	// mu guards the registry, the view catalog, general store and stats.
 	// The update queue and ready list are owned by the scheduler
-	// goroutine and need no locking. names and defs are the working
-	// copy of the registry; readers that must not take mu (ApplyUpdate,
-	// Tx.Read) go through reg instead — see registry.
+	// goroutine and need no locking. names is the working copy of the
+	// registry; readers that must not take mu (ApplyUpdate, Tx.Read) go
+	// through reg instead — see registry. views is the catalog, one
+	// record per view indexed by ObjectID; fields and history are the
+	// sparse side tables of the two optional features: fields holds the
+	// attributes of record views only (§2 partial updates), history a
+	// version ring per installed view and is nil unless
+	// Config.HistoryDepth > 0.
 	mu      sync.RWMutex
 	names   map[string]viewRef
 	shared  bool // names is the published map: clone before adding to it
-	defs    []viewDef
-	entries []viewEntry
+	views   []view
+	fields  map[model.ObjectID]map[string]float64
+	history map[model.ObjectID]*historyRing
 	general map[string]float64
 	stats   Stats
 
@@ -104,15 +111,12 @@ type DB struct {
 	obs      *dbObs
 	maxStale *metrics.MaxStaleness // guarded by mu
 
-	// Scheduler-owned state. pending is written only by the scheduler
-	// (in enqueueLocked and settleLocked) but read under mu by Peek, so
-	// its mutations take mu as well. queue is the class-partitioned
-	// update queue the simulator's controller runs on too; order is its
+	// Scheduler-owned state. queue is the class-partitioned update
+	// queue the simulator's controller runs on too; order is its
 	// service discipline (Config.LIFO).
-	queue   *uqueue.ClassQueue
-	order   model.QueueOrder
-	pending []int // per-object queued-update count (UU criterion)
-	ready   []*txnReq
+	queue *uqueue.ClassQueue
+	order model.QueueOrder
+	ready []*txnReq
 	// onSettle, when set by an in-package test before the first step,
 	// observes every update leaving the queue (see settleLocked).
 	onSettle func(*model.Update, settleCause)
@@ -121,10 +125,22 @@ type DB struct {
 	ckptMu sync.Mutex
 }
 
-type viewDef struct {
-	name       string
-	importance Importance
-	derived    bool
+// view is one view object's catalog record: its definition and its
+// installed state, 40 bytes (TestViewFootprint pins the size). What
+// only some views use — record fields, history — lives in the side
+// tables next to the catalog (see DB.fields and DB.history).
+type view struct {
+	name  string
+	value float64
+	// gen is the installed generation in Unix nanoseconds, noGen while
+	// the view holds no state (see genOf).
+	gen int64
+	// pending counts the object's queued updates (UU criterion). It is
+	// written only by the scheduler (in enqueueLocked and settleLocked)
+	// but read under mu by Peek, so its mutations take mu as well.
+	pending int32
+	class   int8 // the Importance; checkImportance keeps it to Low or High
+	derived bool
 	// hooked is set once an install of this object has something of its
 	// own to fire — a trigger, a watcher, a derived view depending on it
 	// — by the three calls that register those (none is ever removed: a
@@ -132,6 +148,28 @@ type viewDef struct {
 	// the three map lookups that would answer the same question (see
 	// hookedLocked).
 	hooked bool
+}
+
+// noGen is the generation of a view that holds no state: never
+// installed, or blanked by ResetToSnapshot. It is below every real
+// generation, those before 1970 included, so any install wins over it.
+const noGen = math.MinInt64
+
+// genOf converts an API generation time to the catalog's axis; the zero
+// time is noGen.
+func genOf(t time.Time) int64 {
+	if t.IsZero() {
+		return noGen
+	}
+	return t.UnixNano()
+}
+
+// genTime is the inverse of genOf.
+func genTime(gen int64) time.Time {
+	if gen == noGen {
+		return time.Time{}
+	}
+	return time.Unix(0, gen)
 }
 
 // viewRef is what a view name resolves to: all that an offer or a read
@@ -179,15 +217,13 @@ func (db *DB) idLocked(name string) (model.ObjectID, bool) {
 // for writing, have checked the name is unused, and call publishLocked
 // before they release the lock.
 func (db *DB) addDefLocked(name string, importance Importance, derived bool) model.ObjectID {
-	ref := viewRef{id: model.ObjectID(len(db.defs)), class: int8(importance), derived: derived}
+	ref := viewRef{id: model.ObjectID(len(db.views)), class: int8(importance), derived: derived}
 	if db.shared {
 		db.names = maps.Clone(db.names)
 		db.shared = false
 	}
 	db.names[name] = ref
-	db.defs = append(db.defs, viewDef{name: name, importance: importance, derived: derived})
-	db.entries = append(db.entries, viewEntry{})
-	db.pending = append(db.pending, 0)
+	db.views = append(db.views, view{name: name, gen: noGen, class: ref.class, derived: derived})
 	return ref.id
 }
 
@@ -199,23 +235,6 @@ func (db *DB) publishLocked() {
 		db.reg.Store(db.names)
 		db.shared = true
 	}
-}
-
-type viewEntry struct {
-	value     float64
-	generated time.Time
-	// fields holds named attributes for record views (partial
-	// updates, §2); nil for plain scalar views.
-	fields map[string]float64
-	// history is a ring of past values, newest last, bounded by
-	// Config.HistoryDepth.
-	history []historical
-}
-
-// historical is one archived version of a view value.
-type historical struct {
-	value     float64
-	generated time.Time
 }
 
 type txnReq struct {
@@ -268,6 +287,10 @@ func open(cfg Config) (*DB, error) {
 	if epoch == 0 {
 		epoch = 1
 	}
+	var history map[model.ObjectID]*historyRing
+	if cfg.HistoryDepth > 0 {
+		history = make(map[model.ObjectID]*historyRing)
+	}
 	db := &DB{
 		cfg:        cfg,
 		start:      start,
@@ -278,6 +301,8 @@ func open(cfg Config) (*DB, error) {
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
 		names:      make(map[string]viewRef),
+		fields:     make(map[model.ObjectID]map[string]float64),
+		history:    history,
 		general:    general,
 		wal:        wal,
 		fs:         fsys,
@@ -353,9 +378,9 @@ func (db *DB) DefineView(name string, importance Importance) error {
 func (db *DB) Views() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]string, len(db.defs))
-	for i, d := range db.defs {
-		out[i] = d.name
+	out := make([]string, len(db.views))
+	for i := range db.views {
+		out[i] = db.views[i].name
 	}
 	return out
 }
@@ -369,18 +394,18 @@ func (db *DB) Peek(name string) (Entry, error) {
 	if !ok {
 		return Entry{}, ErrUnknownObject
 	}
-	return db.entryLocked(name, id, db.cfg.Clock()), nil
+	return db.entryLocked(id, db.cfg.Clock().UnixNano()), nil
 }
 
 // entryLocked copies a view object's entry out, with its staleness at
-// now. Callers hold db.mu (read or write).
-func (db *DB) entryLocked(name string, id model.ObjectID, now time.Time) Entry {
-	e := db.entries[id]
+// now (Unix nanoseconds). Callers hold db.mu (read or write).
+func (db *DB) entryLocked(id model.ObjectID, now int64) Entry {
+	v := &db.views[id]
 	return Entry{
-		Object:    name,
-		Value:     e.value,
-		Fields:    copyFields(e.fields),
-		Generated: e.generated,
+		Object:    v.name,
+		Value:     v.value,
+		Fields:    copyFields(db.fields[id]),
+		Generated: genTime(v.gen),
 		Stale:     db.staleLocked(id, now),
 	}
 }
@@ -435,11 +460,13 @@ func (db *DB) lookup(name string) (model.ObjectID, Importance, bool) {
 }
 
 // staleLocked evaluates the staleness criterion for one object. A
-// derived view is stale when any of its dependencies is. Callers hold
-// db.mu (read or write).
-func (db *DB) staleLocked(id model.ObjectID, now time.Time) bool {
-	if def, ok := db.derivedByID[id]; ok {
-		for _, dep := range def.deps {
+// derived view is stale when any of its dependencies is; a view that
+// holds no state is stale under MA. now is in Unix nanoseconds. Callers
+// hold db.mu (read or write).
+func (db *DB) staleLocked(id model.ObjectID, now int64) bool {
+	v := &db.views[id]
+	if v.derived {
+		for _, dep := range db.derivedByID[id].deps {
 			if db.staleLocked(dep, now) {
 				return true
 			}
@@ -447,10 +474,9 @@ func (db *DB) staleLocked(id model.ObjectID, now time.Time) bool {
 		return false
 	}
 	if db.cfg.MaxAge > 0 {
-		gen := db.entries[id].generated
-		return now.Sub(gen) > db.cfg.MaxAge
+		return v.gen == noGen || now-v.gen > int64(db.cfg.MaxAge)
 	}
-	return db.pending[id] > 0
+	return v.pending > 0
 }
 
 // install applies one update taken from the queue outside a run — the
@@ -487,34 +513,37 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 	for _, old := range superseded {
 		db.settleLocked(old, settleSkipped)
 	}
-	gen := db.genTime(u)
-	e := &db.entries[u.Object]
+	gen := db.updateGen(u)
+	v := &db.views[u.Object]
 	// A replicated update admitted before the last ResetToSnapshot
 	// belongs to the deposed primary's stream: the reset adopted a
 	// state its history never produced, so installing it — however
 	// fresh its generation looks — would resurrect divergent writes.
 	// Anything else is skipped only when unworthy.
-	if (u.Replicated && u.Seq <= db.replBarrier) || !gen.After(e.generated) {
+	if (u.Replicated && u.Seq <= db.replBarrier) || gen <= v.gen {
 		db.settleLocked(u, settleSkipped)
 		return 0, false
 	}
-	if fields, ok := u.Aux.(partialFields); ok {
+	switch fields := u.Aux.(type) {
+	case partialFields:
 		// Partial update (§2): only the named attributes change;
 		// the scalar value and other fields are retained.
-		if e.fields == nil {
-			e.fields = make(map[string]float64, len(fields))
+		rec := db.fields[u.Object]
+		if rec == nil {
+			rec = make(map[string]float64, len(fields))
+			db.fields[u.Object] = rec
 		}
-		for k, v := range fields {
-			e.fields[k] = v
+		for k, x := range fields {
+			rec[k] = x
 		}
-	} else {
-		e.value = u.Payload
-		if fields, ok := u.Aux.(completeFields); ok {
-			// Complete update with attributes: replaces them all.
-			e.fields = copyFields(fields)
-		}
+	case completeFields:
+		// Complete update with attributes: replaces them all.
+		v.value = u.Payload
+		db.setFieldsLocked(u.Object, copyFields(fields))
+	default:
+		v.value = u.Payload
 	}
-	e.generated = gen
+	v.gen = gen
 	db.recordHistoryLocked(u.Object)
 	db.settleLocked(u, settleInstalled)
 	if u.Replicated {
@@ -535,7 +564,7 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 	} else {
 		db.emitInstallLocked(u, gen)
 	}
-	age := now - gen.UnixNano()
+	age := now - gen
 	o.staleness.ObserveStaged(age)
 	db.maxStale.Observe(u.Object, float64(age)/1e9)
 	if u.Replicated {
@@ -546,7 +575,7 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 		// span, and then records the run's traces.
 		tr := obs.NewTrace()
 		tr.Seq = u.Seq
-		tr.Object = db.defs[u.Object].name
+		tr.Object = v.name
 		if arrived != 0 {
 			tr.ArrivalNanos = arrived
 			tr.Spans[obs.StageQueueWait] = now - arrived
@@ -560,7 +589,7 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 // hookedLocked reports whether an install of the object has anything
 // to fire. Callers hold db.mu.
 func (db *DB) hookedLocked(id model.ObjectID) bool {
-	return db.defs[id].hooked || len(db.globalTriggers) > 0 || len(db.watchers) > 0
+	return db.views[id].hooked || len(db.globalTriggers) > 0 || len(db.watchers) > 0
 }
 
 // endRunLocked closes a run's critical section. It folds the queue-wait
@@ -618,28 +647,41 @@ func (db *DB) afterRun(last model.ObjectID, hooked bool) {
 type partialFields map[string]float64
 type completeFields map[string]float64
 
-// recordHistoryLocked archives the entry's new version in its history
-// ring. Callers hold db.mu for writing.
-func (db *DB) recordHistoryLocked(id model.ObjectID) {
-	depth := db.cfg.HistoryDepth
-	if depth <= 0 {
+// setFieldsLocked replaces a view's record fields; nil removes them.
+// Callers hold db.mu for writing.
+func (db *DB) setFieldsLocked(id model.ObjectID, fields map[string]float64) {
+	if fields == nil {
+		delete(db.fields, id)
 		return
 	}
-	e := &db.entries[id]
-	e.history = append(e.history, historical{value: e.value, generated: e.generated})
-	if len(e.history) > depth {
-		e.history = e.history[len(e.history)-depth:]
-	}
+	db.fields[id] = fields
 }
 
-// genTime recovers the wall-clock generation time of an update. The
-// exact nanosecond timestamp is preferred when present: the float
-// seconds axis loses precision, and replicas must install the same
-// generation times as their primary for convergence to be
-// byte-identical.
-func (db *DB) genTime(u *model.Update) time.Time {
-	if u.WallGen != 0 {
-		return time.Unix(0, u.WallGen)
+// recordHistoryLocked archives the view's new version in its history
+// ring. Callers hold db.mu for writing.
+func (db *DB) recordHistoryLocked(id model.ObjectID) {
+	if db.history == nil {
+		return
 	}
-	return db.start.Add(time.Duration(u.GenTime * float64(time.Second)))
+	r := db.history[id]
+	if r == nil {
+		r = &historyRing{}
+		db.history[id] = r
+	}
+	v := &db.views[id]
+	r.add(historical{value: v.value, gen: v.gen}, db.cfg.HistoryDepth)
+}
+
+// updateGen recovers the generation of an update in Unix nanoseconds.
+// The exact stamp ApplyUpdate and ApplyReplicated put on WallGen is
+// preferred: the float seconds axis loses precision, and replicas must
+// install the same generations as their primary for convergence to be
+// byte-identical. WallGen zero means either no stamp (an update built
+// on the float axis alone) or a generation at exactly the Unix epoch,
+// whose float reading GenTime still carries.
+func (db *DB) updateGen(u *model.Update) int64 {
+	if u.WallGen != 0 || u.GenTime == db.secs(time.Unix(0, 0)) {
+		return u.WallGen
+	}
+	return db.startNanos + int64(u.GenTime*float64(time.Second))
 }

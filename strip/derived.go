@@ -51,7 +51,7 @@ func (db *DB) OnInstall(object string, fn func(Entry)) error {
 		db.triggers = make(map[model.ObjectID][]func(Entry))
 	}
 	db.triggers[id] = append(db.triggers[id], fn)
-	db.defs[id].hooked = true
+	db.views[id].hooked = true
 	return nil
 }
 
@@ -89,7 +89,7 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownDependency, dep)
 		}
-		if db.defs[id].derived {
+		if db.views[id].derived {
 			// Chained derivation would need topological recompute
 			// ordering; keep the dependency graph one level deep.
 			return fmt.Errorf("strip: dependency %q is itself derived", dep)
@@ -105,7 +105,7 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 	}
 	for _, dep := range depIDs {
 		db.derivedByDep[dep] = append(db.derivedByDep[dep], def)
-		db.defs[dep].hooked = true
+		db.views[dep].hooked = true
 	}
 	db.derivedByID[id] = def
 	return nil
@@ -117,12 +117,12 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 // something registered (see hookedLocked).
 func (db *DB) fireTriggers(id model.ObjectID) {
 	db.mu.RLock()
-	name := db.defs[id].name
+	v := db.views[id]
 	e := Entry{
-		Object:    name,
-		Value:     db.entries[id].value,
-		Generated: db.entries[id].generated,
-		Fields:    copyFields(db.entries[id].fields),
+		Object:    v.name,
+		Value:     v.value,
+		Generated: genTime(v.gen),
+		Fields:    copyFields(db.fields[id]),
 	}
 	// Copy the trigger lists so they run outside the lock; the copy is
 	// sized exactly and skipped when only watchers or derived views are
@@ -151,12 +151,10 @@ func (db *DB) recomputeDerived(def *derivedDef) {
 	// def.compute is user code that may retain the slice, so each
 	// recompute hands it a fresh one.
 	values := make([]float64, len(def.deps))
-	oldest := db.entries[def.deps[0]].generated
+	oldest := db.views[def.deps[0]].gen
 	for i, dep := range def.deps {
-		values[i] = db.entries[dep].value
-		if g := db.entries[dep].generated; g.Before(oldest) {
-			oldest = g
-		}
+		values[i] = db.views[dep].value
+		oldest = min(oldest, db.views[dep].gen)
 	}
 	db.mu.Unlock()
 
@@ -164,17 +162,16 @@ func (db *DB) recomputeDerived(def *derivedDef) {
 	result := def.compute(values)
 
 	db.mu.Lock()
-	e := &db.entries[def.id]
-	e.value = result
-	e.generated = oldest
+	v := &db.views[def.id]
+	v.value = result
+	v.gen = oldest
 	db.recordHistoryLocked(def.id)
 	db.mu.Unlock()
 
 	// Derived installs fire plain triggers too (but never recurse
 	// into further derivation: dependencies cannot be derived).
 	db.mu.RLock()
-	name := db.defs[def.id].name
-	entry := Entry{Object: name, Value: result, Generated: oldest}
+	entry := Entry{Object: db.views[def.id].name, Value: result, Generated: genTime(oldest)}
 	var fns []func(Entry)
 	if n := len(db.globalTriggers) + len(db.triggers[def.id]); n > 0 {
 		fns = make([]func(Entry), 0, n)

@@ -2,7 +2,9 @@ package elect
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -57,7 +59,9 @@ type Config struct {
 	FS fault.FS
 
 	// Metrics, when set, registers the node's series (decided epoch,
-	// leadership, campaigns started) into the registry.
+	// leadership, campaigns started, and the three loss counters:
+	// corrupt inbound frames, outbound messages dropped on a full
+	// queue, failed state-file writes) into the registry.
 	Metrics *obs.Registry
 
 	// Logf receives diagnostics; nil discards them.
@@ -92,9 +96,16 @@ type Node struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
-	// campaigns counts explicit Campaign calls, whether or not a
-	// registry is attached.
-	campaigns *obs.Counter
+	// campaigns counts explicit Campaign calls; corrupt the peer
+	// connections dropped on a frame that failed its checksum, had an
+	// impossible length, ended inside a frame or did not decode;
+	// dropped the outbound messages a full peer queue refused;
+	// persistFailed the state-file writes that failed, suppressing
+	// their replies. All count whether or not a registry is attached.
+	campaigns     *obs.Counter
+	corrupt       *obs.Counter
+	dropped       *obs.Counter
+	persistFailed *obs.Counter
 }
 
 // NewNode validates the configuration, builds the engine and starts
@@ -127,15 +138,18 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:       cfg,
-		clock:     clock,
-		logf:      cfg.Logf,
-		core:      c,
-		store:     store,
-		events:    make(chan Decision, 64),
-		sends:     make(map[string]chan Msg),
-		stop:      make(chan struct{}),
-		campaigns: obs.NewCounter(),
+		cfg:           cfg,
+		clock:         clock,
+		logf:          cfg.Logf,
+		core:          c,
+		store:         store,
+		events:        make(chan Decision, 64),
+		sends:         make(map[string]chan Msg),
+		stop:          make(chan struct{}),
+		campaigns:     obs.NewCounter(),
+		corrupt:       obs.NewCounter(),
+		dropped:       obs.NewCounter(),
+		persistFailed: obs.NewCounter(),
 	}
 	if n.logf == nil {
 		n.logf = func(string, ...any) {}
@@ -161,6 +175,14 @@ func NewNode(cfg Config) (*Node, error) {
 			})
 		reg.CounterFunc("strip_elect_campaigns_total",
 			"explicit campaigns started on this node", n.campaigns.Value)
+		reg.CounterFunc("strip_elect_corrupt_frames_total",
+			"peer connections dropped on a corrupt frame (checksum, truncation, oversize, malformed payload)",
+			n.corrupt.Value)
+		reg.CounterFunc("strip_elect_dropped_messages_total",
+			"outbound messages dropped on a full peer queue", n.dropped.Value)
+		reg.CounterFunc("strip_elect_persist_failures_total",
+			"state-file writes that failed (the replies they guarded were suppressed)",
+			n.persistFailed.Value)
 	}
 	// Replay the restored decision to Observe so a failover manager
 	// re-adopts its follower role across the restart — unless this
@@ -234,6 +256,7 @@ func (n *Node) Serve(l net.Listener) error {
 		l.Close()
 		return fmt.Errorf("elect: node closed")
 	}
+	defer n.wg.Done()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -247,7 +270,10 @@ func (n *Node) Serve(l net.Listener) error {
 	}
 }
 
-// register adopts the listener, refusing when closed.
+// register adopts the listener, refusing when closed. An adopted
+// listener's accept loop counts in wg, so that Close's Wait never runs
+// alongside the loop's Add for a connection accepted as the listener
+// closed.
 func (n *Node) register(l net.Listener) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -255,6 +281,7 @@ func (n *Node) register(l net.Listener) bool {
 		return false
 	}
 	n.ln = l
+	n.wg.Add(1)
 	return true
 }
 
@@ -329,10 +356,15 @@ func (n *Node) serveConn(conn net.Conn) {
 	for {
 		payload, err := ReadFrame(br)
 		if err != nil {
+			if corruptFrame(err) {
+				n.corrupt.Inc()
+				n.logf("elect: dropping connection on corrupt frame: %v", err)
+			}
 			return
 		}
 		msg, err := Decode(payload)
 		if err != nil {
+			n.corrupt.Inc()
 			n.logf("elect: dropping connection on corrupt frame: %v", err)
 			return
 		}
@@ -347,6 +379,15 @@ func (n *Node) serveConn(conn net.Conn) {
 		n.dispatch(envs, decs)
 		conn.SetReadDeadline(n.clock().Add(n.cfg.IOTimeout))
 	}
+}
+
+// corruptFrame reports whether a ReadFrame error condemns the bytes
+// received rather than the link: a failed checksum, an impossible
+// length, or a stream that ended inside a frame. A clean EOF between
+// frames, an expired read deadline or a transport error is not.
+func corruptFrame(err error) bool {
+	return errors.Is(err, ErrChecksum) || errors.Is(err, ErrFrameTooLarge) ||
+		errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // takeDirtyLocked snapshots the engine's unpersisted durable state
@@ -379,6 +420,7 @@ func (n *Node) persist(st *persistentState, ver uint64) bool {
 	}
 	//striplint:ignore block-under-lock -- persistMu exists solely to serialize state-file writes; no protocol or engine path ever holds it
 	if err := saveState(n.store, n.cfg.StatePath, st); err != nil {
+		n.persistFailed.Inc()
 		n.logf("elect: persisting state to %s failed (suppressing replies): %v", n.cfg.StatePath, err)
 		return false
 	}
@@ -399,6 +441,7 @@ func (n *Node) dispatch(envs []Envelope, decs []Decision) {
 		select {
 		case ch <- e.Msg:
 		default:
+			n.dropped.Inc()
 			n.logf("elect: outbound queue to %s full, dropping %T", e.To, e.Msg)
 		}
 	}

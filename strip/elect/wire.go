@@ -194,14 +194,15 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // ReadFrame reads one frame and returns its verified payload. A clean
 // EOF before the first header byte returns io.EOF; any other short
-// read returns ErrTruncated.
+// read returns ErrTruncated, wrapping io.ErrUnexpectedEOF when the
+// stream ended inside the frame and the transport's error otherwise.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) && err != io.ErrUnexpectedEOF {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return nil, truncated(err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 || n > MaxFrame {
@@ -209,13 +210,22 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	}
 	body := make([]byte, int(n)+4)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return nil, truncated(err)
 	}
 	payload := body[:n]
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(body[n:]) {
 		return nil, ErrChecksum
 	}
 	return payload, nil
+}
+
+// truncated wraps a short read in ErrTruncated, keeping its cause: an
+// EOF inside a frame is never clean, so it becomes io.ErrUnexpectedEOF.
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("%w: %w", ErrTruncated, err)
 }
 
 // Encode encodes one message as a frame payload.

@@ -2,6 +2,47 @@ package strip
 
 import "time"
 
+// historical is one archived version of a view value.
+type historical struct {
+	value float64
+	gen   int64 // Unix nanoseconds, as view.gen
+}
+
+// historyRing holds a view's newest versions, at most
+// Config.HistoryDepth of them, in generation order: installs are
+// monotone by the worthiness check, and ResetToSnapshot, which may
+// install an older generation, starts the view's ring afresh. (A
+// derived view's generation, its oldest dependency's, can still step
+// back when a reset moves a dependency back; ReadAsOf then answers
+// with the newest such version recorded.)
+type historyRing struct {
+	vers  []historical
+	start int // index of the oldest version once vers is full
+}
+
+// add archives a version, overwriting the oldest once depth are held.
+func (r *historyRing) add(h historical, depth int) {
+	if len(r.vers) < depth {
+		r.vers = append(r.vers, h)
+		return
+	}
+	r.vers[r.start] = h
+	r.start = (r.start + 1) % len(r.vers)
+}
+
+// len returns the number of retained versions; a nil ring has none.
+func (r *historyRing) len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.vers)
+}
+
+// at returns the i-th oldest retained version.
+func (r *historyRing) at(i int) historical {
+	return r.vers[(r.start+i)%len(r.vers)]
+}
+
 // ReadAsOf returns the newest version of the view object generated at
 // or before t — the paper's "historical views" future-work item. It
 // requires Config.HistoryDepth > 0; values older than the retained
@@ -29,19 +70,15 @@ func (db *DB) readAsOf(name string, t time.Time) (Entry, error) {
 	if !ok {
 		return Entry{}, ErrUnknownObject
 	}
-	if db.cfg.HistoryDepth <= 0 {
+	if db.history == nil {
 		return Entry{}, ErrNoHistory
 	}
-	hist := db.entries[id].history
-	// History is generation-ordered (installs are monotone by the
-	// worthiness check): scan from the newest retained version.
-	for i := len(hist) - 1; i >= 0; i-- {
-		if !hist[i].generated.After(t) {
-			return Entry{
-				Object:    name,
-				Value:     hist[i].value,
-				Generated: hist[i].generated,
-			}, nil
+	r := db.history[id]
+	at := genOf(t)
+	// The ring is generation-ordered: scan from the newest version.
+	for i := r.len() - 1; i >= 0; i-- {
+		if h := r.at(i); h.gen <= at {
+			return Entry{Object: name, Value: h.value, Generated: genTime(h.gen)}, nil
 		}
 	}
 	return Entry{}, ErrNoHistory
@@ -56,10 +93,11 @@ func (db *DB) History(name string) ([]Entry, error) {
 	if !ok {
 		return nil, ErrUnknownObject
 	}
-	hist := db.entries[id].history
-	out := make([]Entry, len(hist))
-	for i, h := range hist {
-		out[i] = Entry{Object: name, Value: h.value, Generated: h.generated}
+	r := db.history[id]
+	out := make([]Entry, r.len())
+	for i := range out {
+		h := r.at(i)
+		out[i] = Entry{Object: name, Value: h.value, Generated: genTime(h.gen)}
 	}
 	return out, nil
 }

@@ -119,7 +119,7 @@ const (
 // account; an installed one settles it in installLocked, which knows
 // the generation it installed. Callers hold db.mu for writing.
 func (db *DB) settleLocked(u *model.Update, cause settleCause) {
-	db.pending[u.Object]--
+	db.views[u.Object].pending--
 	if db.onSettle != nil {
 		db.onSettle(u, cause)
 	}
@@ -146,7 +146,7 @@ func (db *DB) settleLocked(u *model.Update, cause settleCause) {
 // release the lock.
 func (db *DB) enqueueLocked(u *model.Update) {
 	db.stats.UpdatesReceived++
-	db.pending[u.Object]++
+	db.views[u.Object].pending++
 	for _, ev := range db.queue.Insert(u) {
 		switch {
 		case ev == u && !db.cfg.Coalesce:

@@ -37,14 +37,23 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 		}
 		defer cancel()
 		// Lockstep: wait for each install before the next arrival, so
-		// both runs observe identical queue lengths and stage spans.
+		// both runs observe identical queue lengths and stage spans. The
+		// watcher hears of an install before the scheduler reads the
+		// clock to close its trigger span; the install's trace is
+		// recorded after that reading, so the clock moves only then.
+		installed := func(n int) {
+			<-ch
+			for len(db.Traces()) < n {
+				runtime.Gosched()
+			}
+		}
 		for i := 0; i < 5; i++ {
 			db.ApplyUpdate(Update{Object: "a", Value: float64(i), Generated: clock.Now()})
-			<-ch
+			installed(i + 1)
 			clock.Advance(10 * time.Millisecond)
 		}
 		db.ApplyUpdate(Update{Object: "b", Value: 42, Generated: clock.Now()})
-		<-ch
+		installed(6)
 		res := db.Exec(TxnSpec{
 			Name:     "t",
 			Value:    3,

@@ -45,16 +45,10 @@ func (db *DB) Query(q string) ([]Entry, error) {
 
 	now := db.now()
 	db.mu.RLock()
-	snapshot := make([]Entry, 0, len(db.defs))
-	for id, def := range db.defs {
-		e := db.entries[id]
-		snapshot = append(snapshot, Entry{
-			Object:    def.name,
-			Value:     e.value,
-			Fields:    copyFields(e.fields),
-			Generated: e.generated,
-			Stale:     db.staleLocked(model.ObjectID(id), now),
-		})
+	at := now.UnixNano()
+	snapshot := make([]Entry, len(db.views))
+	for id := range db.views {
+		snapshot[id] = db.entryLocked(model.ObjectID(id), at)
 	}
 	db.mu.RUnlock()
 

@@ -159,17 +159,18 @@ func (db *DB) emitLocked(ev ReplEvent) {
 // db.mu for writing. With no sink attached only the sequence
 // advances; building the event would be wasted work on the
 // non-replicated hot path.
-func (db *DB) emitInstallLocked(u *model.Update, gen time.Time) {
+func (db *DB) emitInstallLocked(u *model.Update, gen int64) {
 	if db.sink == nil {
 		db.seq++
 		return
 	}
+	v := &db.views[u.Object]
 	ev := ReplEvent{
 		Kind:       ReplUpdate,
-		Object:     db.defs[u.Object].name,
-		Importance: db.defs[u.Object].importance,
+		Object:     v.name,
+		Importance: Importance(v.class),
 		Value:      u.Payload,
-		Generated:  gen,
+		Generated:  time.Unix(0, gen),
 	}
 	switch fields := u.Aux.(type) {
 	case partialFields:
@@ -359,17 +360,16 @@ func (db *DB) ReplicaSnapshot() Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	s := Snapshot{Seq: db.seq, General: sortedKVs(db.general)}
-	for id, def := range db.defs {
-		if def.derived {
+	for id, v := range db.views {
+		if v.derived {
 			continue
 		}
-		e := db.entries[id]
 		s.Views = append(s.Views, SnapshotView{
-			Name:       def.name,
-			Importance: def.importance,
-			Value:      e.value,
-			Generated:  e.generated,
-			Fields:     sortedKVs(e.fields),
+			Name:       v.name,
+			Importance: Importance(v.class),
+			Value:      v.value,
+			Generated:  genTime(v.gen),
+			Fields:     sortedKVs(db.fields[model.ObjectID(id)]),
 		})
 	}
 	sort.Slice(s.Views, func(i, j int) bool { return s.Views[i].Name < s.Views[j].Name })
@@ -395,16 +395,16 @@ func (db *DB) InstallSnapshot(s Snapshot) error {
 		id, ok := db.idLocked(v.Name)
 		if !ok {
 			id = db.addDefLocked(v.Name, v.Importance, false)
-		} else if db.defs[id].derived {
+		} else if db.views[id].derived {
 			continue
 		}
-		e := &db.entries[id]
-		if !v.Generated.After(e.generated) {
+		gen := genOf(v.Generated)
+		if gen <= db.views[id].gen {
 			continue
 		}
-		e.value = v.Value
-		e.fields = kvFields(v.Fields)
-		e.generated = v.Generated
+		db.views[id].value = v.Value
+		db.views[id].gen = gen
+		db.setFieldsLocked(id, kvFields(v.Fields))
 		db.recordHistoryLocked(id)
 		db.lag.Installed(id, db.secs(v.Generated))
 		db.emitSnapshotViewLocked(v)
@@ -451,31 +451,35 @@ func (db *DB) ResetToSnapshot(s Snapshot) error {
 		id, ok := db.idLocked(v.Name)
 		if !ok {
 			id = db.addDefLocked(v.Name, v.Importance, false)
-		} else if db.defs[id].derived {
+		} else if db.views[id].derived {
 			continue
 		}
-		e := &db.entries[id]
-		e.value = v.Value
-		e.fields = kvFields(v.Fields)
-		e.generated = v.Generated
+		db.views[id].value = v.Value
+		db.views[id].gen = genOf(v.Generated)
+		db.setFieldsLocked(id, kvFields(v.Fields))
+		// The view's history starts at the adopted version: the deposed
+		// history's versions are writes the new one never made, and the
+		// snapshot may be older than them.
+		delete(db.history, id)
 		db.recordHistoryLocked(id)
 		db.lag.Installed(id, db.secs(v.Generated))
 		db.emitSnapshotViewLocked(v)
 	}
 	// Blank views from the old history that the new one never defined;
-	// their entries stay registered (queued updates may still name the
-	// IDs) but hold no state and no generation, so any later install
+	// they stay registered (queued updates may still name the IDs) but
+	// hold no state, no history and no generation, so any later install
 	// wins. The deposed history's updates still in the scheduler queue
 	// would otherwise resurrect as fresher-than-snapshot state.
-	for id, def := range db.defs {
-		if def.derived || inSnap[def.name] {
+	for i := range db.views {
+		v, id := &db.views[i], model.ObjectID(i)
+		if v.derived || inSnap[v.name] {
 			continue
 		}
-		e := &db.entries[id]
-		e.value = 0
-		e.fields = nil
-		e.generated = time.Time{}
-		db.lag.Removed(model.ObjectID(id))
+		v.value = 0
+		v.gen = noGen
+		delete(db.fields, id)
+		delete(db.history, id)
+		db.lag.Removed(id)
 	}
 	// Everything already admitted to the scheduler queue predates the
 	// reset; the barrier makes installLocked discard it on arrival.

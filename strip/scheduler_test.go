@@ -74,9 +74,9 @@ func TestSplitUpdatesAtCapacity(t *testing.T) {
 	if res := <-req.res; !res.Committed() {
 		t.Errorf("transaction: %+v", res)
 	}
-	for id, n := range db.pending {
-		if n != 0 {
-			t.Errorf("pending[%s] = %d at quiescence", db.defs[id].name, n)
+	for _, v := range db.views {
+		if v.pending != 0 {
+			t.Errorf("pending[%s] = %d at quiescence", v.name, v.pending)
 		}
 	}
 	s := db.Stats()
@@ -107,8 +107,8 @@ func TestUUStaleUntilApplied(t *testing.T) {
 		for !stop.Load() {
 			db.mu.RLock()
 			s := db.stats
-			pending := db.pending[id]
-			value := db.entries[id].value
+			pending := db.views[id].pending
+			value := db.views[id].value
 			db.mu.RUnlock()
 			var msg string
 			switch {

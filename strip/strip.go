@@ -193,7 +193,11 @@ type Config struct {
 	Coalesce bool
 	// HistoryDepth, when positive, keeps that many past versions of
 	// every view object and enables Tx.ReadAsOf — the paper's
-	// "historical views" future-work item. Zero disables history.
+	// "historical views" future-work item. Each view installed since
+	// Open then carries a version ring in a side table: 16 B per
+	// retained version plus about 70 B for the ring and its table slot
+	// (≈ 200 B per view at depth 8). Zero disables history and costs
+	// nothing per view.
 	HistoryDepth int
 	// WALPath, when set, enables a write-ahead log for general data:
 	// committed Set operations are logged and replayed on the next
@@ -277,7 +281,9 @@ type Update struct {
 	// Fields optionally carries named attributes for record views.
 	// On a complete update (Partial false) the attribute set replaces
 	// the stored one; on a partial update only the named attributes
-	// change.
+	// change. A view holding attributes keeps them in a map in a side
+	// table, about 300 B per view for up to eight attributes (plus
+	// their key strings); a view that never receives any pays nothing.
 	Fields map[string]float64
 	// Partial marks a §2 partial update: only Fields are applied;
 	// Value and unnamed attributes are retained.

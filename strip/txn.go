@@ -230,9 +230,9 @@ func (tx *Tx) Read(name string) (Entry, error) {
 	for db.installRun(true, installRunLen) > 0 {
 	}
 
-	e := db.readEntry(name, id)
+	e := db.readEntry(id)
 	if e.Stale && db.cfg.Policy.RefreshesOnRead() && db.refreshOnDemand(id, class) {
-		e = db.readEntry(name, id)
+		e = db.readEntry(id)
 	}
 
 	if e.Stale {
@@ -250,11 +250,11 @@ func (tx *Tx) Read(name string) (Entry, error) {
 
 // readEntry copies a view object's entry and evaluates its staleness
 // under one hold of the lock and one clock reading.
-func (db *DB) readEntry(name string, id model.ObjectID) Entry {
+func (db *DB) readEntry(id model.ObjectID) Entry {
 	now := db.now()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.entryLocked(name, id, now)
+	return db.entryLocked(id, now.UnixNano())
 }
 
 // Get reads general data, observing the transaction's own writes.

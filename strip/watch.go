@@ -50,7 +50,7 @@ func (db *DB) addWatcher(object string, w *watcher) error {
 		db.watchersByID = make(map[model.ObjectID][]*watcher)
 	}
 	db.watchersByID[id] = append(db.watchersByID[id], w)
-	db.defs[id].hooked = true
+	db.views[id].hooked = true
 	return nil
 }
 
