@@ -34,11 +34,10 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentOffersDefinitionsAndClose|TestApplyUpdateTakesNoLock|TestRingConcurrentReadersSeeEveryFrame' ./strip ./strip/repl
 
-# Fuzz smoke: run every Fuzz* target in ./strip, ./strip/repl and
-# ./strip/elect for FUZZTIME each. `go test -fuzz` accepts only one
-# matching target per invocation, so the targets are listed first and
-# fuzzed one by one.
-FUZZPKGS = ./strip ./strip/repl ./strip/elect ./strip/scenario
+# Fuzz smoke: run every Fuzz* target in the FUZZPKGS packages for
+# FUZZTIME each. `go test -fuzz` accepts only one matching target per
+# invocation, so the targets are listed first and fuzzed one by one.
+FUZZPKGS = ./strip ./strip/internal/frame ./strip/repl ./strip/elect ./strip/scenario
 
 fuzz:
 	@set -e; for pkg in $(FUZZPKGS); do \

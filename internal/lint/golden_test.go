@@ -313,6 +313,16 @@ func TestDeterminismScopeCoversQueueAndSched(t *testing.T) {
 	}
 }
 
+// TestFrameScopeCoverage pins the shared frame codec inside the
+// map-order scope: the replication stream and the election ledger are
+// written in its envelope and must be byte-stable, and a Scope matches
+// exact paths, so strip's entry does not cover it.
+func TestFrameScopeCoverage(t *testing.T) {
+	if !MapOrderPkgs.Match("repro/strip/internal/frame") {
+		t.Error("MapOrderPkgs no longer covers repro/strip/internal/frame")
+	}
+}
+
 // TestElectScopeCoverage pins the election package inside the lint
 // coverage the failover invariants rest on: its wire frames must be
 // byte-stable (map-order), its shell's mutexes follow the lock

@@ -343,13 +343,17 @@ var DeterministicPkgs = Scope{
 
 // MapOrderPkgs is the scope of map-order-leak: the deterministic
 // simulator packages plus the strip durability code. WAL segments,
-// checkpoint snapshots and replication frames must be byte-identical
-// for equal states (the crash-point torture tests and the replica
-// convergence checks compare them bit for bit), so map iteration
-// order must never leak into a record sequence there either.
+// checkpoint snapshots, replication frames and the election ledger —
+// and strip/internal/frame, the envelope the last two are written in —
+// must be byte-identical for equal states (the crash-point torture
+// tests and the replica convergence checks compare them bit for bit),
+// so map iteration order must never leak into a record sequence there
+// either. A Scope matches exact paths, so a subpackage is listed on
+// its own.
 var MapOrderPkgs = append(append(Scope{}, DeterministicPkgs...),
 	"strip",
 	"strip/fault",
+	"strip/internal/frame",
 	"strip/repl",
 	"strip/elect",
 	// The metrics registry promises byte-identical exposition for

@@ -1,7 +1,6 @@
 package elect
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"repro/strip/fault"
+	"repro/strip/internal/frame"
 	"repro/strip/obs"
 )
 
@@ -37,11 +37,11 @@ func newCountingNode(t *testing.T, cfg Config) (*Node, *obs.Registry) {
 
 func frameBytes(t *testing.T, payload []byte) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if err := WriteFrame(&b, payload); err != nil {
+	b, err := frame.Append(nil, payload, MaxFrame)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes()
+	return b
 }
 
 // TestServeConnCountsCorruptFrames plays a peer over net.Pipe: a

@@ -2,20 +2,16 @@ package elect
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
+
+	"repro/strip/internal/frame"
 )
 
 // electSeedPayloads are valid encodings plus boundary junk, mirroring
 // the strip/repl fuzz corpus style.
 func electSeedPayloads(tb testing.TB) [][]byte {
-	out := [][]byte{
-		{},
-		{KindPrepare},
-		{KindPromise, 0, 1, 'a'},
-		bytes.Repeat([]byte{0xFF}, 64),
-	}
+	var out [][]byte
 	for _, m := range allMessages() {
 		p, err := Encode(m)
 		if err != nil {
@@ -23,7 +19,14 @@ func electSeedPayloads(tb testing.TB) [][]byte {
 		}
 		out = append(out, p)
 	}
-	return out
+	// The junk goes last, so a stream of all the seeds decodes its
+	// valid messages before the first error ends it.
+	return append(out,
+		[]byte{},
+		[]byte{KindPrepare},
+		[]byte{KindPromise, 0, 1, 'a'},
+		bytes.Repeat([]byte{0xFF}, 64),
+	)
 }
 
 // FuzzElectDecode asserts Decode's contract on arbitrary payloads:
@@ -58,56 +61,83 @@ func FuzzElectDecode(f *testing.F) {
 	})
 }
 
-// FuzzElectReadFrame asserts ReadFrame's contract on arbitrary byte
-// streams: errors, never panics, and an accepted payload survives a
-// write/read round trip.
+// FuzzElectReadFrame drives serveConn's read path (see fuzzReceive)
+// over single frames and raw payloads.
 func FuzzElectReadFrame(f *testing.F) {
 	for _, p := range electSeedPayloads(f) {
-		var buf bytes.Buffer
-		if WriteFrame(&buf, p) == nil {
-			f.Add(buf.Bytes())
+		if b, err := frame.Append(nil, p, MaxFrame); err == nil {
+			f.Add(b)
 		}
 		f.Add(p)
 	}
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		payload, err := ReadFrame(bytes.NewReader(stream))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload); err != nil {
-			t.Fatalf("accepted payload rejected on re-write: %v", err)
-		}
-		again, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("re-read of re-written frame: %v", err)
-		}
-		if !bytes.Equal(payload, again) {
-			t.Fatalf("payload changed across write/read round trip")
-		}
-	})
+	f.Fuzz(fuzzReceive)
 }
 
-// FuzzElectFrameStream feeds ReadFrame a stream of frames with
-// arbitrary tails: every frame read before the error must be within
-// bounds.
+// FuzzElectFrameStream drives serveConn's read path (see fuzzReceive)
+// over streams of several frames with arbitrary tails.
 func FuzzElectFrameStream(f *testing.F) {
-	var pipe bytes.Buffer
+	var pipe []byte
 	for _, p := range electSeedPayloads(f) {
-		_ = WriteFrame(&pipe, p)
+		pipe, _ = frame.Append(pipe, p, MaxFrame)
 	}
-	f.Add(pipe.Bytes())
+	f.Add(pipe)
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
-		for {
-			payload, err := ReadFrame(r)
-			if err == io.EOF || err != nil {
-				return
+	f.Fuzz(fuzzReceive)
+}
+
+// fuzzReceive reads stream with readMsg through one reused buffer, as
+// serveConn does, until the first error. The envelope's own contract
+// is fuzzed in strip/internal/frame; this is the layer above it: no
+// decoded message may change when later frames overwrite the buffer.
+func fuzzReceive(t *testing.T, stream []byte) {
+	r := bytes.NewReader(stream)
+	var buf []byte
+	var msgs []Msg
+	var seen [][]byte
+	for {
+		msg, b, err := readMsg(r, buf)
+		buf = b
+		if err != nil {
+			break
+		}
+		enc, err := Encode(msg)
+		if err != nil {
+			t.Fatalf("accepted message rejected on re-encode: %v", err)
+		}
+		msgs, seen = append(msgs, msg), append(seen, enc)
+	}
+	for i, m := range msgs {
+		if now, _ := Encode(m); !bytes.Equal(now, seen[i]) {
+			t.Fatalf("message %d changed when the read buffer was reused: %#v", i, m)
+		}
+	}
+}
+
+// FuzzStateDecode asserts decodeState's contract on arbitrary
+// payloads: a state or an error, never a panic, and an accepted
+// payload re-encodes to the same bytes (encodeState sorts its entries,
+// and decodeState accepts only sorted ones).
+func FuzzStateDecode(f *testing.F) {
+	good, err := encodeState(sampleState())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte{})
+	f.Add([]byte{stateVersion})
+	f.Add(ledgerPayload(1<<20, 0))
+	f.Add(ledgerPayload(2, 6, 4))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		st, err := decodeState(payload)
+		if err != nil {
+			if st != nil {
+				t.Fatalf("decodeState returned a state alongside error %v", err)
 			}
-			if len(payload) == 0 || len(payload) > MaxFrame {
-				t.Fatalf("ReadFrame returned out-of-bounds payload of %d bytes", len(payload))
-			}
+			return
+		}
+		again, err := encodeState(st)
+		if err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("accepted ledger re-encodes differently (%v):\n got %x\nwant %x", err, again, payload)
 		}
 	})
 }

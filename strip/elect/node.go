@@ -2,7 +2,6 @@ package elect
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"repro/strip/fault"
+	"repro/strip/internal/frame"
 	"repro/strip/obs"
 )
 
@@ -353,19 +353,15 @@ func (n *Node) serveConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(n.clock().Add(n.cfg.IOTimeout))
 	br := bufio.NewReader(conn)
+	var buf []byte
 	for {
-		payload, err := ReadFrame(br)
+		msg, b, err := readMsg(br, buf)
+		buf = b
 		if err != nil {
-			if corruptFrame(err) {
+			if frame.Corrupt(err) {
 				n.corrupt.Inc()
 				n.logf("elect: dropping connection on corrupt frame: %v", err)
 			}
-			return
-		}
-		msg, err := Decode(payload)
-		if err != nil {
-			n.corrupt.Inc()
-			n.logf("elect: dropping connection on corrupt frame: %v", err)
 			return
 		}
 		now := n.clock()
@@ -381,13 +377,15 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 }
 
-// corruptFrame reports whether a ReadFrame error condemns the bytes
-// received rather than the link: a failed checksum, an impossible
-// length, or a stream that ended inside a frame. A clean EOF between
-// frames, an expired read deadline or a transport error is not.
-func corruptFrame(err error) bool {
-	return errors.Is(err, ErrChecksum) || errors.Is(err, ErrFrameTooLarge) ||
-		errors.Is(err, io.ErrUnexpectedEOF)
+// readMsg reads and decodes one message through buf, the connection's
+// reused frame buffer, and returns the buffer for the next call.
+func readMsg(r io.Reader, buf []byte) (Msg, []byte, error) {
+	payload, buf, err := frame.ReadBuf(r, buf, MaxFrame)
+	if err != nil {
+		return nil, buf, err
+	}
+	msg, err := Decode(payload)
+	return msg, buf, err
 }
 
 // takeDirtyLocked snapshots the engine's unpersisted durable state
@@ -491,7 +489,7 @@ func (n *Node) sendOne(peer string, m Msg) error {
 	}
 	defer conn.Close()
 	conn.SetWriteDeadline(n.clock().Add(n.cfg.IOTimeout))
-	return WriteFrame(conn, payload)
+	return frame.Write(conn, payload, MaxFrame)
 }
 
 // dialPeer reaches one peer using the configured dialer.

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"repro/strip/fault"
+	"repro/strip/internal/frame"
 )
 
 // persistentState is the slice of engine state whose loss breaks the
@@ -29,9 +30,14 @@ type persistentState struct {
 // stateVersion is the state-file format version byte.
 const stateVersion = 1
 
-// encodeState renders st as one frame payload (the file reuses the
-// wire framing, CRC32 trailer included). Acceptor entries are sorted
-// by instance so the encoding is byte-stable.
+// minEntryBytes is the smallest encoded acceptor entry: three u64s and
+// an empty value's length prefix. decodeState rejects an entry count
+// the payload could not hold before sizing the map with it.
+const minEntryBytes = 8 + 8 + 8 + 2
+
+// encodeState renders st as one frame payload (the file is one
+// strip/internal/frame frame, CRC32 trailer included). Acceptor
+// entries are sorted by instance so the encoding is byte-stable.
 //
 // Layout, integers big-endian, strings u16-length-prefixed:
 //
@@ -41,7 +47,7 @@ func encodeState(st *persistentState) ([]byte, error) {
 	b := []byte{stateVersion}
 	b = binary.BigEndian.AppendUint64(b, st.round)
 	b = binary.BigEndian.AppendUint64(b, st.maxDecided)
-	b, err := appendString(b, st.leader)
+	b, err := frame.AppendString(b, st.leader)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +62,7 @@ func encodeState(st *persistentState) ([]byte, error) {
 		b = binary.BigEndian.AppendUint64(b, inst)
 		b = binary.BigEndian.AppendUint64(b, a.promised)
 		b = binary.BigEndian.AppendUint64(b, a.accBallot)
-		if b, err = appendString(b, a.accValue); err != nil {
+		if b, err = frame.AppendString(b, a.accValue); err != nil {
 			return nil, err
 		}
 	}
@@ -64,30 +70,29 @@ func encodeState(st *persistentState) ([]byte, error) {
 }
 
 // decodeState parses a state-file payload, rejecting (never
-// panicking on) any malformed input, in the wire decoder's style.
+// panicking on) any malformed input. It accepts only what encodeState
+// writes — entries in strictly ascending instance order — so an
+// accepted payload re-encodes to the same bytes.
 func decodeState(payload []byte) (*persistentState, error) {
-	d := decoder{b: payload}
-	if v := d.u8(); d.err == nil && v != stateVersion {
-		return nil, fmt.Errorf("%w: unknown state version %d", ErrMalformed, v)
+	d := frame.NewDecoder(payload)
+	if v := d.U8(); d.Err() == nil && v != stateVersion {
+		return nil, fmt.Errorf("%w: unknown state version %d", frame.ErrMalformed, v)
 	}
-	st := &persistentState{round: d.u64(), maxDecided: d.u64(), leader: d.str()}
-	n := d.u32()
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		inst := d.u64()
-		a := acceptorState{promised: d.u64(), accBallot: d.u64(), accValue: d.str()}
-		if d.err != nil {
-			break
+	st := &persistentState{round: d.U64(), maxDecided: d.U64(), leader: d.Str()}
+	if n := d.Count32(minEntryBytes); n > 0 {
+		st.acc = make(map[uint64]acceptorState, n)
+		var prev uint64
+		for i := 0; i < n && d.Err() == nil; i++ {
+			inst := d.U64()
+			if i > 0 && inst <= prev {
+				d.Failf("acceptor entry %d not above %d", inst, prev)
+			}
+			prev = inst
+			st.acc[inst] = acceptorState{promised: d.U64(), accBallot: d.U64(), accValue: d.Str()}
 		}
-		if st.acc == nil {
-			st.acc = make(map[uint64]acceptorState, n)
-		}
-		st.acc[inst] = a
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(d.b)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -106,7 +111,7 @@ func saveState(fs fault.FS, path string, st *persistentState) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteFrame(f, payload); err != nil {
+	if err := frame.Write(f, payload, MaxFrame); err != nil {
 		f.Close()
 		return err
 	}
@@ -134,7 +139,7 @@ func loadState(fs fault.FS, path string) (*persistentState, error) {
 		return nil, err
 	}
 	defer f.Close()
-	payload, err := ReadFrame(f)
+	payload, _, err := frame.ReadBuf(f, nil, MaxFrame)
 	if err != nil {
 		return nil, fmt.Errorf("elect: state file %s unreadable: %w", path, err)
 	}

@@ -1,11 +1,15 @@
 package elect
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/strip/fault"
+	"repro/strip/internal/frame"
 )
 
 func sampleState() *persistentState {
@@ -54,11 +58,58 @@ func TestStateCodecRejectsMalformed(t *testing.T) {
 		{"unknown version", append([]byte{stateVersion + 1}, good[1:]...)},
 		{"truncated", good[:len(good)-3]},
 		{"trailing bytes", append(append([]byte(nil), good...), 0)},
+		{"entries out of order", ledgerPayload(2, 6, 4)},
+		// Sizing the map by this count would allocate tens of megabytes
+		// before the decode fails.
+		{"entry count overruns payload", ledgerPayload(1<<20, 0)},
 	}
 	for _, tc := range cases {
-		if _, err := decodeState(tc.payload); err == nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeState(tc.payload)
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s: decodeState accepted malformed payload", tc.name)
 		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: decodeState allocated %d bytes before failing", tc.name, grew)
+		}
+	}
+}
+
+// ledgerPayload is a ledger payload declaring count acceptor entries
+// and holding one zero entry per inst, in the order given.
+func ledgerPayload(count uint32, insts ...uint64) []byte {
+	b := append(make([]byte, 1+8+8+2), 0, 0, 0, 0) // version round maxdecided leader ""
+	b[0] = stateVersion
+	binary.BigEndian.PutUint32(b[len(b)-4:], count)
+	for _, inst := range insts {
+		b = binary.BigEndian.AppendUint64(b, inst)
+		b = append(b, make([]byte, minEntryBytes-8)...)
+	}
+	return b
+}
+
+// TestStateFileGolden pins the ledger file byte for byte, envelope and
+// payload, as saveState writes sampleState. A change here makes every
+// ledger already on disk fail to load.
+func TestStateFileGolden(t *testing.T) {
+	fs := fault.NewMemFS()
+	if err := saveState(fs, "ledger", sampleState()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.ReadFile("ledger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "00000059" + // length
+		"01" + "0000000000000007" + "0000000000000003" + "0007" + "6e313a34303031" + // version round maxdecided leader
+		"00000002" + // entries
+		"0000000000000004" + "000000000000000b" + "000000000000000b" + "0007" + "6e323a34303032" +
+		"0000000000000006" + "0000000000000002" + "0000000000000000" + "0000" +
+		"76240890" // crc32
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("ledger file drifted from golden:\n got %x\nwant %s", got, want)
 	}
 }
 
@@ -119,8 +170,8 @@ func TestSaveStateCrashKeepsOldLedger(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := WriteFrame(f, payload); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := frame.Write(f, payload, MaxFrame); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	if err := f.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -155,7 +206,7 @@ func TestLoadStateCorruptIsError(t *testing.T) {
 	if err := fs.WriteFile(path, data); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if _, err := loadState(fs, path); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("loadState(corrupt) = %v, want ErrChecksum", err)
+	if _, err := loadState(fs, path); !errors.Is(err, frame.ErrChecksum) {
+		t.Fatalf("loadState(corrupt) = %v, want frame.ErrChecksum", err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"repro/strip/internal/frame"
 )
 
 // allMessages is one of each message kind with every field populated,
@@ -77,8 +79,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		)},
 	}
 	for _, tc := range cases {
-		if _, err := Decode(tc.payload); !errors.Is(err, ErrMalformed) {
-			t.Errorf("%s: Decode = %v, want ErrMalformed", tc.name, err)
+		if _, err := Decode(tc.payload); !errors.Is(err, frame.ErrMalformed) {
+			t.Errorf("%s: Decode = %v, want frame.ErrMalformed", tc.name, err)
 		}
 	}
 	// Trailing garbage after a valid message must be rejected too.
@@ -86,67 +88,69 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if _, err := Decode(append(payload, 0xFF)); !errors.Is(err, ErrMalformed) {
-		t.Errorf("trailing byte: Decode = %v, want ErrMalformed", err)
+	if _, err := Decode(append(payload, 0xFF)); !errors.Is(err, frame.ErrMalformed) {
+		t.Errorf("trailing byte: Decode = %v, want frame.ErrMalformed", err)
 	}
 }
 
+// TestFrameRoundTrip sends every message kind back to back and reads
+// them as serveConn does, through one reused frame buffer: each must
+// decode to what was sent, unchanged by the reads after it.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	var wrote [][]byte
+	var stream []byte
 	for _, m := range allMessages() {
 		payload, err := Encode(m)
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
-		if err := WriteFrame(&buf, payload); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+		if stream, err = frame.Append(stream, payload, MaxFrame); err != nil {
+			t.Fatalf("Append: %v", err)
 		}
-		wrote = append(wrote, payload)
 	}
-	for i, want := range wrote {
-		got, err := ReadFrame(&buf)
+	r := bytes.NewReader(stream)
+	var buf []byte
+	var got []Msg
+	for range allMessages() {
+		msg, b, err := readMsg(r, buf)
 		if err != nil {
-			t.Fatalf("ReadFrame #%d: %v", i, err)
+			t.Fatalf("readMsg #%d: %v", len(got), err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame #%d changed across the wire", i)
-		}
+		buf = b
+		got = append(got, msg)
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if !reflect.DeepEqual(got, allMessages()) {
+		t.Fatalf("messages changed across the wire:\n got %#v\nwant %#v", got, allMessages())
+	}
+	if _, _, err := readMsg(r, buf); err != io.EOF {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
 	}
 }
 
-func TestReadFrameRejectsCorruption(t *testing.T) {
-	payload, err := Encode(&Ping{From: "a"})
+// TestReadMsgAllocations pins the elect read path: once a connection's
+// frame buffer is warm, reading a message allocates only what Decode
+// does (the message and its strings), no frame buffer per message.
+func TestReadMsgAllocations(t *testing.T) {
+	payload, err := Encode(&Ping{From: "b:2", Epoch: 7, Leader: "a:1"})
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatal(err)
 	}
-	frame, err := AppendFrame(nil, payload)
+	stream, err := frame.Append(nil, payload, MaxFrame)
 	if err != nil {
-		t.Fatalf("AppendFrame: %v", err)
+		t.Fatal(err)
 	}
-
-	flipped := append([]byte(nil), frame...)
-	flipped[5] ^= 0x01 // inside the payload
-	if _, err := ReadFrame(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) {
-		t.Errorf("bit flip: %v, want ErrChecksum", err)
+	r := bytes.NewReader(stream)
+	_, buf, err := readMsg(r, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-2])); !errors.Is(err, ErrTruncated) {
-		t.Errorf("cut frame: %v, want ErrTruncated", err)
-	}
-
-	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(huge)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversize prefix: %v, want ErrFrameTooLarge", err)
-	}
-
-	if _, err := AppendFrame(nil, nil); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("empty payload: %v, want ErrFrameTooLarge", err)
-	}
-	if _, err := AppendFrame(nil, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversize payload: %v, want ErrFrameTooLarge", err)
+	decode := testing.AllocsPerRun(100, func() { _, _ = Decode(payload) })
+	read := testing.AllocsPerRun(100, func() {
+		r.Reset(stream)
+		if _, buf, err = readMsg(r, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if decode != 3 || read != decode {
+		t.Errorf("readMsg allocates %v times and Decode %v, want 3 each (the ping and its two strings)", read, decode)
 	}
 }

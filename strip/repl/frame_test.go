@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
-	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"repro/strip"
+	"repro/strip/internal/frame"
 )
 
 // testUpdateEvent is the fixed update event behind the golden vector.
@@ -161,100 +161,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteReadFrame(t *testing.T) {
-	payload, err := EncodeEvent(testUpdateEvent())
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("payload mangled in flight")
-	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Errorf("ReadFrame at clean end = %v, want io.EOF", err)
-	}
-}
-
-// TestReadFrameTruncated cuts the frame short at every possible point:
-// every cut must surface as an error, never a short payload.
-func TestReadFrameTruncated(t *testing.T) {
-	payload, _ := EncodeEvent(testUpdateEvent())
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	frame := buf.Bytes()
-	for cut := 1; cut < len(frame); cut++ {
-		_, err := ReadFrame(bytes.NewReader(frame[:cut]))
-		if err == nil {
-			t.Fatalf("ReadFrame accepted a frame cut at byte %d of %d", cut, len(frame))
-		}
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut at %d: got %v, want ErrTruncated", cut, err)
-		}
-	}
-}
-
-// TestReadFrameBitFlip flips every single bit of a valid frame: the
-// CRC (or the length/parse checks) must reject every corruption.
-func TestReadFrameBitFlip(t *testing.T) {
-	payload, _ := EncodeEvent(testBatchEvent())
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	frame := buf.Bytes()
-	for i := 0; i < len(frame)*8; i++ {
-		corrupt := bytes.Clone(frame)
-		corrupt[i/8] ^= 1 << (i % 8)
-		got, err := ReadFrame(bytes.NewReader(corrupt))
-		if err == nil {
-			t.Fatalf("bit flip at %d accepted, payload %x", i, got)
-		}
-	}
-}
-
-func TestReadFrameOversized(t *testing.T) {
-	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("giant length prefix: got %v, want ErrFrameTooLarge", err)
-	}
-	zero := []byte{0, 0, 0, 0}
-	if _, err := ReadFrame(bytes.NewReader(zero)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("zero length prefix: got %v, want ErrFrameTooLarge", err)
-	}
-	if err := WriteFrame(io.Discard, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("WriteFrame oversized: got %v, want ErrFrameTooLarge", err)
-	}
-	if err := WriteFrame(io.Discard, nil); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("WriteFrame empty: got %v, want ErrFrameTooLarge", err)
-	}
-}
-
-// TestFrameAllocations pins the codec's share of the per-update budget
-// on the replication path, for the field-less update the primary
-// publishes per install: what each call allocates once the caller's
-// scratch buffers have reached the frame's size.
+// TestFrameAllocations pins the payload codec's share of the
+// per-update budget on the replication path, for the field-less update
+// the primary publishes per install. The envelope's own pins (framing
+// into scratch, reading into a warm buffer) are in strip/internal/frame.
 func TestFrameAllocations(t *testing.T) {
 	ev := strip.ReplEvent{Seq: 7, Kind: strip.ReplUpdate, Object: "DEM/USD.LON", Value: 1.6612, Generated: time.Unix(0, 1700000000000000001)}
 	payload, err := EncodeEvent(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := AppendFrame(nil, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := make([]byte, 0, len(frame))
-	readBuf := make([]byte, len(frame))
-	r := bytes.NewReader(frame)
 	for _, c := range []struct {
 		name string
 		want float64
@@ -263,23 +179,6 @@ func TestFrameAllocations(t *testing.T) {
 	}{
 		{"EncodeEvent", 1, "the payload it returns", func() error {
 			_, err := EncodeEvent(ev)
-			return err
-		}},
-		{"AppendFrame into scratch", 0, "the scratch is large enough", func() error {
-			_, err := AppendFrame(scratch[:0], payload)
-			return err
-		}},
-		{"WriteFrame", 1, "the assembled frame; connection handlers use AppendFrame", func() error {
-			return WriteFrame(io.Discard, payload)
-		}},
-		{"ReadFrameBuf into a warm buffer", 0, "header and body both land in the reused buffer", func() error {
-			r.Reset(frame)
-			_, _, err := ReadFrameBuf(r, readBuf)
-			return err
-		}},
-		{"ReadFrame", 2, "the header's scratch + the payload the caller owns", func() error {
-			r.Reset(frame)
-			_, err := ReadFrame(r)
 			return err
 		}},
 		{"Decode", 2, "the decoded message + the object name", func() error {
@@ -335,22 +234,22 @@ func TestDecodeMalformed(t *testing.T) {
 	for name, payload := range cases {
 		if msg, err := Decode(payload); err == nil {
 			t.Errorf("%s: accepted as %+v", name, msg)
-		} else if !errors.Is(err, ErrMalformed) {
-			t.Errorf("%s: got %v, want ErrMalformed", name, err)
+		} else if !errors.Is(err, frame.ErrMalformed) {
+			t.Errorf("%s: got %v, want frame.ErrMalformed", name, err)
 		}
 	}
 }
 
 func TestEncodeRejectsOversizedStrings(t *testing.T) {
 	long := strings.Repeat("k", math.MaxUint16+1)
-	if _, err := EncodeEvent(strip.ReplEvent{Kind: strip.ReplUpdate, Object: long}); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized object name: got %v, want ErrFrameTooLarge", err)
+	if _, err := EncodeEvent(strip.ReplEvent{Kind: strip.ReplUpdate, Object: long}); !errors.Is(err, frame.ErrTooLarge) {
+		t.Errorf("oversized object name: got %v, want frame.ErrTooLarge", err)
 	}
 	if _, err := EncodeEvent(strip.ReplEvent{Kind: strip.ReplBatch,
-		Writes: []strip.KeyValue{{Key: long}}}); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized write key: got %v, want ErrFrameTooLarge", err)
+		Writes: []strip.KeyValue{{Key: long}}}); !errors.Is(err, frame.ErrTooLarge) {
+		t.Errorf("oversized write key: got %v, want frame.ErrTooLarge", err)
 	}
-	if _, err := EncodeEvent(strip.ReplEvent{Kind: strip.ReplEventKind(42)}); !errors.Is(err, ErrMalformed) {
-		t.Errorf("unknown event kind: got %v, want ErrMalformed", err)
+	if _, err := EncodeEvent(strip.ReplEvent{Kind: strip.ReplEventKind(42)}); !errors.Is(err, frame.ErrMalformed) {
+		t.Errorf("unknown event kind: got %v, want frame.ErrMalformed", err)
 	}
 }

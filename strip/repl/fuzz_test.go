@@ -2,8 +2,11 @@ package repl
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
+
+	"repro/strip/internal/frame"
 )
 
 // seedPayloads are valid encodings plus boundary junk, the corpus both
@@ -48,59 +51,62 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame asserts ReadFrame's contract on arbitrary byte
-// streams: errors, never panics, and an accepted payload survives a
-// write/read round trip.
+// FuzzReadFrame drives the replica's receive path (see fuzzReceive)
+// over single frames and raw payloads.
 func FuzzReadFrame(f *testing.F) {
 	for _, p := range seedPayloads(f) {
-		var buf bytes.Buffer
-		if WriteFrame(&buf, p) == nil {
-			f.Add(buf.Bytes())
+		if b, err := AppendFrame(nil, p); err == nil {
+			f.Add(b)
 		}
 		f.Add(p)
 	}
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		payload, err := ReadFrame(bytes.NewReader(stream))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload); err != nil {
-			t.Fatalf("accepted payload rejected on re-write: %v", err)
-		}
-		again, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("re-read of re-written frame: %v", err)
-		}
-		if !bytes.Equal(payload, again) {
-			t.Fatalf("payload changed across write/read round trip")
-		}
-	})
+	f.Fuzz(fuzzReceive)
 }
 
-// FuzzFrameStream feeds ReadFrame from a stream of several frames with
-// arbitrary tails: every frame read before the error must be one that
-// WriteFrame produced.
+// FuzzFrameStream drives the replica's receive path (see fuzzReceive)
+// over streams of several frames with arbitrary tails.
 func FuzzFrameStream(f *testing.F) {
-	var pipe bytes.Buffer
+	var pipe []byte
 	for _, p := range seedPayloads(f) {
-		_ = WriteFrame(&pipe, p)
+		pipe, _ = AppendFrame(pipe, p)
 	}
-	f.Add(pipe.Bytes())
+	f.Add(pipe)
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
-		for {
-			payload, err := ReadFrame(r)
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return
-			}
-			if len(payload) == 0 || len(payload) > MaxFrame {
-				t.Fatalf("ReadFrame returned out-of-bounds payload of %d bytes", len(payload))
-			}
+	f.Fuzz(fuzzReceive)
+}
+
+// fuzzReceive reads stream as a replica session does — frames through
+// one reused buffer, each payload decoded — until the first error. The
+// envelope's own contract is fuzzed in strip/internal/frame; this is
+// the layer above it: Decode must copy everything out of the buffer,
+// so no decoded message may change when later frames overwrite it.
+func fuzzReceive(t *testing.T, stream []byte) {
+	r := bytes.NewReader(stream)
+	var buf []byte
+	var msgs []Msg
+	var seen []string
+	for {
+		payload, b, err := frame.ReadBuf(r, buf, MaxFrame)
+		buf = b
+		if err != nil {
+			break
 		}
-	})
+		msg, err := Decode(payload)
+		if err != nil {
+			break
+		}
+		msgs = append(msgs, msg)
+		seen = append(seen, fmt.Sprint(msg))
+	}
+	for i, m := range msgs {
+		if now := fmt.Sprint(m); now != seen[i] {
+			t.Fatalf("message %d changed when the read buffer was reused:\n was %s\n now %s", i, seen[i], now)
+		}
+	}
+}
+
+// readFrame reads one frame's payload into a fresh buffer.
+func readFrame(r io.Reader) ([]byte, error) {
+	payload, _, err := frame.ReadBuf(r, nil, MaxFrame)
+	return payload, err
 }

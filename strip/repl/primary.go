@@ -41,7 +41,7 @@ type PrimaryConfig struct {
 //	                    when cold) or "SNAPSHOT" (force a bootstrap)
 //	primary → replica:  one text line, "EPOCH <epoch>" (the primary
 //	                    database's replication epoch), then binary
-//	                    frames (see WriteFrame), starting with a
+//	                    frames (see AppendFrame), starting with a
 //	                    snapshot frame when the replica's epoch is not
 //	                    this database's or its sequence is not
 //	                    resumable from the ring

@@ -588,7 +588,7 @@ func TestDeadConnectionReaped(t *testing.T) {
 	if _, err := readGreeting(br); err != nil {
 		t.Fatalf("greeting: %v", err)
 	}
-	if _, err := ReadFrame(br); err != nil {
+	if _, err := readFrame(br); err != nil {
 		t.Fatalf("bootstrap frame: %v", err)
 	}
 	waitFor(t, 5*time.Second, "connection to register", func() bool {

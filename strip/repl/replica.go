@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"repro/strip"
+	"repro/strip/internal/frame"
 	"repro/strip/obs"
 )
 
@@ -273,12 +273,14 @@ func (r *Replica) stream(conn net.Conn) int {
 		return 0
 	}
 	applied := 0
-	var frameBuf []byte // reused by ReadFrameBuf; Decode copies out of it
+	var frameBuf []byte // reused by frame.ReadBuf; Decode copies out of it
 	for {
-		payload, buf, err := ReadFrameBuf(br, frameBuf)
+		payload, buf, err := frame.ReadBuf(br, frameBuf, MaxFrame)
 		frameBuf = buf
 		if err != nil {
-			if corruptFrame(err) {
+			// A transport error (reset, closed connection) is a link
+			// failure, counted by reconnects, not a corrupt frame.
+			if frame.Corrupt(err) {
 				r.corrupt.Inc()
 			}
 			r.logStreamEnd(err, applied)
@@ -334,15 +336,6 @@ func readGreeting(br *bufio.Reader) (uint64, error) {
 		return 0, fmt.Errorf("repl: primary sent zero epoch")
 	}
 	return epoch, nil
-}
-
-// corruptFrame reports whether a ReadFrameBuf error condemns the bytes
-// received rather than the link: a failed checksum, an impossible
-// length, or a stream that ended inside a frame. A transport error
-// (reset, closed connection) is a link failure, counted by reconnects.
-func corruptFrame(err error) bool {
-	return errors.Is(err, ErrChecksum) || errors.Is(err, ErrFrameTooLarge) ||
-		errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // logStreamEnd reports why a session ended, quietly for plain EOF.
@@ -407,7 +400,7 @@ func (r *Replica) apply(msg Msg, connEpoch uint64) error {
 		r.observe(KindBatch, m.Sequence)
 		return nil
 	default:
-		return fmt.Errorf("%w: unexpected message %T", ErrMalformed, msg)
+		return fmt.Errorf("%w: unexpected message %T", frame.ErrMalformed, msg)
 	}
 }
 

@@ -23,7 +23,7 @@ var (
 const defaultChunkSize = 64 << 10
 
 // chunk is a run of consecutive wire-ready frames (len | payload |
-// crc32, exactly what WriteFrame puts on the wire) stored back to
+// crc32, exactly what AppendFrame puts on the wire) stored back to
 // back. Bytes below len(buf) are published and never written again;
 // appends only fill buf's spare capacity.
 type chunk struct {

@@ -90,7 +90,7 @@ func payloads(t *testing.T, spans [][]byte, n int) [][]byte {
 	br := bytes.NewReader(bytes.Join(spans, nil))
 	out := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := ReadFrame(br)
+		p, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d of %d: %v", i, n, err)
 		}
@@ -405,7 +405,7 @@ func TestRingConcurrentReadersSeeEveryFrame(t *testing.T) {
 				br := bytes.NewReader(bytes.Join(spans, nil))
 				for k := 0; k < n; k++ {
 					seq := from + uint64(k)
-					p, err := ReadFrame(br)
+					p, err := readFrame(br)
 					if err != nil || !bytes.Equal(p, ringPayload(seq, size(seq))) {
 						t.Errorf("reader at %d: frame %d is not the one appended (%v)", from, seq, err)
 						return

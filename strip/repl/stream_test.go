@@ -71,7 +71,7 @@ func TestStreamBytesMatchEncodeEvent(t *testing.T) {
 	if _, err := readGreeting(br); err != nil {
 		t.Fatalf("greeting: %v", err)
 	}
-	snap, err := ReadFrame(br)
+	snap, err := readFrame(br)
 	if err != nil {
 		t.Fatalf("bootstrap frame: %v", err)
 	}
