@@ -1,10 +1,10 @@
 package strip
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -402,8 +402,8 @@ func TestWALCheckpointAndRecovery(t *testing.T) {
 	// The checkpoint rotated to a fresh active segment: only the
 	// generation header remains, and the sealed predecessor is pruned.
 	data, err := os.ReadFile(cfg.WALPath)
-	if err != nil || !strings.HasPrefix(string(data), "wal ") || strings.Contains(string(data), "set ") {
-		t.Fatalf("WAL after checkpoint: %q err=%v", data, err)
+	if err != nil || !bytes.Equal(data, segmentFile(2)) {
+		t.Fatalf("WAL after checkpoint: %x err=%v, want the header of generation 2 alone", data, err)
 	}
 	if _, err := os.Stat(cfg.WALPath + ".g00000001"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("sealed segment not pruned after checkpoint: %v", err)
@@ -433,12 +433,14 @@ func TestWALTornTailIgnored(t *testing.T) {
 	}
 	setKey(t, db, "good", 1)
 	db.Close()
-	// Simulate a crash mid-append: a set without its commit.
+	// Simulate a crash mid-append: a batch record short of its last
+	// byte.
 	f, err := os.OpenFile(cfg.WALPath, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString("set \"torn\" 99\n")
+	torn := frameRecord(nil, batchPayload(2, kv("torn", 99)))
+	f.Write(torn[:len(torn)-1])
 	f.Close()
 
 	db2, err := Open(cfg)

@@ -440,7 +440,7 @@ func TestWALAppendAllocatesNothing(t *testing.T) {
 	defer w.close()
 	writes := map[string]float64{"last-price": 1.6612, "position": -3}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := w.appendBatch(writes); err != nil {
+		if err := w.appendBatch(1, writes); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

@@ -1,13 +1,16 @@
 package strip
 
 import (
+	"bytes"
 	"errors"
-	"strconv"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/strip/fault"
+	"repro/strip/internal/frame"
 )
 
 func FuzzParseUpdateLine(f *testing.F) {
@@ -36,27 +39,12 @@ func FuzzParseUpdateLine(f *testing.F) {
 	})
 }
 
-func FuzzParseSetLine(f *testing.F) {
-	f.Add(`set "key" 1.5`)
-	f.Add(`set "weird \"key\"" -2`)
-	f.Add(`commit`)
-	f.Add(`set x 1`)
-	f.Add(``)
-	f.Fuzz(func(t *testing.T, line string) {
-		key, value, err := parseSetLine(line)
-		if err != nil {
-			return
-		}
-		_ = key
-		_ = value
-	})
-}
-
 func FuzzWALRoundTrip(f *testing.F) {
 	f.Add("plain", 1.5)
 	f.Add("key with spaces", -2.25)
 	f.Add("quotes\"and\\slashes", 0.0)
 	f.Add("newline\nkey", 9e99)
+	f.Add(strings.Repeat("k", math.MaxUint16+1), 1.0)
 	f.Fuzz(func(t *testing.T, key string, val float64) {
 		if val != val {
 			return // NaN never compares equal
@@ -74,7 +62,13 @@ func FuzzWALRoundTrip(f *testing.F) {
 				return nil
 			},
 		})
-		if !res.Committed() {
+		// A key no frame can carry is refused, not logged.
+		tooLong := len(key) > math.MaxUint16
+		if tooLong && (res.State != Failed || !errors.Is(res.Err, frame.ErrTooLarge)) {
+			db.Close()
+			t.Fatalf("commit of a %d-byte key: %+v, want Failed with frame.ErrTooLarge", len(key), res)
+		}
+		if !tooLong && !res.Committed() {
 			db.Close()
 			t.Fatalf("commit failed: %+v", res)
 		}
@@ -94,6 +88,12 @@ func FuzzWALRoundTrip(f *testing.F) {
 				return nil
 			},
 		})
+		if tooLong {
+			if ok {
+				t.Fatalf("refused %d-byte key recovered", len(key))
+			}
+			return
+		}
 		if !ok || got != val {
 			t.Fatalf("recovered %q = %v (%v), want %v", key, got, ok, val)
 		}
@@ -101,46 +101,45 @@ func FuzzWALRoundTrip(f *testing.F) {
 }
 
 // referenceReplay is a deliberately straightforward model of the
-// active-segment replay contract, independent of the staged
-// implementation in wal.go: batches apply only with a terminated
-// commit line, the final record may be torn (unparsable or missing
-// its newline), and any record after a torn one is mid-log corruption.
-// It returns corrupt=true where recovery must fail.
+// active-segment replay contract, built on strip/internal/frame alone
+// and independent of the reader in wal.go: the file opens with a
+// segment header record, every later record is a batch that applies
+// whole, a file that ends inside a frame has a torn tail that is
+// dropped (inside the header: the segment died at birth and is
+// empty), and any whole frame that fails its checksum, length or
+// decode is corruption. It returns corrupt=true where recovery must
+// fail.
 func referenceReplay(data []byte) (state map[string]float64, corrupt bool) {
-	lines, _, term := splitLines(data)
 	state = map[string]float64{}
-	start := 0
-	if len(lines) > 0 && strings.HasPrefix(lines[0], "wal ") {
-		if len(lines) == 1 && !term {
-			return state, false // torn header: segment died at birth
-		}
-		if _, err := strconv.ParseUint(lines[0][len("wal "):], 10, 64); err != nil {
+	r := bytes.NewReader(data)
+	for headed := false; ; headed = true {
+		payload, _, err := frame.ReadBuf(r, nil, frame.MaxRecord)
+		switch {
+		case err == io.EOF, errors.Is(err, io.ErrUnexpectedEOF):
+			return state, false
+		case err != nil:
 			return nil, true
 		}
-		start = 1
-	}
-	batch := map[string]float64{}
-	torn := false
-	for i := start; i < len(lines); i++ {
-		if torn {
-			return nil, true // a record after damage proves it mid-log
-		}
-		last := i == len(lines)-1 && !term
-		if lines[i] == "commit" && !last {
-			for k, v := range batch {
-				state[k] = v
+		d := frame.NewDecoder(payload)
+		kind := d.U8()
+		d.U64()
+		switch {
+		case !headed && kind == frame.KindSegment:
+			if d.Finish() != nil {
+				return nil, true
 			}
-			batch = map[string]float64{}
-			continue
+		case headed && kind == frame.KindBatch:
+			kvs := d.Pairs32()
+			if d.Finish() != nil {
+				return nil, true
+			}
+			for _, kv := range kvs {
+				state[kv.Key] = kv.Value
+			}
+		default:
+			return nil, true
 		}
-		key, value, err := parseSetLine(lines[i])
-		if last || err != nil {
-			torn = true // tolerated only as the final record
-			continue
-		}
-		batch[key] = value
 	}
-	return state, false
 }
 
 // FuzzReplayWAL feeds arbitrary bytes to recovery as the active WAL
@@ -149,15 +148,17 @@ func referenceReplay(data []byte) (state map[string]float64, corrupt bool) {
 // model says the log is corrupt, and must otherwise produce exactly
 // the model's state.
 func FuzzReplayWAL(f *testing.F) {
-	f.Add([]byte("wal 1\nset \"a\" 1\ncommit\n"))
-	f.Add([]byte("wal 1\nset \"a\" 1\ncommit\nset \"b\" 2\nGARB"))
-	f.Add([]byte("wal 1\nset \"a\" 1\ncommit\nGARBAGE\nset \"b\" 2\ncommit\n"))
-	f.Add([]byte("set \"legacy\" 3\ncommit\n")) // headerless generation 0
-	f.Add([]byte("wal 1\nset \"a\" 1\ncommit")) // unterminated commit token
-	f.Add([]byte("wal x\n"))
-	f.Add([]byte("wal 2"))
-	f.Add([]byte(""))
-	f.Add([]byte("\n\n"))
+	one := segmentFile(1, []KeyValue{kv("a", 1)})
+	two := segmentFile(1, []KeyValue{kv("a", 1)}, []KeyValue{kv("b", 2), kv("c", 3)})
+	f.Add(two)                                    // clean
+	f.Add(segmentFile(1)[:9])                     // torn header
+	f.Add(two[:len(two)-3])                       // torn record
+	f.Add(badCRC(two, len(two)))                  // bad CRC on the final record
+	f.Add(badCRC(two, len(one)))                  // bad CRC mid-log
+	f.Add(append(one, 0, 0, 0, 0))                // zero length
+	f.Add([]byte("wal 1\nset \"a\" 1\ncommit\n")) // text file
+	f.Add([]byte(""))                             // empty file
+	f.Add(two[len(segmentFile(1)):])              // batches without their header
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := fault.NewMemFS()
 		if err := fs.WriteFile("wal", data); err != nil {
@@ -225,22 +226,5 @@ func TestLikeMatchTable(t *testing.T) {
 		if got := likeMatch(c.s, c.pattern); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.s, c.pattern, got, c.want)
 		}
-	}
-}
-
-func TestUnquoteToken(t *testing.T) {
-	key, rest, err := unquoteToken(`"hello" world`)
-	if err != nil || key != "hello" || strings.TrimSpace(rest) != "world" {
-		t.Fatalf("unquoteToken = %q, %q, %v", key, rest, err)
-	}
-	if _, _, err := unquoteToken(`nope`); err == nil {
-		t.Fatal("missing quote should fail")
-	}
-	if _, _, err := unquoteToken(`"unterminated`); err == nil {
-		t.Fatal("unterminated quote should fail")
-	}
-	key, _, err = unquoteToken(`"with \"escape\"" 1`)
-	if err != nil || key != `with "escape"` {
-		t.Fatalf("escaped key = %q, %v", key, err)
 	}
 }

@@ -1,12 +1,17 @@
-// Package frame is the one record envelope of the strip replication
-// stream, the election wire and the election ledger: a frame is
+// Package frame is the one record envelope of the strip logs — the
+// replication stream, the write-ahead log's segments and checkpoint
+// snapshots — and of the election wire and ledger: a frame is
 //
 //	len:u32 | payload | crc32(payload)
 //
-// big-endian, IEEE CRC, with 0 < len <= a cap each protocol passes in
-// (strip/repl 8 MiB, strip/elect 64 KiB). The package writes and checks
-// frames and supplies the bounds-checked payload cursor every payload
-// layout decodes with; the layouts themselves belong to the protocols.
+// big-endian, IEEE CRC, with 0 < len <= a cap each user passes in
+// (MaxRecord, 8 MiB, for the strip logs; strip/elect 64 KiB). The
+// package writes and checks frames and supplies the bounds-checked
+// payload cursor every payload layout decodes with. The layouts the
+// strip logs share live here too (record.go): one block of kind
+// bytes, the key/value pair list and the batch record, so a committed
+// batch has the same bytes in the stream and in the WAL. The layouts
+// only one protocol uses belong to that protocol.
 package frame
 
 import (

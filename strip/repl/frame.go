@@ -14,27 +14,28 @@ package repl
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/strip"
 	"repro/strip/internal/frame"
 )
 
-// Frame kinds, the first payload byte.
+// Frame kinds, the first payload byte: the stream's share of the kind
+// block the strip logs declare in strip/internal/frame.
 const (
 	// KindUpdate frames one installed view update.
-	KindUpdate byte = 1
-	// KindBatch frames one committed general-data write batch.
-	KindBatch byte = 2
+	KindUpdate = frame.KindUpdate
+	// KindBatch frames one committed general-data write batch, the
+	// same record a WAL segment holds for it.
+	KindBatch = frame.KindBatch
 	// KindSnapshot frames a full bootstrap snapshot.
-	KindSnapshot byte = 3
+	KindSnapshot = frame.KindSnapshot
 )
 
-// MaxFrame bounds a frame payload. Update and batch frames are tiny;
-// the cap exists for snapshots and as the codec's defense against a
-// corrupt or hostile length prefix.
-const MaxFrame = 8 << 20
+// MaxFrame bounds a frame payload: the strip logs' record cap. Update
+// and batch frames are tiny; the cap exists for snapshots and as the
+// codec's defense against a corrupt or hostile length prefix.
+const MaxFrame = frame.MaxRecord
 
 // AppendFrame appends one frame (strip/internal/frame's envelope,
 // payload capped at MaxFrame) to dst and returns the extended slice.
@@ -82,6 +83,7 @@ func (m *SnapshotMsg) Seq() uint64 { return m.Snap.Seq }
 
 // Payload layouts, all integers big-endian. Strings carry a uint16
 // length; key/value pairs are a string key and a float64 bit pattern.
+// The batch layout and the pair list are frame.AppendBatch's.
 //
 //	update:   kind seq:u64 gen:i64 value:f64 importance:u8 flags:u8
 //	          object:str nfields:u16 pair*
@@ -129,11 +131,9 @@ func appendEvent(b []byte, ev strip.ReplEvent) ([]byte, error) {
 		if b, err = frame.AppendString(b, ev.Object); err != nil {
 			return nil, err
 		}
-		return appendPairs16(b, ev.Fields)
+		return frame.AppendPairs16(b, ev.Fields)
 	case strip.ReplBatch:
-		b = append(b, KindBatch)
-		b = binary.BigEndian.AppendUint64(b, ev.Seq)
-		return appendPairs32(b, ev.Writes)
+		return frame.AppendBatch(b, ev.Seq, ev.Writes)
 	default:
 		return nil, fmt.Errorf("%w: unknown event kind %d", frame.ErrMalformed, ev.Kind)
 	}
@@ -155,11 +155,11 @@ func EncodeSnapshot(s strip.Snapshot) ([]byte, error) {
 		b = append(b, byte(v.Importance))
 		b = binary.BigEndian.AppendUint64(b, uint64(genNanos(v.Generated)))
 		b = frame.AppendF64(b, v.Value)
-		if b, err = appendPairs16(b, v.Fields); err != nil {
+		if b, err = frame.AppendPairs16(b, v.Fields); err != nil {
 			return nil, err
 		}
 	}
-	return appendPairs32(b, s.General)
+	return frame.AppendPairs32(b, s.General)
 }
 
 // Decode parses a frame payload into its message. The returned
@@ -179,11 +179,11 @@ func Decode(payload []byte) (Msg, error) {
 		flags := d.U8()
 		m.Partial = flags&flagPartial != 0
 		m.Object = d.Str()
-		m.Fields = pairs16(&d)
+		m.Fields = d.Pairs16()
 		return finish(&d, m)
 	case KindBatch:
 		m := &BatchMsg{Sequence: seq}
-		m.Writes = pairs32(&d)
+		m.Writes = d.Pairs32()
 		return finish(&d, m)
 	case KindSnapshot:
 		m := &SnapshotMsg{Snap: strip.Snapshot{Seq: seq}}
@@ -194,10 +194,10 @@ func Decode(payload []byte) (Msg, error) {
 			v.Importance = importance(&d)
 			v.Generated = nanosGen(int64(d.U64()))
 			v.Value = d.F64()
-			v.Fields = pairs16(&d)
+			v.Fields = d.Pairs16()
 			m.Snap.Views = append(m.Snap.Views, v)
 		}
-		m.Snap.General = pairs32(&d)
+		m.Snap.General = d.Pairs32()
 		return finish(&d, m)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", frame.ErrMalformed, kind)
@@ -229,12 +229,10 @@ func nanosGen(n int64) time.Time {
 	return time.Unix(0, n)
 }
 
-// minimum encoded sizes, used to reject absurd element counts before
-// allocating.
-const (
-	minPairBytes = 2 + 8             // empty key + value
-	minViewBytes = 2 + 1 + 8 + 8 + 2 // empty name + importance + gen + value + field count
-)
+// minViewBytes is the smallest encoded snapshot view (empty name +
+// importance + gen + value + field count), used to reject an absurd
+// view count before allocating.
+const minViewBytes = 2 + 1 + 8 + 8 + 2
 
 // importance reads an importance class, rejecting values the
 // scheduler's class queue has no partition for: a version-skewed or
@@ -245,45 +243,4 @@ func importance(d *frame.Decoder) strip.Importance {
 		d.Failf("importance out of range")
 	}
 	return imp
-}
-
-func pairs16(d *frame.Decoder) []strip.KeyValue { return pairs(d, d.Count16(minPairBytes)) }
-
-func pairs32(d *frame.Decoder) []strip.KeyValue { return pairs(d, d.Count32(minPairBytes)) }
-
-func pairs(d *frame.Decoder, n int) []strip.KeyValue {
-	if n == 0 {
-		return nil
-	}
-	out := make([]strip.KeyValue, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, strip.KeyValue{Key: d.Str(), Value: d.F64()})
-	}
-	return out
-}
-
-// appendPairs16 appends a uint16-counted pair list.
-func appendPairs16(b []byte, kvs []strip.KeyValue) ([]byte, error) {
-	if len(kvs) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d pairs", frame.ErrTooLarge, len(kvs))
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(kvs)))
-	return appendPairList(b, kvs)
-}
-
-// appendPairs32 appends a uint32-counted pair list.
-func appendPairs32(b []byte, kvs []strip.KeyValue) ([]byte, error) {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(kvs)))
-	return appendPairList(b, kvs)
-}
-
-func appendPairList(b []byte, kvs []strip.KeyValue) ([]byte, error) {
-	var err error
-	for _, kv := range kvs {
-		if b, err = frame.AppendString(b, kv.Key); err != nil {
-			return nil, err
-		}
-		b = frame.AppendF64(b, kv.Value)
-	}
-	return b, nil
 }

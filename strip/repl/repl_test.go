@@ -3,15 +3,20 @@ package repl
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/strip"
+	"repro/strip/fault"
+	"repro/strip/internal/frame"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -502,6 +507,85 @@ func TestWALRecoveredStateBootstrapsReplica(t *testing.T) {
 	waitFor(t, 5*time.Second, "WAL-recovered state to reach the replica", func() bool {
 		_, uu := replica.ReplicaLag()
 		return uu == 0 && bytes.Equal(encodedState(t, primary), encodedState(t, replica))
+	})
+}
+
+// TestWALBatchFrameMatchesRing pins the one log format: a commit on a
+// WAL-backed primary puts in its WAL segment exactly the frame the
+// primary's ring holds for the commit's sequence number. A view
+// install goes first, so the batch's sequence is not the segment's
+// first record number by accident.
+func TestWALBatchFrameMatchesRing(t *testing.T) {
+	fs := fault.NewMemFS()
+	db := openDB(t, strip.Config{Policy: strip.UpdatesFirst, WALPath: "wal", FS: fs})
+	if err := db.DefineView("fx/a", strip.High); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := servePrimary(t, db, PrimaryConfig{})
+	feedUpdates(t, db, []string{"fx/a"}, 1, time.Now())
+	waitFor(t, 5*time.Second, "the install to take sequence 1", func() bool { return db.Sequence() == 1 })
+	res := db.Exec(strip.TxnSpec{
+		Deadline: time.Now().Add(5 * time.Second),
+		Func: func(tx *strip.Tx) error {
+			tx.Set("position", -3)
+			tx.Set("last-price", 1.6612)
+			return nil
+		},
+	})
+	if !res.Committed() {
+		t.Fatalf("commit: %+v", res)
+	}
+
+	seg, err := fs.ReadFile("wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walFrame := seg[8+binary.BigEndian.Uint32(seg):] // past the header record
+	p.ring.mu.Lock()
+	spans, n, err := p.ring.readLocked(2, nil)
+	p.ring.mu.Unlock()
+	if err != nil || n != 1 {
+		t.Fatalf("ring read at sequence 2: %d frames, %v", n, err)
+	}
+	ringFrame := spans[0][:8+binary.BigEndian.Uint32(spans[0])]
+	if !bytes.Equal(walFrame, ringFrame) {
+		t.Fatalf("WAL record differs from the ring's frame:\n wal %x\nring %x", walFrame, ringFrame)
+	}
+	if msg, err := Decode(ringFrame[4 : len(ringFrame)-4]); err != nil || msg.Seq() != 2 {
+		t.Fatalf("ring frame decodes to %v, %v; want the batch at sequence 2", msg, err)
+	}
+}
+
+// TestWALRefusedCommitKeepsBootstrap is the replication half of the
+// oversized-key regression: a WAL-backed primary refuses a commit
+// whose key no frame can carry, so its general store never holds one,
+// and a cold replica still bootstraps from it afterwards.
+func TestWALRefusedCommitKeepsBootstrap(t *testing.T) {
+	primary := openDB(t, strip.Config{Policy: strip.UpdatesFirst, WALPath: filepath.Join(t.TempDir(), "general.wal")})
+	_, addr := servePrimary(t, primary, PrimaryConfig{})
+	execSet(t, primary, "book/x", 1)
+	res := primary.Exec(strip.TxnSpec{
+		Deadline: time.Now().Add(5 * time.Second),
+		Func: func(tx *strip.Tx) error {
+			tx.Set(strings.Repeat("k", 70000), 2)
+			return nil
+		},
+	})
+	if res.State != strip.Failed || !errors.Is(res.Err, frame.ErrTooLarge) {
+		t.Fatalf("oversized commit: %+v, want Failed wrapping frame.ErrTooLarge", res)
+	}
+	execSet(t, primary, "book/y", 2)
+
+	replica := openDB(t, strip.Config{Policy: strip.UpdatesFirst})
+	r, err := StartReplica(replica, ReplicaConfig{
+		Addr: addr, BackoffBase: 2 * time.Millisecond, Seed: 14,
+	})
+	if err != nil {
+		t.Fatalf("StartReplica: %v", err)
+	}
+	t.Cleanup(func() { r.Close() })
+	waitFor(t, 5*time.Second, "a cold replica to bootstrap after the refused commit", func() bool {
+		return bytes.Equal(encodedState(t, primary), encodedState(t, replica))
 	})
 }
 

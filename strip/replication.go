@@ -1,6 +1,7 @@
 package strip
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/strip/internal/frame"
 	"repro/strip/obs"
 )
 
@@ -40,10 +42,9 @@ const (
 )
 
 // KeyValue is one key/value pair in deterministic (sorted) encodings.
-type KeyValue struct {
-	Key   string
-	Value float64
-}
+// It is the record layer's pair, so the replication stream and the WAL
+// encode the same type.
+type KeyValue = frame.KeyValue
 
 // ReplEvent is one element of the replication stream, in total order.
 type ReplEvent struct {
@@ -219,16 +220,24 @@ func (db *DB) emitSnapshotViewLocked(v SnapshotView) {
 // the WAL and in the replication stream. A batch the WAL cannot
 // record fails fast with ErrDurability and is neither applied to
 // memory nor published — a replica never sees a batch the primary
-// could lose.
+// could lose. A batch no frame can carry is refused before the WAL is
+// touched, likewise unapplied and unpublished, and is no WAL failure:
+// logged and applied, it would sit in every snapshot a cold replica
+// needs, and none would encode.
 func (db *DB) applyWritesLocked(writes map[string]float64) error {
 	if db.wal != nil {
 		if db.dur.Degraded() {
 			return db.degradedErrLocked()
 		}
 		start := db.nowNanos()
-		err := db.wal.appendBatch(writes)
+		// The record carries the sequence number emitBatchLocked is
+		// about to assign: it is the ring's frame for this batch.
+		err := db.wal.appendBatch(db.seq+1, writes)
 		db.obs.stage[obs.StageWALAppend].Observe(db.nowNanos() - start)
-		if err != nil {
+		switch {
+		case errors.Is(err, frame.ErrTooLarge):
+			return fmt.Errorf("strip: commit refused: %w", err)
+		case err != nil:
 			return db.walFailedLocked(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package strip
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -293,7 +294,7 @@ func TestCheckpointKeepsConcurrentCommit(t *testing.T) {
 	ops := fs.Ops()
 	durIdx := -1
 	for i, op := range ops {
-		if op.Kind == fault.OpWrite && strings.Contains(string(op.Data), `"during"`) {
+		if op.Kind == fault.OpWrite && op.Name == "wal" && bytes.Contains(op.Data, []byte("during")) {
 			durIdx = i
 		}
 	}
@@ -314,12 +315,14 @@ func TestCheckpointKeepsConcurrentCommit(t *testing.T) {
 // TestReplayRejectsMidLogCorruption is the regression for replayWAL's
 // old behaviour of silently treating ANY parse error as a torn tail:
 // corruption followed by later intact records must surface as a typed
-// error naming the file, line and offset, and must not silently drop
-// the tail.
+// error naming the file and offset, and must not silently drop the
+// tail.
 func TestReplayRejectsMidLogCorruption(t *testing.T) {
 	fs := fault.NewMemFS()
-	if err := fs.WriteFile("wal",
-		[]byte("wal 1\nset \"a\" 1\ncommit\nGARBAGE RECORD\nset \"b\" 2\ncommit\n")); err != nil {
+	intact := segmentFile(1, []KeyValue{kv("a", 1)})
+	log := segmentFile(1, []KeyValue{kv("a", 1)}, []KeyValue{kv("garbage", 0)}, []KeyValue{kv("b", 2)})
+	garbageEnd := len(segmentFile(1, []KeyValue{kv("a", 1)}, []KeyValue{kv("garbage", 0)}))
+	if err := fs.WriteFile("wal", badCRC(log, garbageEnd)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Open(Config{Policy: TransactionsFirst, WALPath: "wal", FS: fs})
@@ -330,20 +333,18 @@ func TestReplayRejectsMidLogCorruption(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("error is not a *WALCorruptError: %v", err)
 	}
-	if ce.File != "wal" || ce.Line != 4 {
-		t.Fatalf("corruption located at %s:%d, want wal:4 (%v)", ce.File, ce.Line, err)
-	}
-	if ce.Offset != int64(len("wal 1\nset \"a\" 1\ncommit\n")) {
-		t.Fatalf("corruption offset %d: %v", ce.Offset, err)
+	if ce.File != "wal" || ce.Offset != int64(len(intact)) {
+		t.Fatalf("corruption located at %s byte %d, want wal byte %d (%v)", ce.File, ce.Offset, len(intact), err)
 	}
 }
 
-// TestReplayToleratesTornTail: the same garbage as the final record is
-// a crash artifact and recovery proceeds with the intact prefix.
+// TestReplayToleratesTornTail: a record cut short by the end of the
+// file is a crash artifact and recovery proceeds with the intact
+// prefix.
 func TestReplayToleratesTornTail(t *testing.T) {
 	fs := fault.NewMemFS()
-	if err := fs.WriteFile("wal",
-		[]byte("wal 1\nset \"a\" 1\ncommit\nset \"b\" 2\nGARB")); err != nil {
+	log := segmentFile(1, []KeyValue{kv("a", 1)}, []KeyValue{kv("b", 2)})
+	if err := fs.WriteFile("wal", log[:len(log)-12]); err != nil {
 		t.Fatal(err)
 	}
 	state, err := recoveredState(fs)
@@ -358,13 +359,13 @@ func TestReplayToleratesTornTail(t *testing.T) {
 	}
 }
 
-// TestReplayDropsUnterminatedCommit: a final "commit" token without
-// its newline is a torn append — the batch never committed and must
-// not resurrect.
+// TestReplayDropsUnterminatedCommit: a final record missing only the
+// last byte of its checksum is a torn append — every write in it is on
+// disk, but the batch never committed and must not resurrect.
 func TestReplayDropsUnterminatedCommit(t *testing.T) {
 	fs := fault.NewMemFS()
-	if err := fs.WriteFile("wal",
-		[]byte("wal 1\nset \"a\" 1\ncommit\nset \"b\" 2\ncommit")); err != nil {
+	log := segmentFile(1, []KeyValue{kv("a", 1)}, []KeyValue{kv("b", 2)})
+	if err := fs.WriteFile("wal", log[:len(log)-1]); err != nil {
 		t.Fatal(err)
 	}
 	state, err := recoveredState(fs)
@@ -517,7 +518,7 @@ func TestTornTailSurvivesReopenCommitReopen(t *testing.T) {
 	}
 
 	// Tear the last 3 bytes off the active segment (a crash mid-append
-	// of the "commit" line), as the disk after a real crash would look.
+	// of the batch record), as the disk after a real crash would look.
 	data, err := fs.ReadFile("wal")
 	if err != nil {
 		t.Fatal(err)
@@ -553,15 +554,14 @@ func TestTornTailSurvivesReopenCommitReopen(t *testing.T) {
 	}
 }
 
-// TestUncommittedTailDoesNotMergeWithNextBatch: a cleanly-parsing set
-// line without its commit (a crash between buffered flushes) is
-// discarded at replay — so its bytes must not survive for the next
-// appended batch's commit line to adopt, silently committing writes
-// that never committed.
+// TestUncommittedTailDoesNotMergeWithNextBatch: a record whose whole
+// payload reached the disk but not its checksum is discarded at replay
+// — so its bytes must not survive for the next appended record to
+// absorb, silently committing writes that never committed.
 func TestUncommittedTailDoesNotMergeWithNextBatch(t *testing.T) {
 	fs := fault.NewMemFS()
-	if err := fs.WriteFile("wal",
-		[]byte("wal 1\nset \"a\" 1\ncommit\nset \"b\" 2\n")); err != nil {
+	log := segmentFile(1, []KeyValue{kv("a", 1)}, []KeyValue{kv("b", 2)})
+	if err := fs.WriteFile("wal", log[:len(log)-4]); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Open(Config{Policy: TransactionsFirst, WALPath: "wal", FS: fs})
@@ -647,11 +647,10 @@ func TestCheckpointHealsAfterSegmentCreateFailure(t *testing.T) {
 func TestSealedSegmentsWideGenerations(t *testing.T) {
 	fs := fault.NewMemFS()
 	if err := fs.WriteFile(segmentName("wal", 100000000),
-		[]byte("wal 100000000\nset \"a\" 1\ncommit\n")); err != nil {
+		segmentFile(100000000, []KeyValue{kv("a", 1)})); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.WriteFile("wal",
-		[]byte("wal 100000001\nset \"b\" 2\ncommit\n")); err != nil {
+	if err := fs.WriteFile("wal", segmentFile(100000001, []KeyValue{kv("b", 2)})); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := sealedSegments(fs, "wal")

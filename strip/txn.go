@@ -271,7 +271,10 @@ func (tx *Tx) Get(key string) (float64, bool) {
 	return v, ok
 }
 
-// Set buffers a general-data write, applied atomically at commit.
+// Set buffers a general-data write, applied atomically at commit. With
+// a WAL configured, a commit no log record can carry — a key over
+// 65 535 bytes, or writes encoding to more than 8 MiB — ends Failed
+// with nothing logged or applied.
 func (tx *Tx) Set(key string, v float64) {
 	if tx.checkState() != nil {
 		return

@@ -2,6 +2,7 @@ package strip
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,63 +13,66 @@ import (
 	"strings"
 
 	"repro/strip/fault"
+	"repro/strip/internal/frame"
 	"repro/strip/obs"
 )
 
 // The write-ahead log makes general data durable: every committed
-// transaction's Set operations are appended as one record, and Open
-// replays the log (on top of the latest checkpoint snapshot) before
-// accepting work. View data is deliberately not logged — it mirrors
-// the external world and is re-derivable from the update stream, the
-// same reasoning STRIP applied.
+// transaction's writes are appended as one record, and Open replays
+// the log (on top of the latest checkpoint snapshot) before accepting
+// work. View data is deliberately not logged — it mirrors the external
+// world and is re-derivable from the update stream, the same reasoning
+// STRIP applied.
 //
 // The log is a sequence of generation-numbered segments. The active
-// segment lives at Config.WALPath; sealed segments live beside it as
-// <path>.gNNNNNNNN. Every segment opens with a header line naming its
-// generation, and the checkpoint snapshot (<path>.snap) opens with a
-// header naming the first generation it does NOT cover:
+// segment lives at Config.WALPath, sealed segments beside it as
+// <path>.gNNNNNNNN, the checkpoint snapshot at <path>.snap. Every file
+// is a run of strip/internal/frame frames (len:u32 | payload | crc32),
+// the replication stream's envelope, holding the stream's own records:
 //
-//	wal <gen>                    (segment header)
-//	set <quoted-key> <value>     (one per write in the batch)
-//	commit                       (seals the batch)
+//	segment:  header(kind=4 gen:u64) batch*
+//	snapshot: header(kind=5 gen:u64) batch*   gen: first one not covered
+//	batch:    kind=2 seq:u64 n:u32 pair*      frame.AppendBatch
 //
-//	snap <gen>                   (snapshot header)
-//	set <quoted-key> <value>     (one per key, sorted)
+// A commit's record is byte for byte the frame the replication ring
+// holds for it: both are frame.AppendBatch at the sequence number the
+// commit takes. A snapshot's batches carry seq 0 and are split so no
+// frame exceeds frame.MaxRecord. Pairs are in sorted key order, so
+// equal states produce byte-identical files.
 //
-// Records are written in sorted key order, so equal states produce
-// byte-identical files. Checkpoint never rewrites a file in place: it
-// seals the active segment with a rename, starts a fresh one, and
-// only then writes the snapshot. Commits that land while the snapshot
-// is being written go to the new segment, which the snapshot does not
-// cover — nothing is ever truncated away, so no committed write can
-// be lost to a checkpoint and no stale bytes can resurrect after a
-// crash. Recovery loads the snapshot, then replays the sealed
-// segments it does not cover plus the active segment, applying whole
-// batches only.
+// Checkpoint never rewrites a file in place: it seals the active
+// segment with a rename, starts a fresh one, and only then writes the
+// snapshot. Commits that land while the snapshot is being written go
+// to the new segment, which the snapshot does not cover — nothing is
+// ever truncated away, so no committed write can be lost to a
+// checkpoint and no stale bytes can resurrect after a crash. Recovery
+// loads the snapshot, then replays the sealed segments it does not
+// cover plus the active segment.
 //
-// A batch without its terminated commit line (a crash or torn write
-// mid-append) is ignored at replay — but only when it is the final
-// record of the log. Corruption followed by later records cannot be
-// explained by a crash and surfaces as a *WALCorruptError. Headerless
-// files written by earlier versions are read as generation 0.
+// A crash leaves a byte prefix of the write it interrupted, so a
+// segment that ends inside a frame has a torn tail: that record never
+// committed and replay drops it, as long as no later segment holds a
+// record. Anything else is damage a crash cannot explain and a
+// *WALCorruptError: a whole frame that fails its checksum, length or
+// decode, a file that does not open with its header, a torn record
+// with records after it. Files in the text format of earlier versions
+// are refused that way too — their first bytes read as a length over
+// the cap — and no converter exists.
 //
 // Tolerating a torn tail obliges recovery to remove it: the tail's
 // bytes are still in the file, and appending new commits after them
-// would either merge uncommitted writes into the next batch or turn
-// the tolerated tail into mid-log damage that bricks the next Open.
-// So recovery truncates the segment holding the torn or uncommitted
-// tail back to its last terminated commit before the writer reopens
-// it — the discarded bytes are exactly the ones replay ignores.
+// would turn the tolerated tail into mid-log damage that bricks the
+// next Open. So recovery truncates the segment holding the torn tail
+// back to its last whole frame before the writer reopens it.
 
 // WALCorruptError reports damage to the write-ahead log or snapshot
-// that cannot be explained by a crash mid-append: a record that fails
-// to parse, or a torn batch followed by later intact records.
-// Recovery refuses to guess and returns it from Open.
+// that cannot be explained by a crash mid-append: a whole frame that
+// fails its checksum, length or decode, a file that does not open with
+// its header, or a torn record followed by later records. Recovery
+// refuses to guess and returns it from Open.
 type WALCorruptError struct {
 	// File is the corrupt segment or snapshot path.
 	File string
-	// Line is the 1-based line number of the bad record.
-	Line int
 	// Offset is the byte offset of the bad record's first byte.
 	Offset int64
 	// Reason describes the damage.
@@ -76,31 +80,29 @@ type WALCorruptError struct {
 }
 
 func (e *WALCorruptError) Error() string {
-	return fmt.Sprintf("strip: corrupt WAL %s:%d (byte %d): %s", e.File, e.Line, e.Offset, e.Reason)
+	return fmt.Sprintf("strip: corrupt WAL %s (byte %d): %s", e.File, e.Offset, e.Reason)
 }
 
 // walWriter appends committed batches to the active log segment. It
 // is guarded by db.mu. After any append, sync or rotation failure the
-// writer is poisoned: broken holds the first cause, the buffer is
-// discarded (a partial batch must never reach the file later), and
-// every call fails fast until a checkpoint rotates to a fresh
-// segment.
+// writer is poisoned: broken holds the first cause and every call
+// fails fast until a checkpoint rotates to a fresh segment, so the
+// prefix a failed write left stays the segment's final, torn record.
 type walWriter struct {
 	fs   fault.FS
 	path string
 	gen  uint64
 	f    fault.File
-	buf  *bufio.Writer
 	// sealed means rotation renamed the active segment for gen away
 	// but failed before creating its successor: the active path does
 	// not exist, and the next rotation must skip straight to creating
 	// the fresh segment instead of renaming again.
 	sealed bool
 	broken error
-	// kvScratch and encScratch are reused across appendBatch calls so
-	// a steady-state commit encodes its records with zero allocations.
-	kvScratch  []KeyValue
-	encScratch []byte
+	// kvs and rec are reused across appendBatch calls so a
+	// steady-state commit frames its record with zero allocations.
+	kvs []KeyValue
+	rec []byte
 }
 
 // walState is what recovery learned about the on-disk log, consumed
@@ -113,31 +115,30 @@ type walState struct {
 }
 
 // openWAL opens the active segment for appending, creating a fresh
-// generation-headed one when recovery found none usable.
+// one when recovery found none usable.
 func openWAL(fsys fault.FS, path string, st walState) (*walWriter, error) {
 	if st.activeOK {
 		f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("strip: opening WAL: %w", err)
 		}
-		return &walWriter{fs: fsys, path: path, gen: st.activeGen, f: f, buf: bufio.NewWriter(f)}, nil
+		return &walWriter{fs: fsys, path: path, gen: st.activeGen, f: f}, nil
 	}
 	f, err := newActiveSegment(fsys, path, st.nextGen)
 	if err != nil {
 		return nil, fmt.Errorf("strip: creating WAL: %w", err)
 	}
-	return &walWriter{fs: fsys, path: path, gen: st.nextGen, f: f, buf: bufio.NewWriter(f)}, nil
+	return &walWriter{fs: fsys, path: path, gen: st.nextGen, f: f}, nil
 }
 
-// newActiveSegment creates a fresh active segment with a synced
-// generation header, so a crash immediately after leaves a parsable
-// file.
+// newActiveSegment creates a fresh active segment with a synced header
+// record, so a crash immediately after leaves a readable file.
 func newActiveSegment(fsys fault.FS, path string, gen uint64) (fault.File, error) {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fmt.Fprintf(f, "wal %d\n", gen); err != nil {
+	if err := frame.Write(f, header(frame.KindSegment, gen), frame.MaxRecord); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -148,56 +149,56 @@ func newActiveSegment(fsys fault.FS, path string, gen uint64) (fault.File, error
 	return f, nil
 }
 
-// poison marks the writer broken with its first failure and discards
-// buffered bytes: after a torn append, whatever prefix reached the
-// file must stay a final torn tail — flushing the rest later would
-// turn it into mid-log garbage.
+// header is the payload of the record a segment or snapshot opens with.
+func header(kind byte, gen uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte{kind}, gen)
+}
+
+// poison marks the writer broken with its first failure.
 func (w *walWriter) poison(err error) error {
 	if w.broken == nil {
 		w.broken = err
-		w.buf.Reset(io.Discard)
 	}
 	return err
 }
 
-// appendBatch logs one committed transaction's writes in sorted key
-// order. The batch is flushed to the OS before it is considered
-// applied; fsync is left to Sync/Close/Checkpoint (group durability,
-// not per-commit).
-func (w *walWriter) appendBatch(writes map[string]float64) error {
+// appendBatch logs one committed batch as the record the replication
+// stream carries for it at sequence seq: the writes in sorted key
+// order, framed in the writer's scratch and handed to the OS in one
+// Write. fsync is left to Sync/Close/Checkpoint (group durability, not
+// per-commit). A batch no frame can carry — a key over 65 535 bytes, a
+// record over frame.MaxRecord — fails with an error wrapping
+// frame.ErrTooLarge before the file is touched, and the writer stays
+// healthy.
+func (w *walWriter) appendBatch(seq uint64, writes map[string]float64) error {
 	if w.broken != nil {
 		return w.broken
 	}
-	// Encode into reused scratch instead of fmt.Fprintf: byte-for-byte
-	// the same records ("set <quoted-key> <floatG>\n"), without the
-	// per-record format parsing, boxing and intermediate strings. The
-	// torture tests compare WAL bytes, so the encoding must not drift.
-	w.kvScratch = appendSortedKVs(w.kvScratch[:0], writes)
-	for _, kv := range w.kvScratch {
-		w.encScratch = append(w.encScratch[:0], "set "...)
-		w.encScratch = strconv.AppendQuote(w.encScratch, kv.Key)
-		w.encScratch = append(w.encScratch, ' ')
-		w.encScratch = strconv.AppendFloat(w.encScratch, kv.Value, 'g', -1, 64)
-		w.encScratch = append(w.encScratch, '\n')
-		if _, err := w.buf.Write(w.encScratch); err != nil {
-			return w.poison(err)
-		}
+	w.kvs = appendSortedKVs(w.kvs[:0], writes)
+	rec, err := appendBatchFrame(w.rec[:0], seq, w.kvs)
+	if err != nil {
+		return err
 	}
-	if _, err := w.buf.WriteString("commit\n"); err != nil {
-		return w.poison(err)
-	}
-	if err := w.buf.Flush(); err != nil {
+	w.rec = rec
+	if _, err := w.f.Write(rec); err != nil {
 		return w.poison(err)
 	}
 	return nil
 }
 
+// appendBatchFrame appends one batch record to dst as a whole frame.
+func appendBatchFrame(dst []byte, seq uint64, kvs []KeyValue) ([]byte, error) {
+	dst, start := frame.Begin(dst)
+	dst, err := frame.AppendBatch(dst, seq, kvs)
+	if err != nil {
+		return nil, err
+	}
+	return frame.End(dst, start, frame.MaxRecord)
+}
+
 func (w *walWriter) sync() error {
 	if w.broken != nil {
 		return w.broken
-	}
-	if err := w.buf.Flush(); err != nil {
-		return w.poison(err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return w.poison(err)
@@ -261,113 +262,163 @@ func sealedSegments(fsys fault.FS, walPath string) ([]sealedSegment, error) {
 
 // recoverGeneral loads the general store from the checkpoint snapshot
 // and the log segments it does not cover. Missing files mean an empty
-// starting state. Replay is staged: batches are collected first and
-// applied only when the whole log has parsed clean, so an error never
-// leaves a partial state behind. A torn or uncommitted tail in the
-// last segment with records is truncated away before returning, so
-// the writer never appends after bytes replay discarded.
+// starting state; an error returns no state at all. A torn tail is
+// truncated away before returning, so the writer never appends after
+// bytes replay dropped.
 func recoverGeneral(fsys fault.FS, path string) (map[string]float64, walState, error) {
 	general := make(map[string]float64)
 	var st walState
 
-	snapGen, err := loadSnapshot(fsys, snapPath(path), general)
-	if err != nil {
+	snap, err := readLog(fsys, snapPath(path), frame.KindCheckpoint, general)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+	case err != nil:
 		return nil, st, err
+	case !snap.headed || snap.torn:
+		// Snapshots are written to a temp file, synced and renamed
+		// into place, so unlike a segment one is never legitimately
+		// torn.
+		return nil, st, &WALCorruptError{File: snapPath(path), Offset: snap.end,
+			Reason: "incomplete snapshot"}
+	default:
+		st.snapGen = snap.gen
 	}
-	st.snapGen = snapGen
 
 	segs, err := sealedSegments(fsys, path)
 	if err != nil {
 		return nil, st, err
 	}
 
-	rs := &replayState{}
-	// The segment with a tolerated torn/uncommitted tail, and the
-	// offset of its last terminated commit — everything past it is
-	// discarded bytes that must not survive on disk.
-	tailFile := ""
-	tailEnd := int64(0)
-	var maxSealed uint64
-	haveSealed := false
-	for _, sg := range segs {
-		if sg.gen >= maxSealed {
-			maxSealed = sg.gen
-			haveSealed = true
+	// The first segment found torn and the end of its last whole
+	// frame: the bytes past it must not survive on disk, and no record
+	// may follow them.
+	tornFile, tornEnd := "", int64(0)
+	replayed := func(name string, lr logRead) error {
+		if tornFile != "" && (lr.batches > 0 || lr.torn) {
+			return &WALCorruptError{File: tornFile, Offset: tornEnd,
+				Reason: fmt.Sprintf("torn record followed by later records in %s", name)}
 		}
-		if sg.gen < snapGen {
+		if lr.torn && tornFile == "" {
+			tornFile, tornEnd = name, lr.end
+		}
+		return nil
+	}
+	for _, sg := range segs {
+		if sg.gen < st.snapGen {
 			// Covered by the snapshot; awaiting pruning.
 			continue
 		}
-		data, err := readFileAll(fsys, sg.name)
-		if err != nil {
-			return nil, st, fmt.Errorf("strip: reading WAL segment: %w", err)
-		}
-		commitEnd, err := replaySegment(sg.name, data, sg.gen, rs)
+		lr, err := readLog(fsys, sg.name, frame.KindSegment, general)
 		if err != nil {
 			return nil, st, err
 		}
-		if rs.torn != nil && tailFile == "" {
-			tailFile, tailEnd = sg.name, commitEnd
+		if lr.headed && lr.gen != sg.gen {
+			return nil, st, &WALCorruptError{File: sg.name,
+				Reason: fmt.Sprintf("header names generation %d, want %d", lr.gen, sg.gen)}
+		}
+		if err := replayed(sg.name, lr); err != nil {
+			return nil, st, err
 		}
 	}
 
 	// The active segment is always replayed: by construction its
 	// generation is never below the snapshot's.
-	data, err := readFileAll(fsys, path)
+	lr, err := readLog(fsys, path, frame.KindSegment, general)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		// Crash between sealing and creating the next segment.
 	case err != nil:
-		return nil, st, fmt.Errorf("strip: reading WAL: %w", err)
-	default:
-		gen, usable, herr := activeHeader(path, data)
-		if herr != nil {
-			return nil, st, herr
-		}
-		if usable {
-			st.activeOK = true
-			st.activeGen = gen
-			commitEnd, err := replaySegment(path, data, gen, rs)
-			if err != nil {
-				return nil, st, err
-			}
-			// The active segment is reopened for appending, so even a
-			// cleanly-parsing uncommitted tail (set lines without
-			// their commit) must go: appending the next batch after
-			// it would merge the discarded writes into that batch's
-			// commit.
-			if tailFile == "" && commitEnd < int64(len(data)) {
-				tailFile, tailEnd = path, commitEnd
-			}
-		}
-	}
-
-	st.nextGen = snapGen
-	if haveSealed && maxSealed+1 > st.nextGen {
-		st.nextGen = maxSealed + 1
-	}
-	if st.nextGen == 0 {
-		// Generation 0 is reserved for headerless legacy files.
-		st.nextGen = 1
-	}
-
-	if tailFile != "" {
-		if err := truncateTail(fsys, tailFile, tailEnd); err != nil {
+		return nil, st, err
+	case lr.headed:
+		if err := replayed(path, lr); err != nil {
 			return nil, st, err
 		}
+		st.activeOK, st.activeGen = true, lr.gen
+	}
+	// Otherwise the active segment is empty or torn inside its header
+	// (a crash while creating it) and is created afresh.
+
+	st.nextGen = max(st.snapGen, 1) // generations count from 1
+	if n := len(segs); n > 0 {
+		st.nextGen = max(st.nextGen, segs[n-1].gen+1)
 	}
 
-	for _, b := range rs.batches {
-		for k, v := range b {
-			general[k] = v
+	if tornFile != "" {
+		if err := truncateTail(fsys, tornFile, tornEnd); err != nil {
+			return nil, st, err
 		}
 	}
 	return general, st, nil
 }
 
+// logRead is what reading one segment or snapshot found.
+type logRead struct {
+	gen     uint64 // the header record's generation
+	headed  bool   // the header record was read whole
+	batches int    // batch records applied
+	end     int64  // byte offset just past the last whole frame
+	torn    bool   // the file ends inside a record after the header
+}
+
+// readLog reads one segment or snapshot through frame.ReadBuf: a
+// header record of kind header, then batch records, each applied to
+// into as it is read. A file that ends inside a frame is torn (or,
+// inside its header, not headed). A whole frame that fails its
+// checksum, length or decode, a missing header and a record of another
+// kind are a *WALCorruptError. A missing file is an error satisfying
+// errors.Is(err, os.ErrNotExist).
+func readLog(fsys fault.FS, name string, header byte, into map[string]float64) (logRead, error) {
+	var lr logRead
+	f, err := fsys.Open(name)
+	if err != nil {
+		return lr, err
+	}
+	defer f.Close()
+	r := bufio.NewReader(f)
+	var buf, payload []byte
+	for {
+		payload, buf, err = frame.ReadBuf(r, buf, frame.MaxRecord)
+		switch {
+		case err == io.EOF:
+			return lr, nil
+		case errors.Is(err, io.ErrUnexpectedEOF):
+			lr.torn = lr.headed
+			return lr, nil
+		case frame.Corrupt(err):
+			return lr, &WALCorruptError{File: name, Offset: lr.end, Reason: err.Error()}
+		case err != nil:
+			return lr, fmt.Errorf("strip: reading %s: %w", name, err)
+		}
+		d := frame.NewDecoder(payload)
+		kind, n := d.U8(), d.U64()
+		var kvs []KeyValue
+		if kind == frame.KindBatch {
+			kvs = d.Pairs32()
+		}
+		if err := d.Finish(); err != nil {
+			return lr, &WALCorruptError{File: name, Offset: lr.end, Reason: err.Error()}
+		}
+		switch {
+		case !lr.headed && kind == header:
+			lr.gen, lr.headed = n, true
+		case !lr.headed:
+			return lr, &WALCorruptError{File: name, Offset: lr.end,
+				Reason: fmt.Sprintf("record kind %d where the header belongs", kind)}
+		case kind != frame.KindBatch:
+			return lr, &WALCorruptError{File: name, Offset: lr.end,
+				Reason: fmt.Sprintf("unexpected record kind %d", kind)}
+		default:
+			for _, kv := range kvs {
+				into[kv.Key] = kv.Value
+			}
+			lr.batches++
+		}
+		lr.end += int64(len(payload)) + 8 // length prefix and CRC
+	}
+}
+
 // truncateTail cuts a recovered segment back to the end of its last
-// terminated commit, removing a torn or uncommitted tail replay has
-// already discarded. Failing to do so is unsafe — later appends would
+// whole frame, removing the torn tail replay has already dropped. Failing to do so is unsafe — later appends would
 // land after the dead bytes — so an error here fails the Open.
 func truncateTail(fsys fault.FS, name string, size int64) error {
 	f, err := fsys.OpenFile(name, os.O_WRONLY, 0o644)
@@ -386,211 +437,6 @@ func truncateTail(fsys fault.FS, name string, size int64) error {
 		return fmt.Errorf("strip: truncating torn WAL tail: %w", err)
 	}
 	return nil
-}
-
-// activeHeader classifies the active segment's first line: its
-// generation, and whether the file is usable for appending. An empty
-// file or a lone torn header (a crash during segment creation) is
-// discarded and recreated; a headerless file with data is a legacy
-// generation-0 log.
-func activeHeader(path string, data []byte) (gen uint64, usable bool, err error) {
-	lines, _, term := splitLines(data)
-	if len(lines) == 0 {
-		return 0, false, nil
-	}
-	if !strings.HasPrefix(lines[0], "wal ") {
-		return 0, true, nil
-	}
-	if len(lines) == 1 && !term {
-		return 0, false, nil
-	}
-	gen, perr := strconv.ParseUint(lines[0][len("wal "):], 10, 64)
-	if perr != nil {
-		return 0, false, &WALCorruptError{File: path, Line: 1, Offset: 0,
-			Reason: fmt.Sprintf("bad segment header %q", lines[0])}
-	}
-	return gen, true, nil
-}
-
-// replayState accumulates committed batches across the segment chain.
-// torn records the first unparsable or unterminated record; it is
-// tolerated only while nothing follows it — a later record proves the
-// damage is mid-log, which a crash cannot produce.
-type replayState struct {
-	batches []map[string]float64
-	torn    *WALCorruptError
-}
-
-// replaySegment parses one segment's batches into rs. expectGen is
-// the generation the segment's header must carry (headerless is
-// tolerated for generation 0, the legacy format). commitEnd is the
-// byte offset just past the segment's last terminated commit line (or
-// past the header when no batch committed): the truncation point that
-// removes a torn or uncommitted tail without touching committed data.
-func replaySegment(name string, data []byte, expectGen uint64, rs *replayState) (commitEnd int64, err error) {
-	lines, offs, term := splitLines(data)
-	start := 0
-	if len(lines) > 0 && strings.HasPrefix(lines[0], "wal ") {
-		if len(lines) == 1 && !term {
-			// Torn header: the segment died at birth, nothing in it.
-			return 0, nil
-		}
-		gen, err := strconv.ParseUint(lines[0][len("wal "):], 10, 64)
-		if err != nil || gen != expectGen {
-			return 0, &WALCorruptError{File: name, Line: 1, Offset: 0,
-				Reason: fmt.Sprintf("segment header %q does not name generation %d", lines[0], expectGen)}
-		}
-		start = 1
-		commitEnd = int64(len(lines[0])) + 1
-	} else if len(lines) > 0 && expectGen != 0 {
-		return 0, &WALCorruptError{File: name, Line: 1, Offset: 0,
-			Reason: fmt.Sprintf("missing generation header (want %d)", expectGen)}
-	}
-
-	pending := map[string]float64(nil)
-	for i := start; i < len(lines); i++ {
-		if rs.torn != nil {
-			rs.torn.Reason += fmt.Sprintf("; later record at %s:%d proves mid-log damage", name, i+1)
-			return 0, rs.torn
-		}
-		line := lines[i]
-		unterminated := i == len(lines)-1 && !term
-		if line == "commit" && !unterminated {
-			rs.batches = append(rs.batches, pending)
-			pending = nil
-			commitEnd = offs[i] + int64(len(line)) + 1
-			continue
-		}
-		key, value, err := parseSetLine(line)
-		switch {
-		case unterminated:
-			// Even a record that happens to parse is untrustworthy
-			// without its newline: the append never finished, so the
-			// batch never committed.
-			rs.torn = &WALCorruptError{File: name, Line: i + 1, Offset: offs[i],
-				Reason: fmt.Sprintf("unterminated record %q", line)}
-		case err != nil:
-			rs.torn = &WALCorruptError{File: name, Line: i + 1, Offset: offs[i],
-				Reason: err.Error()}
-		default:
-			if pending == nil {
-				pending = make(map[string]float64)
-			}
-			pending[key] = value
-		}
-	}
-	// Writes without a terminated commit are a torn batch: discarded.
-	return commitEnd, nil
-}
-
-// loadSnapshot reads the checkpoint snapshot, returning the first
-// generation it does not cover. Snapshots are written to a temp file,
-// synced and renamed into place, so unlike the log they are never
-// legitimately torn: any damage is an error.
-func loadSnapshot(fsys fault.FS, path string, into map[string]float64) (uint64, error) {
-	data, err := readFileAll(fsys, path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("strip: reading snapshot: %w", err)
-	}
-	lines, offs, term := splitLines(data)
-	var gen uint64
-	start := 0
-	if len(lines) > 0 && strings.HasPrefix(lines[0], "snap ") {
-		gen, err = strconv.ParseUint(lines[0][len("snap "):], 10, 64)
-		if err != nil {
-			return 0, &WALCorruptError{File: path, Line: 1, Offset: 0,
-				Reason: fmt.Sprintf("bad snapshot header %q", lines[0])}
-		}
-		start = 1
-	}
-	for i := start; i < len(lines); i++ {
-		if i == len(lines)-1 && !term {
-			return 0, &WALCorruptError{File: path, Line: i + 1, Offset: offs[i],
-				Reason: "unterminated snapshot record"}
-		}
-		key, value, err := parseSetLine(lines[i])
-		if err != nil {
-			return 0, &WALCorruptError{File: path, Line: i + 1, Offset: offs[i],
-				Reason: err.Error()}
-		}
-		into[key] = value
-	}
-	return gen, nil
-}
-
-// readFileAll reads a whole file through the fault surface.
-func readFileAll(fsys fault.FS, name string) ([]byte, error) {
-	f, err := fsys.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
-}
-
-// splitLines breaks data into newline-delimited lines with their byte
-// offsets, reporting whether the final line had its newline. The
-// distinction matters: a final line missing its terminator is a torn
-// append, even when its bytes happen to parse.
-func splitLines(data []byte) (lines []string, offs []int64, terminated bool) {
-	terminated = true
-	start := 0
-	for i := 0; i < len(data); i++ {
-		if data[i] == '\n' {
-			lines = append(lines, string(data[start:i]))
-			offs = append(offs, int64(start))
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		lines = append(lines, string(data[start:]))
-		offs = append(offs, int64(start))
-		terminated = false
-	}
-	return lines, offs, terminated
-}
-
-// parseSetLine decodes `set <quoted-key> <value>`.
-func parseSetLine(line string) (string, float64, error) {
-	rest, ok := strings.CutPrefix(line, "set ")
-	if !ok {
-		return "", 0, fmt.Errorf("bad record %q", line)
-	}
-	key, tail, err := unquoteToken(rest)
-	if err != nil {
-		return "", 0, err
-	}
-	value, err := strconv.ParseFloat(strings.TrimSpace(tail), 64)
-	if err != nil {
-		return "", 0, fmt.Errorf("bad value in %q: %v", line, err)
-	}
-	return key, value, nil
-}
-
-// unquoteToken reads one Go-quoted string from the front of s and
-// returns it with the remainder.
-func unquoteToken(s string) (string, string, error) {
-	if !strings.HasPrefix(s, `"`) {
-		return "", "", fmt.Errorf("missing quoted key in %q", s)
-	}
-	// Find the closing quote, honouring escapes.
-	for i := 1; i < len(s); i++ {
-		if s[i] == '\\' {
-			i++
-			continue
-		}
-		if s[i] == '"' {
-			key, err := strconv.Unquote(s[:i+1])
-			if err != nil {
-				return "", "", err
-			}
-			return key, s[i+1:], nil
-		}
-	}
-	return "", "", fmt.Errorf("unterminated quoted key in %q", s)
 }
 
 // rotateWALLocked seals the active segment and starts generation+1.
@@ -636,7 +482,6 @@ func (db *DB) rotateWALLocked() (sealedGen uint64, err error) {
 		return 0, db.walFailedLocked(err)
 	}
 	w.f = f
-	w.buf = bufio.NewWriter(f)
 	w.gen++
 	w.sealed = false
 	w.broken = nil
@@ -644,20 +489,25 @@ func (db *DB) rotateWALLocked() (sealedGen uint64, err error) {
 }
 
 // writeSnapshot writes the snapshot covering everything below gen:
-// temp file, sorted records, sync, atomic rename.
+// temp file, header record, the sorted pairs in batch records of at
+// most frame.MaxRecord each — framed into one buffer, one Write — sync,
+// atomic rename.
 func writeSnapshot(fsys fault.FS, walPath string, gen uint64, pairs []KeyValue) error {
 	tmp := snapPath(walPath) + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("strip: creating snapshot: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	fmt.Fprintf(w, "snap %d\n", gen)
-	for _, kv := range pairs {
-		fmt.Fprintf(w, "set %s %s\n",
-			strconv.Quote(kv.Key), strconv.FormatFloat(kv.Value, 'g', -1, 64))
+	buf, err := frame.Append(nil, header(frame.KindCheckpoint, gen), frame.MaxRecord)
+	for len(pairs) > 0 && err == nil {
+		n := frame.BatchFits(pairs)
+		buf, err = appendBatchFrame(buf, 0, pairs[:n])
+		pairs = pairs[n:]
 	}
-	if err := w.Flush(); err != nil {
+	if err == nil {
+		_, err = f.Write(buf)
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("strip: writing snapshot: %w", err)
 	}
