@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,23 +52,24 @@ type DB struct {
 	stats   Stats
 
 	// The feed path's share of the state above, kept out of mu so that
-	// an offer never waits for the scheduler's install section. (Stats
-	// does: it takes mu for reading, so a monitor polling it waits out
-	// the run in progress and the next run waits for it — a convoy that
-	// DESIGN §4 measures and, for the transactions' sake, keeps.) reg
-	// holds the published name map, nothing until the first lock-free
-	// lookup; closed is set once by Close (under mu, so a define that
-	// holds mu sees it settled); arrival is the queue tie-break counter
-	// shared by ApplyUpdate and ApplyReplicated; dropped and malformed
-	// are the two loss counters producers bump themselves; queueLen is
-	// the update-queue length the scheduler publishes every pass for
-	// Stats.
-	reg       atomic.Value // map[string]viewRef
-	closed    atomic.Bool
-	arrival   atomic.Uint64
-	dropped   atomic.Uint64
-	malformed atomic.Uint64
-	queueLen  atomic.Int64
+	// neither an offer nor a submission nor a Stats reader ever waits
+	// for the scheduler's install section. reg holds the published name
+	// map, nothing until the first lock-free lookup; closed is set once
+	// by Close (under mu, so a define that holds mu sees it settled);
+	// arrival is the queue tie-break counter shared by ApplyUpdate and
+	// ApplyReplicated; dropped, malformed and submitted are the three
+	// counters producers bump themselves; replicated is set once a
+	// replicated update has been received, the one case in which Stats
+	// takes mu (for the replica-lag scan); pub is the copy of the
+	// counters that Stats reads (see statsCopy).
+	reg        atomic.Value // map[string]viewRef
+	closed     atomic.Bool
+	arrival    atomic.Uint64
+	dropped    atomic.Uint64
+	malformed  atomic.Uint64
+	submitted  atomic.Uint64
+	replicated atomic.Bool
+	pub        statsCopy
 
 	// Triggers and derived views (fired on the scheduler goroutine).
 	triggers       map[model.ObjectID][]func(Entry) // guarded by mu
@@ -117,6 +119,9 @@ type DB struct {
 	queue *uqueue.ClassQueue
 	order model.QueueOrder
 	ready []*txnReq
+	// answered is set when the scheduler has finished a transaction since
+	// its last yield (see loop).
+	answered bool
 	// onSettle, when set by an in-package test before the first step,
 	// observes every update leaving the queue (see settleLocked).
 	onSettle func(*model.Update, settleCause)
@@ -410,20 +415,157 @@ func (db *DB) entryLocked(id model.ObjectID, now int64) Entry {
 	}
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters. It takes no lock unless
+// the database has received a replicated update: the counters come from
+// the copy the last critical section that changed them published (see
+// statsCopy), so one read balances the update ledger — received =
+// installed + skipped + evicted + expired + queued — and a reader never
+// waits out an install run. The producer-side counters are read after
+// the copy, so a transaction the copy counts as finished is always
+// counted as submitted. The replica-lag pair is an O(views) scan of
+// state mu guards; it is taken under RLock, and only once replicated
+// updates have arrived (a primary's lag is zero).
 func (db *DB) Stats() Stats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s := db.stats
+	s := db.pub.load()
 	s.UpdatesDropped = db.dropped.Load()
 	s.FeedMalformed = db.malformed.Load()
-	s.QueueLen = int(db.queueLen.Load())
+	s.TxnsSubmitted = db.submitted.Load()
+	if db.replicated.Load() {
+		db.mu.RLock()
+		s.ReplicaLagSeconds, s.ReplicaLagUpdates = db.lag.Aggregate()
+		db.mu.RUnlock()
+	}
+	return s
+}
+
+// statsCopy is the seqlock-published copy of the Stats counters that
+// db.mu guards: db.stats, the replication sequence and the durability
+// state. Writers hold db.mu for writing, so there is one at a time; a
+// write makes ver odd, stores the words that changed and makes ver even
+// again. A reader retries while ver is odd or changed under it. Every
+// word is an atomic, which is what keeps the race detector quiet and
+// the protocol correct under Go's memory model (atomics are
+// sequentially consistent); nothing allocates.
+type statsCopy struct {
+	ver   atomic.Uint64
+	words [numStatsWords]atomic.Uint64
+	// last is what words holds, kept beside it so a publish stores only
+	// the words that changed — an install run changes three or four.
+	last [numStatsWords]uint64 // guarded by mu
+}
+
+// numStatsWords is the number of Stats fields statsCopy carries: all
+// but the three producer-side counters and the replica-lag pair.
+const numStatsWords = 19
+
+// statsWords flattens the fields statsCopy carries into words, in the
+// order statsFromWords reads them back (TestStatsWordsRoundTrip checks
+// that every field but the five Stats fills in itself survives).
+func statsWords(s *Stats) [numStatsWords]uint64 {
+	var degraded uint64
+	if s.Degraded {
+		degraded = 1
+	}
+	return [numStatsWords]uint64{
+		s.UpdatesReceived,
+		s.UpdatesInstalled,
+		s.UpdatesSkipped,
+		s.UpdatesExpired,
+		s.UpdatesEvicted,
+		uint64(s.QueueLen),
+		s.TxnsCommitted,
+		s.TxnsCommittedStale,
+		s.TxnsAbortedDeadline,
+		s.TxnsAbortedStale,
+		s.TxnsFailed,
+		s.TxnsFailedDurability,
+		math.Float64bits(s.ValueCommitted),
+		s.WALErrors,
+		degraded,
+		s.DegradedHeals,
+		s.ReplicationSeq,
+		s.ReplBatchesApplied,
+		s.ReplSnapshotsInstalled,
+	}
+}
+
+// statsFromWords is the inverse of statsWords.
+func statsFromWords(w *[numStatsWords]uint64) Stats {
+	return Stats{
+		UpdatesReceived:        w[0],
+		UpdatesInstalled:       w[1],
+		UpdatesSkipped:         w[2],
+		UpdatesExpired:         w[3],
+		UpdatesEvicted:         w[4],
+		QueueLen:               int(w[5]),
+		TxnsCommitted:          w[6],
+		TxnsCommittedStale:     w[7],
+		TxnsAbortedDeadline:    w[8],
+		TxnsAbortedStale:       w[9],
+		TxnsFailed:             w[10],
+		TxnsFailedDurability:   w[11],
+		ValueCommitted:         math.Float64frombits(w[12]),
+		WALErrors:              w[13],
+		Degraded:               w[14] != 0,
+		DegradedHeals:          w[15],
+		ReplicationSeq:         w[16],
+		ReplBatchesApplied:     w[17],
+		ReplSnapshotsInstalled: w[18],
+	}
+}
+
+// publishStatsLocked publishes the counters to the copy Stats reads.
+// Every critical section that changes db.stats, db.seq, db.dur or the
+// update queue's length calls it before it releases db.mu, after it has
+// flushed the histograms it staged observations in — so a scrape never
+// sees a histogram behind its counter. QueueLen is the master's field,
+// which only the scheduler sets, in the same sections that settle
+// queued updates; a publish from another goroutine carries the last
+// value the scheduler set, which balances the counters it was set
+// beside. Callers hold db.mu for writing.
+func (db *DB) publishStatsLocked() {
+	s := &db.stats
 	s.ReplicationSeq = db.seq
-	s.ReplicaLagSeconds, s.ReplicaLagUpdates = db.lag.Aggregate()
 	s.WALErrors = db.dur.WALErrors()
 	s.Degraded = db.dur.Degraded()
 	s.DegradedHeals = db.dur.Heals()
-	return s
+	w := statsWords(s)
+	p := &db.pub
+	if w == p.last {
+		return
+	}
+	p.ver.Add(1)
+	for i, x := range w {
+		if x != p.last[i] {
+			p.words[i].Store(x)
+		}
+	}
+	p.last = w
+	p.ver.Add(1)
+}
+
+// publishQueueLocked publishes the counters together with the update
+// queue's length. Callers run on the scheduler goroutine, which owns the
+// queue, and hold db.mu for writing.
+func (db *DB) publishQueueLocked() {
+	db.stats.QueueLen = db.queue.Len()
+	db.publishStatsLocked()
+}
+
+// load reads a consistent copy, yielding while a publish is under way.
+func (p *statsCopy) load() Stats {
+	var w [numStatsWords]uint64
+	for {
+		if v := p.ver.Load(); v&1 == 0 {
+			for i := range w {
+				w[i] = p.words[i].Load()
+			}
+			if p.ver.Load() == v {
+				return statsFromWords(&w)
+			}
+		}
+		runtime.Gosched()
+	}
 }
 
 // Degraded reports whether the database is in degraded durability
@@ -487,6 +629,7 @@ func (db *DB) install(u *model.Update, superseded []*model.Update) {
 	db.mu.Lock()
 	worthy, hooked := db.installLocked(u, superseded, now)
 	db.endRunLocked(now, worthy)
+	db.publishQueueLocked()
 	db.mu.Unlock()
 	db.afterRun(u.Object, hooked)
 }

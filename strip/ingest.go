@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -20,6 +21,7 @@ import (
 // install section: when the ingest buffer (the paper's OS queue) is
 // full the update is dropped and counted in Stats.UpdatesDropped.
 // Updates for undefined objects are rejected with ErrUnknownObject.
+// Every offerYield-th offer yields the processor (see offerYield).
 func (db *DB) ApplyUpdate(u Update) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -40,8 +42,9 @@ func (db *DB) ApplyUpdate(u Update) error {
 	}
 	// The one allocation per offer (pinned by TestFeedPathAllocations):
 	// the update outlives this call in the scheduler queue.
+	seq := db.arrival.Add(1)
 	mu := &model.Update{
-		Seq:         db.arrival.Add(1),
+		Seq:         seq,
 		Object:      ref.id,
 		Class:       Importance(ref.class),
 		GenTime:     gen,
@@ -66,8 +69,20 @@ func (db *DB) ApplyUpdate(u Update) error {
 	default:
 		db.dropped.Add(1)
 	}
+	if seq%offerYield == 0 {
+		runtime.Gosched()
+	}
 	return nil
 }
+
+// offerYield is how many arrival sequence numbers pass between two
+// yields of an offering goroutine. A producer that offers back to back
+// never parks: a goroutine it readies — a transaction submitter handed
+// a job over a channel — waits in its processor's run-next slot until
+// the runtime preempts the producer, 10 ms later, which is a missed
+// deadline. Yielding every 256 offers lets it run within about 256
+// offers; DESIGN §4 has the measured trade-off of the period.
+const offerYield = 256
 
 // dropStranded empties the ingest buffer of a closed database into the
 // drop count, so that an update accepted while Close was under way is

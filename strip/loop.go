@@ -2,6 +2,7 @@ package strip
 
 import (
 	"errors"
+	"runtime"
 	"time"
 
 	"repro/internal/model"
@@ -19,6 +20,14 @@ func (db *DB) loop() {
 	defer close(db.done)
 	for {
 		db.intake()
+		if db.answered {
+			// finish readied the submitters it answered on this
+			// processor's run-next slot, where they would wait out the
+			// busy scheduler until the runtime preempts it, 10 ms later.
+			// With the arrivals received, let them run.
+			db.answered = false
+			runtime.Gosched()
+		}
 		select {
 		case <-db.stopCh:
 			db.shutdown()
@@ -47,7 +56,6 @@ func (db *DB) intake() {
 	db.expireQueue()
 	db.drainTxnCh()
 	db.reapDeadTxns()
-	db.queueLen.Store(int64(db.queue.Len()))
 }
 
 // act does the one piece of work the policy table (sched.Next, shared
@@ -98,6 +106,7 @@ burst:
 		}
 	}
 	db.obs.uuBacklog.Flush()
+	db.publishQueueLocked()
 	db.mu.Unlock()
 }
 
@@ -184,6 +193,7 @@ func (db *DB) expireQueue() {
 			db.settleLocked(u, settleExpired)
 		}
 	}
+	db.publishQueueLocked()
 	db.mu.Unlock()
 }
 
@@ -240,6 +250,7 @@ func (db *DB) installRun(txnReady bool, max int) int {
 		}
 	}
 	db.endRunLocked(now, installs)
+	db.publishQueueLocked()
 	db.mu.Unlock()
 	db.afterRun(last, hooked)
 	return popped
@@ -282,6 +293,7 @@ func (db *DB) reapDeadTxns() {
 	for _, req := range db.ready {
 		if db.hopeless(req, now) {
 			db.finish(req, Result{State: AbortedDeadline, Err: ErrDeadlineExceeded})
+			db.answered = true
 			continue
 		}
 		kept = append(kept, req)
@@ -357,6 +369,7 @@ func (db *DB) idleWait() bool {
 		db.mu.Lock()
 		db.enqueueLocked(u)
 		db.obs.uuBacklog.Flush()
+		db.publishQueueLocked()
 		db.mu.Unlock()
 		return true
 	case req := <-db.txnCh:
@@ -414,6 +427,7 @@ func (db *DB) finish(req *txnReq, res Result) {
 			db.stats.TxnsFailedDurability++
 		}
 	}
+	db.publishStatsLocked()
 	db.mu.Unlock()
 	req.res <- res
 }

@@ -7,14 +7,18 @@ import (
 )
 
 // WriteText renders every registered series in the Prometheus text
-// exposition format, in registration order. Counter/gauge values and
-// histogram buckets are read atomically per series (the snapshot is
-// not a consistent cut across series — no scrape format offers that
-// without stopping the world). Equal states render to identical
+// exposition format, in registration order. The func-backed series are
+// read first, in one collection (see Collect), so the mirrors of one
+// source are one snapshot of it; counters, gauges and histogram buckets
+// are read atomically per series as they are written (across those
+// series the scrape is not a consistent cut — no scrape format offers
+// that without stopping the world). Equal states render to identical
 // bytes, which the determinism tests rely on.
 func (r *Registry) WriteText(w io.Writer) error {
+	ss := r.snapshot()
+	vals := r.evaluate(ss)
 	bw := bufio.NewWriter(w)
-	for _, s := range r.snapshot() {
+	for i, s := range ss {
 		if s.help != "" {
 			bw.WriteString("# HELP ")
 			bw.WriteString(s.name)
@@ -35,12 +39,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 		switch s.kind {
 		case kindCounter:
 			writeSample(bw, s.name, float64(s.counter.Value()))
-		case kindCounterFunc:
-			writeSample(bw, s.name, float64(s.counterFn()))
+		case kindCounterFunc, kindGaugeFunc:
+			writeSample(bw, s.name, vals[i])
 		case kindGauge:
 			writeSample(bw, s.name, s.gauge.Value())
-		case kindGaugeFunc:
-			writeSample(bw, s.name, s.gaugeFn())
 		case kindHistogram:
 			writeHistogram(bw, s.name, s.hist)
 		}

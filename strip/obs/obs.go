@@ -96,9 +96,14 @@ type series struct {
 // the series in registration order, which is what makes two snapshots
 // of equal states byte-identical.
 type Registry struct {
-	mu     sync.Mutex
-	series []*series
-	byName map[string]*series
+	mu         sync.Mutex
+	series     []*series
+	byName     map[string]*series
+	collectors []func()
+
+	// collect serializes the reads that run the collectors (see
+	// Collect); it guards nothing of the registry's own.
+	collect sync.Mutex
 }
 
 // NewRegistry returns an empty registry.
@@ -171,9 +176,21 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.add(&series{name: name, help: help, kind: kindGaugeFunc, gaugeFn: fn})
 }
 
+// Collect registers fn to run at the start of every read of the
+// func-backed series — once per WriteText, once per Value of such a
+// series — before any of them is evaluated. Those reads are serialized,
+// so series that read what fn prepared see one instant per read: a
+// database's Stats mirrors read the one Stats() its collector took, and
+// the counters of one scrape balance.
+func (r *Registry) Collect(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.collectors = append(r.collectors, fn)
+}
+
 // Value returns the current value of a counter or gauge series (the
-// func-backed variants call through). Histograms report false; use
-// HistogramFor.
+// func-backed variants call through, after the collectors). Histograms
+// report false; use HistogramFor.
 func (r *Registry) Value(name string) (float64, bool) {
 	r.mu.Lock()
 	s := r.byName[name]
@@ -186,13 +203,35 @@ func (r *Registry) Value(name string) (float64, bool) {
 		return float64(s.counter.Value()), true
 	case kindGauge:
 		return s.gauge.Value(), true
-	case kindCounterFunc:
-		return float64(s.counterFn()), true
-	case kindGaugeFunc:
-		return s.gaugeFn(), true
+	case kindCounterFunc, kindGaugeFunc:
+		return r.evaluate([]*series{s})[0], true
 	default:
 		return 0, false
 	}
+}
+
+// evaluate runs the collectors and then reads every func-backed series
+// of ss, under one hold of r.collect; the values of other series are
+// left zero.
+func (r *Registry) evaluate(ss []*series) []float64 {
+	vals := make([]float64, len(ss))
+	r.mu.Lock()
+	collectors := r.collectors[:len(r.collectors):len(r.collectors)]
+	r.mu.Unlock()
+	r.collect.Lock()
+	defer r.collect.Unlock()
+	for _, fn := range collectors {
+		fn()
+	}
+	for i, s := range ss {
+		switch s.kind {
+		case kindCounterFunc:
+			vals[i] = float64(s.counterFn())
+		case kindGaugeFunc:
+			vals[i] = s.gaugeFn()
+		}
+	}
+	return vals
 }
 
 // HistogramFor returns a registered histogram by name.

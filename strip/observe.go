@@ -45,12 +45,19 @@ type dbObs struct {
 	// run holds the traces under assembly for the current run's worthy
 	// installs; it stays empty (and unallocated) without a ring.
 	run []obs.Trace
+
+	// scrape is the Stats read the registry's collector took for the
+	// read in progress; the registry serializes those reads, and only
+	// they touch it (see newDBObs).
+	scrape Stats
 }
 
 // newDBObs builds the database's metric series in reg (a private
 // registry when nil) and mirrors the Stats counters into it. Mirrors
-// are snapshot-time funcs over db.Stats(), so the hot path maintains
-// one set of counters and the scrape pays the read.
+// are snapshot-time funcs over one db.Stats() read per scrape, taken by
+// the registry's collect hook, so the hot path maintains one set of
+// counters, the scrape pays one read, and the counters of a scrape
+// balance as Stats does.
 func newDBObs(db *DB, reg *obs.Registry, traceDepth int) *dbObs {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -79,8 +86,9 @@ func newDBObs(db *DB, reg *obs.Registry, traceDepth int) *dbObs {
 		"submit-to-finish latency of committed transactions",
 		obs.LatencyBuckets(), 1e9)
 
+	reg.Collect(func() { o.scrape = db.Stats() })
 	counter := func(name, help string, read func(Stats) uint64) {
-		reg.CounterFunc(name, help, func() uint64 { return read(db.Stats()) })
+		reg.CounterFunc(name, help, func() uint64 { return read(o.scrape) })
 	}
 	counter("strip_updates_received_total", "updates accepted into the system",
 		func(s Stats) uint64 { return s.UpdatesReceived })
@@ -122,10 +130,14 @@ func newDBObs(db *DB, reg *obs.Registry, traceDepth int) *dbObs {
 		func(s Stats) uint64 { return s.ReplSnapshotsInstalled })
 
 	gauge := func(name, help string, read func(Stats) float64) {
-		reg.GaugeFunc(name, help, func() float64 { return read(db.Stats()) })
+		reg.GaugeFunc(name, help, func() float64 { return read(o.scrape) })
 	}
 	gauge("strip_queue_len", "current update-queue length",
 		func(s Stats) float64 { return float64(s.QueueLen) })
+	gauge("strip_updates_unaccounted",
+		"updates received but not installed, skipped, evicted, expired or queued; always 0. "+
+			"Counted from received, not offered: an offer between drawing its arrival number and its send is in neither",
+		func(s Stats) float64 { return float64(unaccounted(s)) })
 	gauge("strip_degraded", "1 while in degraded durability mode",
 		func(s Stats) float64 {
 			if s.Degraded {
@@ -147,6 +159,13 @@ func newDBObs(db *DB, reg *obs.Registry, traceDepth int) *dbObs {
 			return db.maxStale.Max()
 		})
 	return o
+}
+
+// unaccounted is the update ledger's remainder, received − installed −
+// skipped − evicted − expired − queued: zero in every Stats read.
+func unaccounted(s Stats) int64 {
+	return int64(s.UpdatesReceived) - int64(s.UpdatesInstalled) - int64(s.UpdatesSkipped) -
+		int64(s.UpdatesEvicted) - int64(s.UpdatesExpired) - int64(s.QueueLen)
 }
 
 // Metrics returns the registry this database's series live in: the

@@ -293,6 +293,7 @@ func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 	db.mu.Lock()
 	mu.Seq = db.arrival.Add(1)
 	db.lag.Received(id, mu.GenTime)
+	db.replicated.Store(true)
 	db.mu.Unlock()
 
 	select {
@@ -353,6 +354,7 @@ func (db *DB) ApplyReplicatedBatch(writes []KeyValue) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
+	defer db.publishStatsLocked()
 	m := make(map[string]float64, len(writes))
 	for _, kv := range writes {
 		m[kv.Key] = kv.Value
@@ -399,6 +401,7 @@ func (db *DB) InstallSnapshot(s Snapshot) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
+	defer db.publishStatsLocked()
 	defer db.publishLocked()
 	for _, v := range s.Views {
 		id, ok := db.idLocked(v.Name)
@@ -454,6 +457,7 @@ func (db *DB) ResetToSnapshot(s Snapshot) error {
 		return ErrClosed
 	}
 	inSnap := make(map[string]bool, len(s.Views))
+	defer db.publishStatsLocked()
 	defer db.publishLocked()
 	for _, v := range s.Views {
 		inSnap[v.Name] = true

@@ -90,7 +90,12 @@ type Tx struct {
 }
 
 // Exec submits a transaction and blocks until it commits or aborts.
-// It must not be called from inside a transaction function.
+// It must not be called from inside a transaction function. It takes no
+// lock: a submitter never waits out an install run to be counted, since
+// a goroutine the scheduler's unlock readies can sit behind the busy
+// scheduler until the runtime preempts it (DESIGN §4). A submission
+// that Close overtakes ends Failed with ErrClosed and is counted so,
+// like every other admitted one.
 func (db *DB) Exec(spec TxnSpec) Result {
 	if spec.Func == nil {
 		return Result{State: Failed, Err: errors.New("strip: TxnSpec.Func is nil")}
@@ -102,14 +107,12 @@ func (db *DB) Exec(spec TxnSpec) Result {
 	if spec.Deadline.IsZero() {
 		spec.Deadline = now.Add(time.Hour)
 	}
-	db.mu.Lock()
-	db.stats.TxnsSubmitted++
-	db.mu.Unlock()
+	db.submitted.Add(1)
 	req := &txnReq{spec: spec, res: make(chan Result, 1), enqueued: now}
 	select {
 	case db.txnCh <- req:
 	case <-db.stopCh:
-		return Result{State: Failed, Err: ErrClosed}
+		return db.finishClosed(req)
 	}
 	select {
 	case res := <-req.res:
@@ -121,13 +124,24 @@ func (db *DB) Exec(spec TxnSpec) Result {
 		case res := <-req.res:
 			return res
 		default:
-			return Result{State: Failed, Err: ErrClosed}
+			// Sent after the scheduler's last drain: nobody will run it.
+			return db.finishClosed(req)
 		}
 	}
 }
 
+// finishClosed ends a submission the scheduler will never see, because
+// Close overtook it, as Failed with ErrClosed — counted in the ledger
+// like the ones the scheduler fails at shutdown.
+func (db *DB) finishClosed(req *txnReq) Result {
+	res := Result{State: Failed, Err: ErrClosed}
+	db.finish(req, res)
+	return res
+}
+
 // execute runs one admitted transaction on the scheduler goroutine.
 func (db *DB) execute(req *txnReq) {
+	db.answered = true
 	now := db.now()
 	if db.hopeless(req, now) {
 		db.finish(req, Result{State: AbortedDeadline, Err: ErrDeadlineExceeded})
@@ -187,6 +201,7 @@ func (tx *Tx) commit() error {
 	}
 	tx.db.mu.Lock()
 	defer tx.db.mu.Unlock()
+	defer tx.db.publishStatsLocked()
 	return tx.db.applyWritesLocked(tx.writes)
 }
 

@@ -582,6 +582,7 @@ func (db *DB) checkpointRotate() (pairs []KeyValue, snapGen uint64, err error) {
 	if db.closed.Load() {
 		return nil, 0, ErrClosed
 	}
+	defer db.publishStatsLocked()
 	//striplint:ignore block-under-lock -- sealing must be atomic with the commit path: group-commit accepts one segment fsync under db.mu per checkpoint
 	sealedGen, err := db.rotateWALLocked()
 	if err != nil {
@@ -597,6 +598,7 @@ func (db *DB) checkpointHeal() {
 	defer db.mu.Unlock()
 	if db.wal.broken == nil {
 		db.dur.Heal()
+		db.publishStatsLocked()
 	}
 }
 
@@ -613,6 +615,7 @@ func (db *DB) Sync() error {
 	if db.wal == nil {
 		return nil
 	}
+	defer db.publishStatsLocked()
 	if db.dur.Degraded() {
 		return db.degradedErrLocked()
 	}
