@@ -27,10 +27,10 @@ type DB struct {
 	// stamps to (see nowNanos and arrivalNanos).
 	startNanos int64
 
-	ingestCh chan *model.Update
-	txnCh    chan *txnReq
-	stopCh   chan struct{}
-	done     chan struct{}
+	ingest *ingestRing // the arrival buffer, IngestBuffer slots
+	txnCh  chan *txnReq
+	stopCh chan struct{}
+	done   chan struct{}
 
 	// mu guards the registry, the view catalog, general store and stats.
 	// The update queue and ready list are owned by the scheduler
@@ -301,7 +301,7 @@ func open(cfg Config) (*DB, error) {
 		start:      start,
 		startNanos: start.UnixNano(),
 		epoch:      epoch,
-		ingestCh:   make(chan *model.Update, cfg.IngestBuffer),
+		ingest:     newIngestRing(cfg.IngestBuffer),
 		txnCh:      make(chan *txnReq, 256),
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),

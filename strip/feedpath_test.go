@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -418,6 +419,54 @@ func TestFeedPathAllocations(t *testing.T) {
 		db.intake()
 	}); allocs != 1 {
 		t.Errorf("ApplyReplicated allocates %v times per update, want 1 (the queued update)", allocs)
+	}
+	// And when the buffer is full: a database with one slot, kept full,
+	// so that an ApplyReplicated counts itself in as waiting and is let
+	// in by a drain. A helper goroutine stands in for the scheduler: it
+	// drains the full slot while a producer is counted in, and the
+	// doorbell the producer parks on allocates nothing.
+	full := mustOpenStepped(t, Config{Policy: TransactionsFirst, IngestBuffer: 1, Clock: clock.Now})
+	replicate := func() {
+		clock.Advance(time.Microsecond)
+		if err := full.ApplyReplicated(Update{Object: "r", Value: 1, Generated: clock.Now()}, Low); err != nil {
+			t.Error(err)
+		}
+	}
+	replicate() // defines the view and fills the one slot
+	full.intake()
+	full.act(installRunLen)
+	replicate()
+	var drains atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if full.ingest.waiting.Load() == 0 || full.ingest.len() == 0 {
+				runtime.Gosched()
+				continue
+			}
+			full.intake()
+			full.act(installRunLen)
+			drains.Add(1)
+		}
+	}()
+	const waits = 100
+	allocs := testing.AllocsPerRun(waits, replicate)
+	close(stop)
+	<-stopped
+	// A drain can take an update in the instant between its producer's
+	// store and its leaving the count, letting the next one in without
+	// a wait; most wait.
+	if got := drains.Load(); got < waits/2 {
+		t.Errorf("only %d of %d replicated updates waited for room", got, waits+1)
+	}
+	if allocs != 1 {
+		t.Errorf("ApplyReplicated waiting on a full buffer allocates %v times per update, want 1 (the queued update)", allocs)
 	}
 	writes := []KeyValue{{Key: "last-price", Value: 1.5}, {Key: "position", Value: -3}}
 	if allocs := testing.AllocsPerRun(100, func() {

@@ -59,15 +59,12 @@ func (db *DB) ApplyUpdate(u Update) error {
 			mu.Aux = completeFields(copyFields(u.Fields))
 		}
 	}
-	select {
-	case db.ingestCh <- mu:
-		if db.closed.Load() {
-			// Close overtook this offer: the scheduler may have exited
-			// before the send, and nobody would ever receive the update.
-			db.dropStranded()
-		}
-	default:
+	if !db.ingest.offer(mu) {
 		db.dropped.Add(1)
+	} else if db.closed.Load() {
+		// Close overtook this offer: the scheduler may have exited
+		// before the store, and nobody would ever receive the update.
+		db.dropStranded()
 	}
 	if seq%offerYield == 0 {
 		runtime.Gosched()
@@ -88,17 +85,19 @@ const offerYield = 256
 // drop count, so that an update accepted while Close was under way is
 // either received by the scheduler's last pass or counted here — never
 // left behind uncounted. Close calls it once the scheduler has exited;
-// an offer that finds the database closed after its send calls it too,
-// because that send may have come after Close's own sweep.
+// an offer that finds the database closed after its store calls it too,
+// because that store may have come after Close's own sweep. A sweep
+// stops at an empty head slot, which may be a claimed position whose
+// producer has yet to store; that producer reads closed after its store
+// and sweeps again, so the last store of all is followed by a sweep
+// that sees every slot filled.
 func (db *DB) dropStranded() {
-	for {
-		select {
-		case <-db.ingestCh:
-			db.dropped.Add(1)
-		default:
-			return
-		}
+	r := db.ingest
+	r.consumer.Lock()
+	for r.poll() != nil {
+		db.dropped.Add(1)
 	}
+	r.consumer.Unlock()
 }
 
 // IngestChannel forwards updates from ch until it is closed or the

@@ -43,6 +43,13 @@ const MinPairBytes = 2 + 8
 // batchHeadBytes is a batch payload's size before its pairs.
 const batchHeadBytes = 1 + 8 + 4
 
+// BatchSize is the payload size AppendBatch writes for n pairs whose
+// keys total keyBytes bytes: what a batch record costs, without
+// encoding it.
+func BatchSize(n, keyBytes int) int {
+	return batchHeadBytes + n*MinPairBytes + keyBytes
+}
+
 // AppendBatch appends a batch record's payload to b:
 //
 //	kind=2 seq:u64 n:u32 pair*    pair = key:str value:f64

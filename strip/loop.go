@@ -87,24 +87,26 @@ func (db *DB) next(txnReady bool) sched.Action {
 // queue (the paper's receive step, which takes every waiting update at
 // a scheduling point) under one critical section. The burst is what
 // was buffered when the scheduler looked: producers that keep offering
-// cannot hold the lock open.
+// cannot hold the lock open. It ends early at an empty head slot — a
+// position claimed and not yet filled, or one a sweep after Close has
+// taken — and what is behind it waits for the next scheduling point.
 func (db *DB) drainIngest() {
-	n := len(db.ingestCh)
+	r := db.ingest
+	n := r.len()
 	if n == 0 {
 		return
 	}
 	db.mu.Lock()
-burst:
+	r.consumer.Lock()
 	for ; n > 0; n-- {
-		select {
-		case u := <-db.ingestCh:
-			db.enqueueLocked(u)
-		default:
-			// Unreachable while the scheduler is the only receiver; a
-			// producer draining after Close may have been quicker.
-			break burst
+		u := r.poll()
+		if u == nil {
+			break
 		}
+		db.enqueueLocked(u)
 	}
+	r.consumer.Unlock()
+	r.freed()
 	db.obs.uuBacklog.Flush()
 	db.publishQueueLocked()
 	db.mu.Unlock()
@@ -347,8 +349,18 @@ func (req *txnReq) priority(now time.Time) float64 {
 }
 
 // idleWait blocks until an arrival, a submission, the next queued
-// deadline, or shutdown. It returns false on shutdown.
+// deadline, or shutdown. It returns false on shutdown. It receives no
+// update itself: an arrival rings the ingest buffer's doorbell, and the
+// next scheduling point's drainIngest receives it. The scheduler parks
+// whenever the head slot is empty, even with later slots filled behind
+// a position claimed and not yet filled: the producer that fills the
+// head slot rings (see ingestRing).
 func (db *DB) idleWait() bool {
+	r := db.ingest
+	if !r.sleep() {
+		return true
+	}
+	defer r.awake()
 	var timer *time.Timer
 	var deadlineC <-chan time.Time
 	if next, ok := db.nextDeadline(); ok {
@@ -365,12 +377,7 @@ func (db *DB) idleWait() bool {
 		}
 	}()
 	select {
-	case u := <-db.ingestCh:
-		db.mu.Lock()
-		db.enqueueLocked(u)
-		db.obs.uuBacklog.Flush()
-		db.publishQueueLocked()
-		db.mu.Unlock()
+	case <-r.bell:
 		return true
 	case req := <-db.txnCh:
 		db.ready = append(db.ready, req)

@@ -589,6 +589,38 @@ func TestWALRefusedCommitKeepsBootstrap(t *testing.T) {
 	})
 }
 
+// TestNoWALRefusedCommitKeepsSnapshot is the same regression without a
+// WAL: the commit of a key no frame can carry fails instead of being
+// applied, so the attached Primary never drops its event and the next
+// snapshot still encodes, without the refused key.
+func TestNoWALRefusedCommitKeepsSnapshot(t *testing.T) {
+	primary := openDB(t, strip.Config{Policy: strip.UpdatesFirst})
+	p, _ := servePrimary(t, primary, PrimaryConfig{})
+	execSet(t, primary, "book/x", 1)
+	long := strings.Repeat("k", 70000)
+	res := primary.Exec(strip.TxnSpec{
+		Deadline: time.Now().Add(5 * time.Second),
+		Func: func(tx *strip.Tx) error {
+			tx.Set(long, 2)
+			return nil
+		},
+	})
+	if res.State != strip.Failed || !errors.Is(res.Err, frame.ErrTooLarge) {
+		t.Fatalf("oversized commit: %+v, want Failed wrapping frame.ErrTooLarge", res)
+	}
+	execSet(t, primary, "book/y", 2)
+	s := primary.ReplicaSnapshot()
+	if len(s.General) != 2 || s.General[0].Key != "book/x" || s.General[1].Key != "book/y" {
+		t.Fatalf("general store after the refused commit holds %d keys, want book/x and book/y", len(s.General))
+	}
+	if _, err := EncodeSnapshot(s); err != nil {
+		t.Fatalf("EncodeSnapshot after the refused commit: %v", err)
+	}
+	if d := p.dropped.Value(); d != 0 {
+		t.Fatalf("the Primary dropped %d events", d)
+	}
+}
+
 // TestPrimaryRestartForcesSnapshot covers cross-history resume: a
 // replica that synced against one database instance must not splice
 // its cursor into a different instance's stream just because the

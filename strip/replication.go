@@ -3,6 +3,7 @@ package strip
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -223,9 +224,14 @@ func (db *DB) emitSnapshotViewLocked(v SnapshotView) {
 // could lose. A batch no frame can carry is refused before the WAL is
 // touched, likewise unapplied and unpublished, and is no WAL failure:
 // logged and applied, it would sit in every snapshot a cold replica
-// needs, and none would encode.
+// needs, and none would encode. Without a WAL the same refusal is made
+// by checkBatchFits, which measures the batch instead of encoding it.
 func (db *DB) applyWritesLocked(writes map[string]float64) error {
-	if db.wal != nil {
+	if db.wal == nil {
+		if err := checkBatchFits(writes); err != nil {
+			return fmt.Errorf("strip: commit refused: %w", err)
+		}
+	} else {
 		if db.dur.Degraded() {
 			return db.degradedErrLocked()
 		}
@@ -250,6 +256,24 @@ func (db *DB) applyWritesLocked(writes map[string]float64) error {
 		db.obs.stage[obs.StageReplPublish].Observe(db.nowNanos() - start)
 	} else {
 		db.emitBatchLocked(writes)
+	}
+	return nil
+}
+
+// checkBatchFits refuses a batch no frame can carry — a key over 65 535
+// bytes, a record over frame.MaxRecord — with an error wrapping
+// frame.ErrTooLarge, as encoding it would: one length check per key.
+func checkBatchFits(writes map[string]float64) error {
+	longest, keyBytes := 0, 0
+	for k := range writes {
+		longest = max(longest, len(k))
+		keyBytes += len(k)
+	}
+	if longest > math.MaxUint16 {
+		return fmt.Errorf("%w: key of %d bytes", frame.ErrTooLarge, longest)
+	}
+	if size := frame.BatchSize(len(writes), keyBytes); size > frame.MaxRecord {
+		return fmt.Errorf("%w: batch record of %d bytes", frame.ErrTooLarge, size)
 	}
 	return nil
 }
@@ -296,16 +320,19 @@ func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 	db.replicated.Store(true)
 	db.mu.Unlock()
 
-	select {
-	case db.ingestCh <- mu:
-		// The replica-apply span: from the frame reaching this database
-		// to the update entering the scheduler's ingest queue, including
-		// any backpressure wait on a full buffer.
-		db.obs.stage[obs.StageReplicaApply].Observe(db.nowNanos() - arrival)
-		return nil
-	case <-db.stopCh:
+	if !db.ingest.offerWait(mu, db.stopCh) {
 		return ErrClosed
 	}
+	if db.closed.Load() {
+		// As in ApplyUpdate: Close may have swept the buffer before this
+		// store, and the update is counted dropped, not left behind.
+		db.dropStranded()
+	}
+	// The replica-apply span: from the frame reaching this database to
+	// the update entering the scheduler's ingest buffer, including any
+	// backpressure wait on a full buffer.
+	db.obs.stage[obs.StageReplicaApply].Observe(db.nowNanos() - arrival)
+	return nil
 }
 
 // ensureView resolves a view name to its object and the class its

@@ -297,7 +297,12 @@ func TestIngestBufferDrops(t *testing.T) {
 	if !res.Committed() {
 		t.Fatalf("result = %+v", res)
 	}
-	waitFor(t, time.Second, func() bool { return db.Stats().UpdatesDropped == 3 })
+	// The drops are counted by the time Exec returns, the receive only
+	// once the scheduler has looked at the buffer: wait for the ledger.
+	waitFor(t, time.Second, func() bool {
+		s := db.Stats()
+		return s.UpdatesDropped == 3 && s.UpdatesReceived == 1
+	})
 	if db.Stats().UpdatesReceived != 1 {
 		t.Fatalf("received = %d, want 1", db.Stats().UpdatesReceived)
 	}
