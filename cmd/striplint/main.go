@@ -1,6 +1,6 @@
 // Command striplint runs the repo-specific determinism and locking
-// lint rules over the module (see internal/lint). It is stdlib-only
-// and wired into `make lint` and CI:
+// lint rules over the module (see internal/lint; -list prints the nine
+// rules). It is stdlib-only and wired into `make lint` and CI:
 //
 //	go run ./cmd/striplint ./...
 //
@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("striplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rules := fs.String("rules", "", "comma-separated rule names to run (default: all)")
-	scope := fs.String("scope", "", "comma-separated package path suffixes overriding the deterministic scope\n(default: the built-in simulator packages; see striplint -list)")
+	scope := fs.String("scope", "", "comma-separated package path suffixes overriding the deterministic scope, where\nconcurrency-in-sim and nondeterminism-taint report (default: the simulator\npackages, plus strip/elect for nondeterminism-taint; global draws from\nmath/rand are reported everywhere)")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	list := fs.Bool("list", false, "list available rules and exit")
 	lockgraph := fs.Bool("lockgraph", false, "dump the lock-acquisition-order graph as DOT and exit")
@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				s = append(s, e)
 			}
 		}
-		opts.Deterministic = s
+		opts.Deterministic, opts.Taint = s, s
 	}
 
 	if *lockgraph {

@@ -80,15 +80,15 @@ func TestRunList(t *testing.T) {
 		t.Fatalf("exit %d for -list, want 0", code)
 	}
 	for _, rule := range []string{
-		"concurrency-in-sim", "float-eq", "global-rand",
-		"map-order-leak", "nondeterministic-time",
+		"concurrency-in-sim", "float-eq", "lock-guarded-field",
+		"map-order-leak", "nondeterminism-taint",
 	} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list missing rule %q:\n%s", rule, out.String())
 		}
 	}
-	if n := strings.Count(out.String(), "\n"); n != 13 {
-		t.Errorf("-list printed %d rules, want 13:\n%s", n, out.String())
+	if n := strings.Count(out.String(), "\n"); n != 9 {
+		t.Errorf("-list printed %d rules, want 9:\n%s", n, out.String())
 	}
 }
 
@@ -136,17 +136,17 @@ func TestRunChainNotesJSON(t *testing.T) {
 }
 
 func TestRunScopeOverride(t *testing.T) {
-	tickDir := "../../internal/lint/testdata/nondeterminism-taint/tick"
+	clockDir := "../../internal/lint/testdata/nondeterminism-taint/wallclock/clock"
 	var out, errb bytes.Buffer
 	// By default the helper package is out of the deterministic scope,
 	// so the direct time.Now inside it passes.
-	if code := run([]string{"-rules", "nondeterministic-time", tickDir}, &out, &errb); code != 0 {
+	if code := run([]string{"-rules", "nondeterminism-taint", clockDir}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d without -scope, want 0\n%s", code, out.String())
 	}
 	// Pulling it into scope flags the wall-clock read directly.
 	out.Reset()
 	errb.Reset()
-	code := run([]string{"-scope", "nondeterminism-taint/tick", "-rules", "nondeterministic-time", tickDir}, &out, &errb)
+	code := run([]string{"-scope", "wallclock/clock", "-rules", "nondeterminism-taint", clockDir}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d with -scope, want 1\nstderr: %s", code, errb.String())
 	}

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // This file builds the module-wide facts behind the interprocedural
@@ -43,12 +44,6 @@ type Facts struct {
 	// lockCycles its potential deadlocks.
 	lockGraph  *lockGraph
 	lockCycles []lockCycle
-	// condLockers maps an attributable *sync.Cond to the mutex it
-	// wraps (cond.Wait on that mutex is the idiom, not a hazard).
-	condLockers map[lockKey]lockKey
-	// blockers maps every module function that transitively reaches a
-	// potentially blocking operation to its witness chain.
-	blockers map[*types.Func]*taintFact
 	// errProducers maps every error-returning module function whose
 	// error transitively originates on a durability path to its
 	// witness chain; durabilityOps are the intrinsic sources.
@@ -88,8 +83,8 @@ type cgNode struct {
 	// edges are mentions of other module functions, in source order.
 	edges []cgEdge
 	// ifaceEdges link an interface method (a node with no decl) to the
-	// module methods that implement it. They feed the lock-order,
-	// blocking and err-discipline closures — where dispatching to any
+	// module methods that implement it. They feed the lock-order and
+	// err-discipline closures — where dispatching to any
 	// implementation over-approximates in the safe direction — but not
 	// the determinism taint, where the simulator's injected-clock
 	// pattern would make every interface with one wall-clock
@@ -147,18 +142,14 @@ func BuildFacts(modules []*Package, opts *Options) *Facts {
 		f.fset = modules[0].Fset
 	}
 	buildLockFacts(f, modules, order, nodes)
-	// durabilityOps feed both the blocking classifier (interface Sync is
-	// an fsync in production) and the err-drop sources, so they are
-	// computed before either closure.
 	f.durabilityOps = collectDurabilityOps(modules)
-	buildBlockFacts(f, order, nodes)
 	buildErrFacts(f, order, nodes)
 	return f
 }
 
 // addInterfaceEdges creates a node for every method of every interface
 // declared in the module and links it to each module method that
-// implements it, so the lock/blocking/err closures see through
+// implements it, so the lock and err closures see through
 // interface dispatch (e.g. fault.File.Sync reaching os.File.Sync via
 // the osFS implementation). Returns the extended order slice.
 func addInterfaceEdges(modules []*Package, nodes map[*types.Func]*cgNode, order []*cgNode) []*cgNode {
@@ -292,10 +283,21 @@ func collectEdges(n *cgNode, modPaths map[string]bool, opts *Options) {
 	})
 }
 
+// randConstructors are the seed-explicit entry points of math/rand
+// and math/rand/v2. Constructing a generator from an explicit seed is
+// deterministic; everything reached through one is a method on
+// *rand.Rand, which is not a source.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewPCG":     true,
+	"NewChaCha8": true,
+	"NewZipf":    true,
+	"NewSource":  true,
+}
+
 // nondetSource reports whether fn is a nondeterminism source outside
-// the module, returning a short description or "". The source set
-// mirrors the syntactic v1 rules — wall clock, global math/rand — and
-// adds the process environment, which no v1 rule covers.
+// the module — the wall clock, the global math/rand generator or the
+// process environment — returning a short description or "".
 func nondetSource(fn *types.Func) string {
 	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
 		return "" // methods (e.g. on a seeded *rand.Rand) are fine
@@ -360,32 +362,21 @@ func propagateTaint(order []*cgNode, nodes map[*types.Func]*cgNode) map[*types.F
 	return taint
 }
 
-// chain renders the witness path from fn (exclusive of the flagged
-// call site) to the source as a compact arrow string plus one
+// chain renders the witness path from a tainted fn (exclusive of the
+// flagged call site) to the source as a compact arrow string plus one
 // positioned note per hop.
 func (f *Facts) chain(fn *types.Func) (arrows string, notes []string) {
 	var parts []string
 	cur := fn
-	for cur != nil {
-		fact := f.taint[cur]
-		if fact == nil {
-			break
-		}
+	for ; f.taint[cur].next != nil; cur = f.taint[cur].next {
 		parts = append(parts, funcDisplayName(cur))
-		if fact.next == nil {
-			notes = append(notes, funcDisplayName(cur)+" touches "+fact.source+" at "+fact.srcPos.String())
-			parts = append(parts, fact.source)
-			break
-		}
-		notes = append(notes, funcDisplayName(cur)+" calls "+funcDisplayName(fact.next)+" at "+fact.hopPos.String())
-		cur = fact.next
 	}
-	return joinArrows(parts), notes
+	parts = append(parts, funcDisplayName(cur), f.taint[cur].source)
+	return strings.Join(parts, " -> "), chainFacts(f.taint, fn, "touches")
 }
 
 // chainFacts renders the witness chain of a fact map entry: one
-// positioned "calls" line per hop and a terminal line using verb
-// ("blocks in", "returns the error of", ...).
+// positioned "calls" line per hop and a terminal line using verb.
 func chainFacts(m map[*types.Func]*taintFact, fn *types.Func, verb string) []string {
 	var notes []string
 	cur := fn
@@ -402,17 +393,6 @@ func chainFacts(m map[*types.Func]*taintFact, fn *types.Func, verb string) []str
 		cur = fact.next
 	}
 	return notes
-}
-
-func joinArrows(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " -> "
-		}
-		out += p
-	}
-	return out
 }
 
 // funcDisplayName renders pkg.Func or pkg.(Recv).Method for

@@ -121,15 +121,11 @@ func Analyzers() []*Analyzer {
 	all := []*Analyzer{
 		ConcurrencyInSim,
 		FloatEq,
-		GlobalRand,
 		MapOrderLeak,
-		NondeterministicTime,
 		NondeterminismTaint,
 		LockGuardedField,
 		LockEarlyReturn,
-		LockGoroutineCapture,
 		LockOrder,
-		BlockUnderLock,
 		ErrDrop,
 		UnusedIgnore,
 	}
@@ -162,20 +158,17 @@ func Select(names []string) ([]*Analyzer, error) {
 // Options configures an analysis run. The zero value (and a nil
 // *Options) selects the package-level default scopes below.
 type Options struct {
-	// Deterministic overrides DeterministicPkgs, the scope of the
-	// syntactic determinism rules (nondeterministic-time,
-	// concurrency-in-sim).
+	// Deterministic overrides DeterministicPkgs, the scope of
+	// concurrency-in-sim.
 	Deterministic Scope
-	// Taint overrides TaintPkgs, the scope of nondeterminism-taint
-	// (the interprocedural closure is always module-wide; this scope
-	// selects where tainted mentions are reported).
+	// Taint overrides TaintPkgs, where nondeterminism-taint reports
+	// wall-clock and environment reads and tainted mentions (the
+	// closure is always module-wide, and so is the global-rand check).
 	Taint Scope
 	// MapOrder overrides MapOrderPkgs, the scope of map-order-leak.
 	MapOrder Scope
 	// FloatStrict overrides FloatStrictPkgs (float-eq).
 	FloatStrict Scope
-	// RandAllowed overrides RandAllowedPkgs (global-rand exemption).
-	RandAllowed Scope
 	// LockChecked overrides LockCheckedPkgs, the scope of the lock
 	// discipline rules.
 	LockChecked Scope
@@ -208,9 +201,6 @@ func (o *Options) effective() *Options {
 	}
 	if e.FloatStrict == nil {
 		e.FloatStrict = FloatStrictPkgs
-	}
-	if e.RandAllowed == nil {
-		e.RandAllowed = RandAllowedPkgs
 	}
 	if e.LockChecked == nil {
 		e.LockChecked = LockCheckedPkgs
@@ -362,14 +352,15 @@ var MapOrderPkgs = append(append(Scope{}, DeterministicPkgs...),
 	"strip/obs",
 )
 
-// TaintPkgs is the scope of nondeterminism-taint: the deterministic
-// simulator packages plus the election core. strip/elect cannot join
+// TaintPkgs is the scope of nondeterminism-taint's wall-clock,
+// environment and tainted-mention checks: the deterministic simulator
+// packages plus the election core. strip/elect cannot join
 // DeterministicPkgs wholesale — its network shell legitimately runs
-// goroutines and defaults its clock to time.Now — but the protocol
-// core is clock-injected and PCG-seeded so that elections replay
-// identically under test, and a helper that transitively launders
-// wall-clock or global randomness into it would silently break the
-// seeded-determinism regression.
+// goroutines — but the protocol core is clock-injected and PCG-seeded
+// so that elections replay identically under test, and a wall-clock
+// read in it, direct or through a helper, would silently break the
+// seeded-determinism regression. The shell's one default clock carries
+// a reasoned suppression.
 var TaintPkgs = append(append(Scope{}, DeterministicPkgs...),
 	"strip/elect",
 )
@@ -380,12 +371,6 @@ var TaintPkgs = append(append(Scope{}, DeterministicPkgs...),
 var FloatStrictPkgs = Scope{
 	"internal/metrics",
 	"internal/analytic",
-}
-
-// RandAllowedPkgs lists the packages allowed to touch math/rand
-// package-level state: only the seeded PCG wrapper in internal/stats.
-var RandAllowedPkgs = Scope{
-	"internal/stats",
 }
 
 // LockCheckedPkgs lists the packages swept by the lock-discipline

@@ -30,8 +30,8 @@ import (
 //     guarded-field access check: the suffix declares "caller holds
 //     the lock", and the call sites are themselves checked.
 //   - function literals are analyzed as their own scope; a literal
-//     launched by `go` is the lock-goroutine-capture rule's business
-//     and is skipped by the plain access rule.
+//     launched by `go` is never exempt, since the launcher's lock does
+//     not outlive the launch.
 
 // guardedField records the mutex protecting one struct field.
 type guardedField struct {

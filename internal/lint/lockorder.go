@@ -9,12 +9,10 @@ import (
 	"strings"
 )
 
-// This file builds the module-wide lock-order facts behind the v3
-// concurrency-protocol rules: a per-mutex identity scheme, the global
-// lock-acquisition-order graph, its cycle detection, the transitive
-// "acquires" closure over the call graph, and the cond -> locker map
-// that lets block-under-lock exempt the cond.Wait-on-its-own-lock
-// idiom.
+// This file builds the module-wide facts behind the lock-order rule: a
+// per-mutex identity scheme, the global lock-acquisition-order graph,
+// its cycle detection and the transitive "acquires" closure over the
+// call graph.
 //
 // Mutex identity is per declaration site, not per instance: every
 // strip.DB shares the identity "strip.DB.mu" for its mu field. That is
@@ -35,7 +33,7 @@ import (
 // package's short name instead of its import path.
 type lockKey string
 
-// resolveLockExpr maps the receiver expression of a Lock/Unlock/Wait
+// resolveLockExpr maps the receiver expression of a Lock/Unlock
 // call ("db.mu" in db.mu.Lock()) to its module-wide identity and
 // display name, or ("", "") when the mutex cannot be attributed to a
 // declaration site.
@@ -81,7 +79,7 @@ type heldEntry struct {
 	write bool
 }
 
-// scopeLocks is the per-scope lock state shared by the v3 rules: the
+// scopeLocks is the per-scope lock state of the order graph: the
 // scope's held intervals plus the identity of each locked path.
 type scopeLocks struct {
 	spans map[string][]heldSpan
@@ -138,15 +136,6 @@ func (s *scopeLocks) heldAt(pos token.Pos) []heldEntry {
 		return out[i].path < out[j].path
 	})
 	return out
-}
-
-// heldNames renders the held set for a diagnostic message.
-func heldNames(held []heldEntry, names map[lockKey]string) string {
-	parts := make([]string, 0, len(held))
-	for _, h := range held {
-		parts = append(parts, names[h.key])
-	}
-	return strings.Join(parts, ", ")
 }
 
 // lockEdge is one order-graph edge "from is held while to is
@@ -211,7 +200,7 @@ type heldCall struct {
 }
 
 // buildLockFacts fills the lock-order facts: the transitive acquires
-// closure, the order graph, its cycles, and the cond -> locker map.
+// closure, the order graph and its cycles.
 func buildLockFacts(f *Facts, modules []*Package, order []*cgNode, nodes map[*types.Func]*cgNode) {
 	g := &lockGraph{names: make(map[lockKey]string), edges: make(map[[2]lockKey]*lockEdge)}
 	direct := make(map[*types.Func]map[lockKey]*taintFact)
@@ -293,12 +282,11 @@ func buildLockFacts(f *Facts, modules []*Package, order []*cgNode, nodes map[*ty
 	}
 	f.lockGraph = g
 	f.lockCycles = findLockCycles(g)
-	f.condLockers = collectCondLockers(modules)
 }
 
 // declScopes yields the analysis scopes of one declaration: the body
 // itself plus every nested function literal (each literal is its own
-// lock scope, exactly as in the v2 lock rules).
+// lock scope, exactly as in the per-scope lock rules).
 func declScopes(fd *ast.FuncDecl) []*ast.BlockStmt {
 	out := []*ast.BlockStmt{fd.Body}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -472,85 +460,6 @@ func shortestLockPath(from, to lockKey, adj map[lockKey][]lockKey) []lockKey {
 		}
 	}
 	return nil
-}
-
-// collectCondLockers maps every attributable *sync.Cond to the mutex
-// it wraps, by scanning for sync.NewCond(&x.mu) in assignments and
-// composite literals.
-func collectCondLockers(modules []*Package) map[lockKey]lockKey {
-	out := make(map[lockKey]lockKey)
-	for _, pkg := range modules {
-		info := pkg.Info
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					if len(n.Lhs) != len(n.Rhs) {
-						return true
-					}
-					for i, rhs := range n.Rhs {
-						mu, ok := newCondArg(info, rhs)
-						if !ok {
-							continue
-						}
-						condKey, _ := resolveLockExpr(info, n.Lhs[i])
-						muKey, _ := resolveLockExpr(info, mu)
-						if condKey != "" && muKey != "" {
-							out[condKey] = muKey
-						}
-					}
-				case *ast.CompositeLit:
-					t := info.TypeOf(n)
-					if p, ok := t.(*types.Pointer); ok {
-						t = p.Elem()
-					}
-					named, ok := t.(*types.Named)
-					if !ok || named.Obj().Pkg() == nil {
-						return true
-					}
-					for _, el := range n.Elts {
-						kv, ok := el.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						key, ok := kv.Key.(*ast.Ident)
-						if !ok {
-							continue
-						}
-						mu, ok := newCondArg(info, kv.Value)
-						if !ok {
-							continue
-						}
-						muKey, _ := resolveLockExpr(info, mu)
-						if muKey == "" {
-							continue
-						}
-						tn := named.Obj()
-						out[lockKey(tn.Pkg().Path()+":"+tn.Name()+"."+key.Name)] = muKey
-					}
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// newCondArg decodes sync.NewCond(&mu) and returns the mutex
-// expression.
-func newCondArg(info *types.Info, e ast.Expr) (ast.Expr, bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return nil, false
-	}
-	fn := pkgLevelFunc(info, call.Fun)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Name() != "NewCond" {
-		return nil, false
-	}
-	if u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
-		return u.X, true
-	}
-	return call.Args[0], true
 }
 
 // acquireNotes renders the witness chain from fn to its (transitive)

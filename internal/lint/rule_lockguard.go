@@ -9,13 +9,16 @@ import (
 // held in the same function: writes require the write lock, reads are
 // satisfied by either Lock or RLock. Functions named *Locked are
 // exempt — the suffix is the repo's caller-holds-the-lock convention —
-// and goroutine-launched function literals are left to the
-// lock-goroutine-capture rule so each finding has one cause.
+// but a function literal launched with `go` never is: the goroutine
+// runs after the launcher (and its caller) may have released the lock,
+// so every guarded access inside the literal needs its own Lock/Unlock
+// span there, whatever the launching function's name.
 var LockGuardedField = &Analyzer{
 	Name: "lock-guarded-field",
 	Doc: "flag accesses to mutex-guarded struct fields (mu-adjacent or " +
 		"'guarded by mu' comment) outside a Lock/Unlock span in the same " +
-		"function; *Locked-suffixed functions are exempt",
+		"function; *Locked-suffixed functions are exempt, go-launched " +
+		"literals inside them are not",
 	Run: func(pass *Pass) {
 		if !pass.Opts.LockChecked.Match(pass.Pkg.Path()) {
 			return
@@ -26,7 +29,7 @@ var LockGuardedField = &Analyzer{
 		}
 		for _, f := range pass.Files {
 			for _, scope := range funcScopes(f) {
-				if scope.goLit || strings.HasSuffix(scope.name, "Locked") {
+				if !scope.goLit && strings.HasSuffix(scope.name, "Locked") {
 					continue
 				}
 				events := collectLockEvents(pass.Info, scope.body)
@@ -44,6 +47,12 @@ var LockGuardedField = &Analyzer{
 						continue
 					}
 					seen[key] = true
+					if scope.goLit {
+						pass.Reportf(acc.sel.Pos(),
+							"goroutine launched in %s captures guarded field %s.%s without locking %s inside the literal",
+							scope.name, acc.base, acc.field.Name(), muPath)
+						continue
+					}
 					verb := "read"
 					want := muPath + ".Lock or ." + "RLock"
 					if acc.write {

@@ -13,7 +13,7 @@ import (
 // acquires B. Two code paths that take the same pair of mutexes in
 // opposite orders therefore form a cycle, even when the two
 // acquisitions live in different functions, files or packages — the
-// interprocedural case the v2 per-scope rules cannot see. Each cycle
+// interprocedural case the per-scope lock rules cannot see. Each cycle
 // is reported once, anchored at its first in-scope witness, with one
 // witness chain per edge so both (all) conflicting paths are shown.
 var LockOrder = &Analyzer{

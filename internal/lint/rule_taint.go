@@ -5,64 +5,71 @@ import (
 	"go/types"
 )
 
-// NondeterminismTaint is the interprocedural complement to the
-// syntactic determinism rules. The v1 rules only see a source touched
-// in the flagged package itself, so a one-line helper wrapping
-// time.Now in another package launders the nondeterminism past all of
-// them. This rule builds a call graph over the whole module, closes
-// "transitively reaches a nondeterminism source" backwards over it,
-// and flags every mention, inside the deterministic scope, of a
-// module function carrying taint — with the full witness chain in the
-// diagnostic notes. Direct uses of wall-clock or global-rand sources
-// are left to their dedicated v1 rules (one finding per cause);
-// direct environment reads, which no v1 rule covers, are reported
-// here.
+// NondeterminismTaint keeps nondeterminism out of the simulator and the
+// election core. Every check reads the one source table, nondetSource:
+//
+//   - a direct draw from the global math/rand generator is reported in
+//     every package (seed-explicit constructors are fine): the global
+//     generator is seeded from the OS at start, so any draw is a fresh
+//     leak, and the math/rand (v1) global can be reseeded behind the
+//     caller's back;
+//   - inside the taint scope, a direct wall-clock or environment read
+//     is reported;
+//   - inside the taint scope, a mention of a module function that
+//     transitively reaches any source is reported with the full
+//     witness chain in the notes. A one-line helper wrapping time.Now
+//     in another package cannot launder the source past this check.
 var NondeterminismTaint = &Analyzer{
 	Name: "nondeterminism-taint",
-	Doc: "flag calls, inside the deterministic simulator packages and the " +
-		"election core, to module functions that transitively reach time.Now, " +
-		"global math/rand, os.Getenv or a map-order leak — the full call chain " +
-		"is printed with the diagnostic",
+	Doc: "forbid global math/rand draws everywhere, and wall-clock and " +
+		"environment reads inside the deterministic simulator packages and the " +
+		"election core, directly or through module functions that transitively " +
+		"reach one (or a map-order leak) — the full call chain is printed with " +
+		"the diagnostic",
 	needsFacts: true,
 	Run: func(pass *Pass) {
-		if !pass.Opts.Taint.Match(pass.Pkg.Path()) {
-			return
-		}
+		path := pass.Pkg.Path()
+		inScope := pass.Opts.Taint.Match(path)
 		for _, f := range pass.Files {
-			for _, fd := range sortedFuncDecls(f) {
-				self, _ := pass.Info.Defs[fd.Name].(*types.Func)
-				checkTaintedMentions(pass, fd, self)
+			for _, decl := range f.Decls {
+				var self *types.Func
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					self, _ = pass.Info.Defs[fd.Name].(*types.Func)
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := useOf(pass.Info, id).(*types.Func)
+					if !ok || fn == self || fn.Pkg() == nil {
+						return true
+					}
+					desc := nondetSource(fn)
+					switch src := fn.Pkg().Path(); {
+					case desc != "" && (src == "math/rand" || src == "math/rand/v2"):
+						pass.Reportf(id.Pos(),
+							"%s.%s draws from the global generator; use the seeded stats.RNG wrapper",
+							src, fn.Name())
+					case !inScope:
+						// Outside the taint scope only global draws count.
+					case desc != "" && src == "time":
+						pass.Reportf(id.Pos(),
+							"time.%s reads the wall clock inside deterministic package %s; use the simulator clock",
+							fn.Name(), path)
+					case desc != "":
+						pass.Reportf(id.Pos(),
+							"%s read inside deterministic package %s; inject the value instead",
+							desc, path)
+					case pass.Facts.Tainted(fn) != nil:
+						arrows, notes := pass.Facts.chain(fn)
+						pass.ReportfNotes(id.Pos(), notes,
+							"%s transitively reaches %s inside deterministic package %s: %s",
+							funcDisplayName(fn), pass.Facts.Tainted(fn).source, path, arrows)
+					}
+					return true
+				})
 			}
 		}
 	},
-}
-
-func checkTaintedMentions(pass *Pass, fd *ast.FuncDecl, self *types.Func) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		fn, ok := useOf(pass.Info, id).(*types.Func)
-		if !ok || fn == self || fn.Pkg() == nil {
-			return true
-		}
-		if fact := pass.Facts.Tainted(fn); fact != nil {
-			arrows, notes := pass.Facts.chain(fn)
-			pass.ReportfNotes(id.Pos(), notes,
-				"%s transitively reaches %s inside deterministic package %s: %s",
-				funcDisplayName(fn), fact.source, pass.Pkg.Path(), arrows)
-			return true
-		}
-		// Direct source uses not covered by a v1 rule: the process
-		// environment.
-		if fn.Pkg().Path() == "os" {
-			if desc := nondetSource(fn); desc != "" {
-				pass.Reportf(id.Pos(),
-					"%s read inside deterministic package %s; inject the value instead",
-					desc, pass.Pkg.Path())
-			}
-		}
-		return true
-	})
 }

@@ -1,7 +1,7 @@
 // Package sim is a striplint fixture: its import path ends in
 // internal/sim, so the deterministic-package rules apply. Every
 // nondeterminism source here hides behind helpers in package tick,
-// out of reach of the syntactic v1 rules — only the taint closure
+// out of reach of any per-package check — only the taint closure
 // sees them.
 package sim
 
@@ -23,8 +23,8 @@ func Ordered(m map[string]int) []string {
 	return tick.Keys(m) // want "tick.Keys transitively reaches map iteration order"
 }
 
-// Env reads the process environment directly — no v1 rule covers
-// that, so the taint rule reports it itself.
+// Env reads the process environment directly, which is reported as
+// a direct use.
 func Env() string {
 	return os.Getenv("STRIP_SEED") // want "os.Getenv \\(process environment\\) read inside deterministic package"
 }

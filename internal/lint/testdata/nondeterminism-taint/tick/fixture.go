@@ -1,7 +1,7 @@
 // Package tick is a striplint fixture living outside the
-// deterministic scope, so the syntactic v1 rules never inspect it.
-// Its helpers launder nondeterminism sources that only the
-// interprocedural taint rule can trace back.
+// deterministic scope, so only its global draw is reported here. Its
+// helpers launder nondeterminism sources into the simulator that
+// only the interprocedural taint closure can trace back.
 package tick
 
 import (
@@ -16,7 +16,7 @@ func Wrapped() int64 { return deep() }
 func deep() int64 { return time.Now().UnixNano() }
 
 // Roll launders the global math/rand generator one level deep.
-func Roll() int { return rand.Int() }
+func Roll() int { return rand.Int() } // want "math/rand.Int draws from the global generator"
 
 // Keys leaks map iteration order into the returned slice. In an
 // out-of-scope helper this is an intrinsic taint source rather than a

@@ -9,12 +9,12 @@ import "time"
 // Sanctioned documents a real, suppressed finding: its directive is
 // used and must not be reported.
 func Sanctioned() time.Time {
-	//striplint:ignore nondeterministic-time -- fixture: directive in active use
+	//striplint:ignore nondeterminism-taint -- fixture: directive in active use
 	return time.Now()
 }
 
 // stale is clean code whose waiver outlived it.
 func stale() int {
-	//striplint:ignore nondeterministic-time -- nothing left here // want "//striplint:ignore nondeterministic-time suppresses nothing"
+	//striplint:ignore nondeterminism-taint -- nothing left here // want "//striplint:ignore nondeterminism-taint suppresses nothing"
 	return 42
 }

@@ -6,8 +6,8 @@ package sim
 import "time"
 
 // Deadline's waiver earns its keep: the wall-clock read below would
-// be a nondeterministic-time finding without it.
+// be a nondeterminism-taint finding without it.
 func Deadline(budget time.Duration) time.Time {
-	//striplint:ignore nondeterministic-time -- fixture: the directive suppresses the line below
+	//striplint:ignore nondeterminism-taint -- fixture: the directive suppresses the line below
 	return time.Now().Add(budget)
 }

@@ -341,7 +341,7 @@ func (db *DB) Close() error {
 		// writing its snapshot and will read db.wal.broken under mu
 		// in checkpointHeal.
 		db.mu.Lock()
-		//striplint:ignore block-under-lock -- final fsync of Close: the database is shutting down, there are no waiters left to stall
+		// The final fsync of Close holds db.mu on purpose: the database is shutting down, there are no waiters left to stall.
 		err := db.wal.close()
 		db.mu.Unlock()
 		if err != nil {

@@ -115,7 +115,7 @@ type Node struct {
 func NewNode(cfg Config) (*Node, error) {
 	clock := cfg.Clock
 	if clock == nil {
-		clock = time.Now
+		clock = time.Now //striplint:ignore nondeterminism-taint -- the shell's production default; tests and replays inject Config.Clock, and the core only sees instants the shell passes it
 	}
 	if cfg.IOTimeout <= 0 {
 		cfg.IOTimeout = time.Second
@@ -416,7 +416,7 @@ func (n *Node) persist(st *persistentState, ver uint64) bool {
 	if ver <= n.persisted {
 		return true // a newer snapshot already reached disk
 	}
-	//striplint:ignore block-under-lock -- persistMu exists solely to serialize state-file writes; no protocol or engine path ever holds it
+	// The write holds persistMu on purpose: persistMu exists solely to serialize state-file writes; no protocol or engine path ever holds it.
 	if err := saveState(n.store, n.cfg.StatePath, st); err != nil {
 		n.persistFailed.Inc()
 		n.logf("elect: persisting state to %s failed (suppressing replies): %v", n.cfg.StatePath, err)

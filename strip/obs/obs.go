@@ -248,8 +248,8 @@ func (r *Registry) HistogramFor(name string) (*Histogram, bool) {
 // snapshot copies the series list so exposition can run without the
 // registry lock: series handles are immutable after registration and
 // their values are atomics or snapshot-time funcs, so holding mu
-// while writing to a (possibly slow network) writer would be a
-// block-under-lock hazard for nothing.
+// while writing to a (possibly slow network) writer would stall every
+// other registry user behind that writer for nothing.
 func (r *Registry) snapshot() []*series {
 	r.mu.Lock()
 	defer r.mu.Unlock()

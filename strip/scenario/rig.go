@@ -212,12 +212,50 @@ func (r *rig) partition() *fault.Partition {
 	return r.part
 }
 
-// gate routes a dial through the global partition schedule.
+// gate routes a dial through the global partition schedule. Replicas
+// start dialing during boot, before the schedule is published, so a
+// conn dialed then is wrapped to look the schedule up on every
+// operation: a boot-time link obeys the windows like any later one.
 func (r *rig) gate(dial func() (net.Conn, error)) (net.Conn, error) {
 	if p := r.partition(); p != nil {
 		return p.Dial(dial)()
 	}
-	return dial()
+	conn, err := dial()
+	if err != nil {
+		return nil, err
+	}
+	return &bootConn{Conn: conn, r: r}, nil
+}
+
+// bootConn is a conn gate dialed before the partition schedule was
+// published; once it is, every read and write goes through it.
+type bootConn struct {
+	net.Conn
+	r *rig
+}
+
+func (c *bootConn) Read(b []byte) (int, error) {
+	if p := c.r.partition(); p != nil {
+		return p.Wrap(c.Conn).Read(b)
+	}
+	return c.Conn.Read(b)
+}
+
+func (c *bootConn) Write(b []byte) (int, error) {
+	if p := c.r.partition(); p != nil {
+		return p.Wrap(c.Conn).Write(b)
+	}
+	return c.Conn.Write(b)
+}
+
+// publishPartition starts the partition schedule: from now on every
+// gated dial and conn obeys it, and every blackholed operation counts
+// as an injected fault.
+func (r *rig) publishPartition(p *fault.Partition) {
+	p.OnFault = func(op string) { r.faults.Add(1) }
+	r.startMu.Lock()
+	r.part = p
+	r.startMu.Unlock()
 }
 
 // openNodeDB opens (or reopens) a node's database on the given
@@ -280,15 +318,10 @@ func (r *rig) boot() error {
 	}
 	r.setStart(time.Now())
 	// The partition starts with the scenario clock, after boot — so its
-	// windows line up with the plan's offsets. Replica dial loops are
-	// already running by now, so the pointer is published under the
-	// same lock gate() reads it with.
+	// windows line up with the plan's offsets. Links dialed during boot
+	// pick it up through bootConn.
 	if len(r.pl.partWins) > 0 {
-		p := fault.NewPartition(nil, r.pl.partWins...)
-		p.OnFault = func(op string) { r.faults.Add(1) }
-		r.startMu.Lock()
-		r.part = p
-		r.startMu.Unlock()
+		r.publishPartition(fault.NewPartition(nil, r.pl.partWins...))
 	}
 	return nil
 }

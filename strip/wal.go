@@ -556,12 +556,12 @@ func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 
-	//striplint:ignore block-under-lock -- ckptMu only serialises checkpoints; commits and reads proceed under db.mu while the rotation syncs
+	// The rotation may fsync under ckptMu: ckptMu only serialises checkpoints; commits and reads proceed under db.mu while the rotation syncs.
 	pairs, snapGen, err := db.checkpointRotate()
 	if err != nil {
 		return err
 	}
-	//striplint:ignore block-under-lock -- snapshot I/O deliberately runs under ckptMu alone; db.mu was released after the rotation
+	// Snapshot I/O deliberately runs under ckptMu alone; db.mu was released after the rotation.
 	if err := writeSnapshot(db.fs, db.cfg.WALPath, snapGen, pairs); err != nil {
 		// The WAL itself is intact: the old snapshot plus the sealed
 		// segments still cover everything. Durability is not degraded
@@ -583,7 +583,7 @@ func (db *DB) checkpointRotate() (pairs []KeyValue, snapGen uint64, err error) {
 		return nil, 0, ErrClosed
 	}
 	defer db.publishStatsLocked()
-	//striplint:ignore block-under-lock -- sealing must be atomic with the commit path: group-commit accepts one segment fsync under db.mu per checkpoint
+	// Sealing fsyncs under db.mu by design: it must be atomic with the commit path, and group commit accepts one segment fsync under db.mu per checkpoint.
 	sealedGen, err := db.rotateWALLocked()
 	if err != nil {
 		return nil, 0, err
@@ -620,7 +620,7 @@ func (db *DB) Sync() error {
 		return db.degradedErrLocked()
 	}
 	start := db.nowNanos()
-	//striplint:ignore block-under-lock -- Sync's contract is group durability: the fsync must exclude commits, so it holds db.mu by design
+	// Sync's contract is group durability: the fsync must exclude commits, so it holds db.mu by design.
 	err := db.wal.sync()
 	db.obs.stage[obs.StageWALFsync].Observe(db.nowNanos() - start)
 	if err != nil {
