@@ -27,13 +27,15 @@ vet:
 striplint:
 	$(GO) run ./cmd/striplint ./...
 
-# The second run repeats the tests of the lock-free offer path and the
-# ingest ring under it, of the lock-free Stats copy and the scrape built
-# on it, of a submission that Close overtakes, and of the replication
-# ring's concurrent readers, whose interleavings differ from run to run.
+# The second run repeats the tests of the lock-free offer paths (local
+# and replicated) and the ingest ring under them, of name lookups while
+# the definitions table grows, of the lock-free Stats copy and the
+# scrape built on it, of a submission that Close overtakes, and of the
+# replication ring's concurrent readers, whose interleavings differ
+# from run to run.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestConcurrentOffersDefinitionsAndClose|TestApplyUpdateTakesNoLock|TestIngestRing|TestStatsTakesNoLock|TestStatsBalanceUnderAFeed|TestScrapeIsOneSnapshot|TestExecOvertakenByCloseIsCounted|TestRingConcurrentReadersSeeEveryFrame' ./strip ./strip/repl
+	$(GO) test -race -count=10 -run 'TestConcurrentOffersDefinitionsAndClose|TestApplyUpdateTakesNoLock|TestApplyReplicatedTakesNoLock|TestLookupsWhileTableGrows|TestIngestRing|TestStatsTakesNoLock|TestStatsBalanceUnderAFeed|TestScrapeIsOneSnapshot|TestExecOvertakenByCloseIsCounted|TestRingConcurrentReadersSeeEveryFrame' ./strip ./strip/repl
 
 # Fuzz smoke: run every Fuzz* target in the FUZZPKGS packages for
 # FUZZTIME each. `go test -fuzz` accepts only one matching target per

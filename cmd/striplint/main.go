@@ -15,7 +15,8 @@
 // The -lockgraph mode skips linting and instead dumps the module-wide
 // lock-acquisition-order graph in DOT form (mutex identities as nodes,
 // "acquired while held" edges labelled with their witness call sites,
-// deadlock cycles in red) for review alongside the lock-order rule.
+// positioned relative to the module root, deadlock cycles in red) for
+// review alongside the lock-order rule.
 package main
 
 import (
@@ -102,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *lockgraph {
 		facts := lint.BuildFacts(loader.All(), opts)
-		fmt.Fprint(stdout, facts.LockGraphDOT())
+		fmt.Fprint(stdout, facts.LockGraphDOT(loader.Root()))
 		return 0
 	}
 

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -392,5 +393,51 @@ func TestObsScopeCoverage(t *testing.T) {
 	}
 	if DeterministicPkgs.Match(pkg) {
 		t.Errorf("strip/obs joined DeterministicPkgs; concurrency-in-sim would flag its atomics")
+	}
+}
+
+// TestLockGraphDOTIndependentOfCheckout renders the lock-order
+// fixture's graph from two copies of it in different temporary module
+// roots: the DOT output must be byte-identical, and name its positions
+// relative to the root.
+func TestLockGraphDOTIndependentOfCheckout(t *testing.T) {
+	fixture := filepath.Join("testdata", "lock-order", "strip")
+	files, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() string {
+		root := t.TempDir()
+		if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module fixture\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(root, "strip")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(filepath.Join(fixture, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, f.Name()), src, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loader, err := NewLoader(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loader.Load(root + "/..."); err != nil {
+			t.Fatal(err)
+		}
+		return BuildFacts(loader.All(), &Options{}).LockGraphDOT(loader.Root())
+	}
+	a, b := render(), render()
+	if a != b {
+		t.Fatalf("the graph depends on the module root:\n%s\nagainst\n%s", a, b)
+	}
+	if !strings.Contains(a, `\nstrip/fixture.go:`) {
+		t.Errorf("no edge positioned at strip/fixture.go relative to the root:\n%s", a)
 	}
 }

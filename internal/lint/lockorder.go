@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -510,9 +511,11 @@ func (f *Facts) LockCycleCount() int {
 
 // LockGraphDOT renders the acquisition-order graph in DOT form for
 // the striplint -lockgraph mode. Nodes are mutex identities, edges
-// carry their witness function and position; cyclic edges are drawn
-// red and bold so a deadlock candidate stands out in the rendering.
-func (f *Facts) LockGraphDOT() string {
+// carry their witness function and position, relative to the module
+// root root so that the output does not depend on where the module is
+// checked out; cyclic edges are drawn red and bold so a deadlock
+// candidate stands out in the rendering.
+func (f *Facts) LockGraphDOT(root string) string {
 	cyclic := make(map[[2]lockKey]bool)
 	for _, c := range f.lockCycles {
 		for _, e := range c.edges {
@@ -537,7 +540,11 @@ func (f *Facts) LockGraphDOT() string {
 		}
 		// \n is DOT's own line-break escape, so quote by hand rather
 		// than with %q (which would escape the backslash).
-		attrs := fmt.Sprintf("label=\"%s\\n%s\"", label, f.fset.Position(e.pos))
+		pos := f.fset.Position(e.pos)
+		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
+			pos.Filename = filepath.ToSlash(rel)
+		}
+		attrs := fmt.Sprintf("label=\"%s\\n%s\"", label, pos)
 		if cyclic[[2]lockKey{e.from, e.to}] {
 			attrs += ", color=red, penwidth=2"
 		}

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+
 	"repro/internal/model"
 )
 
@@ -9,133 +11,101 @@ import (
 // staleness criteria at once:
 //
 //   - MA (maximum age, §2): per object, the span in seconds between
-//     the newest generation *received* from the primary and the newest
+//     the newest generation *received* from the primary and the
 //     generation *installed* locally. The aggregate is the maximum
 //     over all objects — the age of the most out-of-date view.
 //   - UU (unapplied update, §2): per object, the count of replicated
-//     updates received but not yet installed; the aggregate is their
+//     updates received but not yet settled; the aggregate is their
 //     sum — the replica's install backlog.
 //
-// The tracker follows the same Received/Removed/Installed protocol as
-// the simulator's staleness Trackers in this package, so the replica
-// scheduler reports queue events once and both criteria stay
-// consistent. It is not safe for concurrent use; the strip database
-// calls it under its registry lock.
+// The tracker keeps only what the replica's catalog does not: per
+// object, the newest generation received and the pending count. The
+// installed generation is the catalog's own, which the caller passes
+// to Object and Aggregate, so the two can never disagree. Generations
+// are Unix nanoseconds. Accounts exist only for objects a replicated
+// update has been received for: a database that never receives one
+// holds none. It is not safe for concurrent use; the strip database
+// calls it under its catalog lock.
 //
-// Removal accounting is conservative: a Removed for an object with no
+// Settle accounting is conservative: a Settled for an object with no
 // pending count is ignored (the clamp absorbs mixed local/replicated
 // feeds, where a queue drop cannot always be attributed exactly).
 type ReplicaLag struct {
-	pending  []int     // received-but-not-installed per object
-	received []float64 // newest generation received (seconds)
-	applied  []float64 // newest generation installed (seconds)
-	seen     []bool    // object has received at least one update
-	nSeen    int       // objects with seen set
-	total    int       // sum of pending
+	accts []lagAccount // by object, up to the highest one received for
+	total int          // sum of pending
 }
 
-// NewReplicaLag returns an empty tracker; objects are added on first
-// use, so the replica needs no view count up front.
-func NewReplicaLag() *ReplicaLag { return &ReplicaLag{} }
-
-// ensure grows the per-object state to include obj.
-func (l *ReplicaLag) ensure(obj model.ObjectID) {
-	for len(l.pending) <= int(obj) {
-		l.pending = append(l.pending, 0)
-		l.received = append(l.received, 0)
-		l.applied = append(l.applied, 0)
-		l.seen = append(l.seen, false)
-	}
+// lagAccount is one object's receipts.
+type lagAccount struct {
+	received int64 // newest generation received; noReceipt when none
+	pending  int32 // received but not yet settled
 }
+
+// noReceipt marks an account whose object has received no generation
+// (or whose receipts Forget discarded): its MA lag is zero.
+const noReceipt = math.MinInt64
 
 // Received records a replicated update for obj with the given
-// generation time entering the replica.
-func (l *ReplicaLag) Received(obj model.ObjectID, gen float64) {
-	l.ensure(obj)
-	if !l.seen[obj] || gen > l.received[obj] {
-		l.received[obj] = gen
+// generation entering the replica's queue. A generation of
+// math.MinInt64 counts the update as backlog without advancing the
+// newest receipt.
+func (l *ReplicaLag) Received(obj model.ObjectID, gen int64) {
+	for len(l.accts) <= int(obj) {
+		l.accts = append(l.accts, lagAccount{received: noReceipt})
 	}
-	if !l.seen[obj] {
-		l.seen[obj] = true
-		l.nSeen++
-	}
-	l.pending[obj]++
+	a := &l.accts[obj]
+	a.received = max(a.received, gen)
+	a.pending++
 	l.total++
 }
 
-// Removed records a replicated update for obj leaving the replica's
-// queue unapplied (coalesced, expired, evicted or superseded). Under
-// MA the object stays lagged until a newer generation installs,
-// matching the strict-UU reasoning in §2.
-func (l *ReplicaLag) Removed(obj model.ObjectID) {
-	l.ensure(obj)
-	if l.pending[obj] > 0 {
-		l.pending[obj]--
+// Settled records a replicated update for obj leaving the replica's
+// queue, installed or not (coalesced, expired, evicted or superseded).
+// An update that leaves uninstalled does not narrow MA: the object
+// stays lagged until a newer generation installs, matching the
+// strict-UU reasoning in §2.
+func (l *ReplicaLag) Settled(obj model.ObjectID) {
+	if int(obj) < len(l.accts) && l.accts[obj].pending > 0 {
+		l.accts[obj].pending--
 		l.total--
 	}
 }
 
-// Installed records a replicated update for obj with the given
-// generation time being written into the replica's view.
-func (l *ReplicaLag) Installed(obj model.ObjectID, gen float64) {
-	l.ensure(obj)
-	if gen > l.applied[obj] {
-		l.applied[obj] = gen
-	}
-	if l.pending[obj] > 0 {
-		l.pending[obj]--
-		l.total--
+// Forget discards obj's newest receipt, keeping its backlog: the
+// receipts came from a stream whose state the replica has abandoned
+// (ResetToSnapshot), so they no longer measure its lag.
+func (l *ReplicaLag) Forget(obj model.ObjectID) {
+	if int(obj) < len(l.accts) {
+		l.accts[obj].received = noReceipt
 	}
 }
 
-// Refreshed records a *local* (non-replicated) install for obj with
-// the given generation time. It advances the applied generation — a
-// local value newer than everything received leaves the object fresh
-// under MA — without touching the pending count, which only counts
-// replicated updates.
-func (l *ReplicaLag) Refreshed(obj model.ObjectID, gen float64) {
-	l.ensure(obj)
-	if gen > l.applied[obj] {
-		l.applied[obj] = gen
-	}
-}
-
-// Object returns one object's lag: MA seconds (newest received minus
-// newest installed generation, zero when caught up) and UU pending
-// count. Unknown objects report zero lag.
-func (l *ReplicaLag) Object(obj model.ObjectID) (maSeconds float64, uu int) {
-	if int(obj) >= len(l.pending) || int(obj) < 0 {
+// Object returns one object's lag against its installed generation
+// applied: MA seconds (newest received minus applied, zero when caught
+// up) and UU pending count. Objects without an account report zero.
+func (l *ReplicaLag) Object(obj model.ObjectID, applied int64) (maSeconds float64, uu int) {
+	if int(obj) >= len(l.accts) || obj < 0 {
 		return 0, 0
 	}
-	return l.objectMA(int(obj)), l.pending[obj]
+	a := l.accts[obj]
+	return a.ma(applied), int(a.pending)
 }
 
-// objectMA computes the MA lag for one known object index.
-func (l *ReplicaLag) objectMA(i int) float64 {
-	if !l.seen[i] {
+// ma is the account's MA lag in seconds against applied.
+func (a lagAccount) ma(applied int64) float64 {
+	if a.received == noReceipt || a.received <= applied {
 		return 0
 	}
-	if d := l.received[i] - l.applied[i]; d > 0 {
-		return d
-	}
-	return 0
+	return float64(a.received-applied) / 1e9
 }
 
 // Aggregate returns the replica-wide lag: the maximum MA seconds over
-// all objects and the total UU backlog. A tracker that has received
-// nothing — a primary, whose local installs only ever call Refreshed —
-// answers without scanning its objects.
-func (l *ReplicaLag) Aggregate() (maSeconds float64, uu int) {
-	if l.nSeen == 0 {
-		return 0, l.total
-	}
-	for i := range l.pending {
-		if d := l.objectMA(i); d > maSeconds {
-			maSeconds = d
+// all accounts, each against applied(obj), and the total UU backlog.
+func (l *ReplicaLag) Aggregate(applied func(model.ObjectID) int64) (maSeconds float64, uu int) {
+	for i, a := range l.accts {
+		if a.received != noReceipt {
+			maSeconds = max(maSeconds, a.ma(applied(model.ObjectID(i))))
 		}
 	}
 	return maSeconds, l.total
 }
-
-// Objects returns the number of objects the tracker has seen.
-func (l *ReplicaLag) Objects() int { return len(l.pending) }

@@ -31,8 +31,8 @@ func (db *DB) Aggregate(q string) (float64, error) {
 	now := db.now()
 	db.mu.RLock()
 	at := now.UnixNano()
-	snapshot := make([]Entry, len(db.views))
-	for id := range db.views {
+	snapshot := make([]Entry, db.nviews)
+	for id := range snapshot {
 		snapshot[id] = db.entryLocked(model.ObjectID(id), at)
 	}
 	db.mu.RUnlock()

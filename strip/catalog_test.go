@@ -10,13 +10,16 @@ import (
 )
 
 // TestViewFootprint pins what a defined view costs: the catalog record
-// is 40 bytes, and the heap grows by at most 100 bytes per view while
-// 10 000 views are defined — the record with its append slack plus the
-// name map's slot (DESIGN §4). The names are built before the first
-// reading, so only the database's own structures are weighed.
+// is 24 bytes, and the heap grows by at most 50 bytes per view while
+// 10 000 views are defined — the record, the name's string header and
+// the class byte in their pages, plus the index slots (DESIGN §4). The
+// names are built before the first reading and kept alive past the
+// second, so only the database's own structures are weighed: were the
+// names slice collected in between, its 16 B per view would be
+// credited against them.
 func TestViewFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(view{}); size != 40 {
-		t.Fatalf("unsafe.Sizeof(view{}) = %d, want 40", size)
+	if size := unsafe.Sizeof(view{}); size != 24 {
+		t.Fatalf("unsafe.Sizeof(view{}) = %d, want 24", size)
 	}
 	const n = 10000
 	names := make([]string, n)
@@ -32,10 +35,11 @@ func TestViewFootprint(t *testing.T) {
 	}
 	after := liveHeap()
 	runtime.KeepAlive(db)
+	runtime.KeepAlive(names)
 	perView := float64(int64(after)-int64(before)) / n
 	t.Logf("heap grew %.1f B per view", perView)
-	if perView > 100 {
-		t.Errorf("defining %d views grew the heap by %.1f B per view, want at most 100", n, perView)
+	if perView > 50 {
+		t.Errorf("defining %d views grew the heap by %.1f B per view, want at most 50", n, perView)
 	}
 }
 
@@ -156,5 +160,78 @@ func TestResetStartsHistoryAtSnapshot(t *testing.T) {
 	}
 	if hist, _ := db.History("gone"); len(hist) != 0 {
 		t.Errorf("History(gone) after the reset blanked it = %+v, want none", hist)
+	}
+}
+
+// TestResetForgetsDeposedReceipts pins what MA replica lag reads after
+// ResetToSnapshot adopts a version older than what the deposed stream
+// delivered: zero. MA compares a view's newest receipt with its
+// installed generation, and a reset lowers the generation, so the
+// reset also forgets the receipts of every view it resets — adopted or
+// blanked — since they came from the stream the replica abandoned. The
+// deposed updates still queued count as backlog (UU) until the barrier
+// discards them, including one offered before the reset and received
+// after it, whose generation never becomes a receipt. Receipts from
+// the new stream measure lag again.
+func TestResetForgetsDeposedReceipts(t *testing.T) {
+	clock := newFakeClock()
+	db := mustOpenStepped(t, Config{Policy: TransactionsFirst, Clock: clock.Now})
+	at := func(sec int) time.Time { return clock.Now().Add(time.Duration(sec) * time.Second) }
+	feed := func(name string, sec int) {
+		t.Helper()
+		if err := db.ApplyReplicated(Update{Object: name, Value: float64(sec), Generated: at(sec)}, Low); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lag := func(name string) (float64, int) {
+		t.Helper()
+		ma, uu, err := db.ObjectLag(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ma, uu
+	}
+
+	feed("x", 20)
+	feed("y", 20)
+	db.intake()
+	db.act(installRunLen)
+	feed("x", 30)
+	feed("y", 30)
+	db.intake()
+	if ma, uu := lag("x"); ma != 10 || uu != 1 {
+		t.Fatalf("x before the reset: %v s, %d updates; want 10, 1", ma, uu)
+	}
+	feed("x", 40) // offered before the reset, received after it
+
+	err := db.ResetToSnapshot(Snapshot{Views: []SnapshotView{
+		{Name: "x", Importance: Low, Value: 10, Generated: at(10)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.intake()
+	if ma, uu := lag("x"); ma != 0 || uu != 2 {
+		t.Errorf("x after the reset: %v s, %d updates; want 0, 2", ma, uu)
+	}
+	if ma, uu := lag("y"); ma != 0 || uu != 1 {
+		t.Errorf("blanked y after the reset: %v s, %d updates; want 0, 1", ma, uu)
+	}
+	db.act(installRunLen)
+	if ma, uu := db.ReplicaLag(); ma != 0 || uu != 0 {
+		t.Errorf("after the deposed updates are discarded: %v s, %d updates; want 0, 0", ma, uu)
+	}
+	if e, _ := db.Peek("x"); e.Value != 10 {
+		t.Errorf("x = %v after the deposed updates were discarded, want the adopted 10", e.Value)
+	}
+
+	feed("x", 15)
+	db.intake()
+	if ma, uu := lag("x"); ma != 5 || uu != 1 {
+		t.Errorf("x after a receipt from the new stream: %v s, %d updates; want 5, 1", ma, uu)
+	}
+	db.act(installRunLen)
+	if ma, uu := lag("x"); ma != 0 || uu != 0 {
+		t.Errorf("x after installing it: %v s, %d updates; want 0, 0", ma, uu)
 	}
 }

@@ -2,7 +2,7 @@ package strip
 
 import (
 	"fmt"
-	"maps"
+	"hash/maphash"
 	"math"
 	"runtime"
 	"sync"
@@ -32,20 +32,22 @@ type DB struct {
 	stopCh chan struct{}
 	done   chan struct{}
 
-	// mu guards the registry, the view catalog, general store and stats.
-	// The update queue and ready list are owned by the scheduler
-	// goroutine and need no locking. names is the working copy of the
-	// registry; readers that must not take mu (ApplyUpdate, Tx.Read) go
-	// through reg instead — see registry. views is the catalog, one
-	// record per view indexed by ObjectID; fields and history are the
+	// mu guards the view catalog, general store and stats. The update
+	// queue and ready list are owned by the scheduler goroutine and need
+	// no locking. The catalog is the definitions table (defs.go): one
+	// record per view, indexed by ObjectID, beside the view's name and
+	// class, which readers that must not take mu (ApplyUpdate,
+	// ApplyReplicated, Tx.Read) resolve through defs. pages are the
+	// table's pages, reached here rather than through defs so that the
+	// scheduler's record accesses stay off the cache line producers
+	// write; nviews counts the definitions. fields and history are the
 	// sparse side tables of the two optional features: fields holds the
 	// attributes of record views only (§2 partial updates), history a
 	// version ring per installed view and is nil unless
 	// Config.HistoryDepth > 0.
 	mu      sync.RWMutex
-	names   map[string]viewRef
-	shared  bool // names is the published map: clone before adding to it
-	views   []view
+	pages   []*defPage
+	nviews  int
 	fields  map[model.ObjectID]map[string]float64
 	history map[model.ObjectID]*historyRing
 	general map[string]float64
@@ -53,16 +55,17 @@ type DB struct {
 
 	// The feed path's share of the state above, kept out of mu so that
 	// neither an offer nor a submission nor a Stats reader ever waits
-	// for the scheduler's install section. reg holds the published name
-	// map, nothing until the first lock-free lookup; closed is set once
-	// by Close (under mu, so a define that holds mu sees it settled);
+	// for the scheduler's install section. defs is the published
+	// definitions table and seed its name hash; closed is set once by
+	// Close (under mu, so a define that holds mu sees it settled);
 	// arrival is the queue tie-break counter shared by ApplyUpdate and
 	// ApplyReplicated; dropped, malformed and submitted are the three
 	// counters producers bump themselves; replicated is set once a
-	// replicated update has been received, the one case in which Stats
+	// replicated update has been offered, the one case in which Stats
 	// takes mu (for the replica-lag scan); pub is the copy of the
 	// counters that Stats reads (see statsCopy).
-	reg        atomic.Value // map[string]viewRef
+	defs       atomic.Pointer[defTable]
+	seed       maphash.Seed
 	closed     atomic.Bool
 	arrival    atomic.Uint64
 	dropped    atomic.Uint64
@@ -100,7 +103,8 @@ type DB struct {
 	// the last ResetToSnapshot (see installLocked): state adopted from
 	// a newly elected primary must not be overwritten by leftovers of
 	// the deposed one's stream.
-	// lag tracks replica freshness under the MA and UU criteria.
+	// lag tracks replica freshness under the MA and UU criteria; it
+	// holds an account only for views that replicated updates arrive for.
 	seq         uint64              // guarded by mu
 	epoch       uint64              // guarded by mu
 	replBarrier uint64              // guarded by mu
@@ -130,12 +134,13 @@ type DB struct {
 	ckptMu sync.Mutex
 }
 
-// view is one view object's catalog record: its definition and its
-// installed state, 40 bytes (TestViewFootprint pins the size). What
-// only some views use — record fields, history — lives in the side
-// tables next to the catalog (see DB.fields and DB.history).
+// view is one view object's catalog record: its installed state and
+// the two definition bytes the install path reads, 24 bytes
+// (TestViewFootprint pins the size). The name lives beside it in the
+// definitions table; what only some views use — record fields, history
+// — lives in the side tables next to the catalog (see DB.fields and
+// DB.history).
 type view struct {
-	name  string
 	value float64
 	// gen is the installed generation in Unix nanoseconds, noGen while
 	// the view holds no state (see genOf).
@@ -175,71 +180,6 @@ func genTime(gen int64) time.Time {
 		return time.Time{}
 	}
 	return time.Unix(0, gen)
-}
-
-// viewRef is what a view name resolves to: all that an offer or a read
-// needs to know about its target, so that one map lookup answers it. It
-// is packed into eight bytes (class is the Importance, which
-// checkImportance keeps to Low or High) so that the name map's slots
-// are no bigger than when they held the id alone.
-type viewRef struct {
-	id      model.ObjectID
-	class   int8
-	derived bool
-}
-
-// registry returns the name map for readers that take no lock. The map
-// is copy-on-write with a single copy: until a lock-free reader first
-// asks for it nothing is published and definitions add to db.names in
-// place, so set-up costs O(1) per DefineView; from then on the published
-// map IS db.names and nobody writes to it again — the next definition
-// clones it once (addDefLocked), further definitions in the same
-// critical section add to the clone, and publishLocked swaps it in
-// before mu is released (the old map is garbage as soon as its last
-// reader returns). So a view whose definition has returned is in every
-// map loaded afterwards, and a name missing from the map is unknown —
-// no lock is needed to be sure.
-func (db *DB) registry() map[string]viewRef {
-	if names, ok := db.reg.Load().(map[string]viewRef); ok {
-		return names
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if !db.shared {
-		db.reg.Store(db.names)
-		db.shared = true
-	}
-	return db.names
-}
-
-// idLocked resolves a view name to its object. Callers hold db.mu.
-func (db *DB) idLocked(name string) (model.ObjectID, bool) {
-	ref, ok := db.names[name]
-	return ref.id, ok
-}
-
-// addDefLocked adds a definition to the registry. Callers hold db.mu
-// for writing, have checked the name is unused, and call publishLocked
-// before they release the lock.
-func (db *DB) addDefLocked(name string, importance Importance, derived bool) model.ObjectID {
-	ref := viewRef{id: model.ObjectID(len(db.views)), class: int8(importance), derived: derived}
-	if db.shared {
-		db.names = maps.Clone(db.names)
-		db.shared = false
-	}
-	db.names[name] = ref
-	db.views = append(db.views, view{name: name, gen: noGen, class: ref.class, derived: derived})
-	return ref.id
-}
-
-// publishLocked makes the definitions added under this hold of db.mu
-// visible to lock-free readers, if there are any such readers yet (see
-// registry).
-func (db *DB) publishLocked() {
-	if !db.shared && db.reg.Load() != nil {
-		db.reg.Store(db.names)
-		db.shared = true
-	}
 }
 
 type txnReq struct {
@@ -305,16 +245,17 @@ func open(cfg Config) (*DB, error) {
 		txnCh:      make(chan *txnReq, 256),
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
-		names:      make(map[string]viewRef),
+		seed:       maphash.MakeSeed(),
 		fields:     make(map[model.ObjectID]map[string]float64),
 		history:    history,
 		general:    general,
 		wal:        wal,
 		fs:         fsys,
 		dur:        metrics.NewDurability(),
-		lag:        metrics.NewReplicaLag(),
+		lag:        new(metrics.ReplicaLag),
 		maxStale:   metrics.NewMaxStaleness(),
 	}
+	db.defs.Store(newDefTable(minIndex))
 	db.obs = newDBObs(db, cfg.Metrics, cfg.TraceDepth)
 	db.queue = uqueue.NewClassQueue(cfg.QueueCapacity, 1, cfg.Coalesce)
 	if cfg.LIFO {
@@ -371,11 +312,10 @@ func (db *DB) DefineView(name string, importance Importance) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	if _, ok := db.names[name]; ok {
+	if _, ok := db.lookup(name); ok {
 		return ErrDuplicateObject
 	}
 	db.addDefLocked(name, importance, false)
-	db.publishLocked()
 	return nil
 }
 
@@ -383,9 +323,9 @@ func (db *DB) DefineView(name string, importance Importance) error {
 func (db *DB) Views() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]string, len(db.views))
-	for i := range db.views {
-		out[i] = db.views[i].name
+	out := make([]string, db.nviews)
+	for i := range out {
+		out[i] = db.nameLocked(model.ObjectID(i))
 	}
 	return out
 }
@@ -395,19 +335,19 @@ func (db *DB) Views() []string {
 func (db *DB) Peek(name string) (Entry, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.idLocked(name)
+	ref, ok := db.lookup(name)
 	if !ok {
 		return Entry{}, ErrUnknownObject
 	}
-	return db.entryLocked(id, db.cfg.Clock().UnixNano()), nil
+	return db.entryLocked(ref.id, db.cfg.Clock().UnixNano()), nil
 }
 
 // entryLocked copies a view object's entry out, with its staleness at
 // now (Unix nanoseconds). Callers hold db.mu (read or write).
 func (db *DB) entryLocked(id model.ObjectID, now int64) Entry {
-	v := &db.views[id]
+	v := db.viewLocked(id)
 	return Entry{
-		Object:    v.name,
+		Object:    db.nameLocked(id),
 		Value:     v.value,
 		Fields:    copyFields(db.fields[id]),
 		Generated: genTime(v.gen),
@@ -432,7 +372,7 @@ func (db *DB) Stats() Stats {
 	s.TxnsSubmitted = db.submitted.Load()
 	if db.replicated.Load() {
 		db.mu.RLock()
-		s.ReplicaLagSeconds, s.ReplicaLagUpdates = db.lag.Aggregate()
+		s.ReplicaLagSeconds, s.ReplicaLagUpdates = db.lag.Aggregate(db.appliedGenLocked)
 		db.mu.RUnlock()
 	}
 	return s
@@ -594,19 +534,12 @@ func (db *DB) arrivalNanos(u *model.Update) int64 {
 	return db.startNanos + int64(u.ArrivalTime*float64(time.Second))
 }
 
-// lookup resolves a view name to its object and importance class
-// without taking mu (see registry).
-func (db *DB) lookup(name string) (model.ObjectID, Importance, bool) {
-	ref, ok := db.registry()[name]
-	return ref.id, Importance(ref.class), ok
-}
-
 // staleLocked evaluates the staleness criterion for one object. A
 // derived view is stale when any of its dependencies is; a view that
 // holds no state is stale under MA. now is in Unix nanoseconds. Callers
 // hold db.mu (read or write).
 func (db *DB) staleLocked(id model.ObjectID, now int64) bool {
-	v := &db.views[id]
+	v := db.viewLocked(id)
 	if v.derived {
 		for _, dep := range db.derivedByID[id].deps {
 			if db.staleLocked(dep, now) {
@@ -657,7 +590,7 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 		db.settleLocked(old, settleSkipped)
 	}
 	gen := db.updateGen(u)
-	v := &db.views[u.Object]
+	v := db.viewLocked(u.Object)
 	// A replicated update admitted before the last ResetToSnapshot
 	// belongs to the deposed primary's stream: the reset adopted a
 	// state its history never produced, so installing it — however
@@ -689,14 +622,6 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 	v.gen = gen
 	db.recordHistoryLocked(u.Object)
 	db.settleLocked(u, settleInstalled)
-	if u.Replicated {
-		db.lag.Installed(u.Object, u.GenTime)
-	} else {
-		// A local install newer than everything received leaves the
-		// object fresh under MA even while replicated updates it
-		// superseded are still being discarded.
-		db.lag.Refreshed(u.Object, u.GenTime)
-	}
 	// Only an attached sink has a publish span worth two clock readings.
 	published := int64(-1)
 	if db.sink != nil {
@@ -718,7 +643,7 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 		// span, and then records the run's traces.
 		tr := obs.NewTrace()
 		tr.Seq = u.Seq
-		tr.Object = v.name
+		tr.Object = db.nameLocked(u.Object)
 		if arrived != 0 {
 			tr.ArrivalNanos = arrived
 			tr.Spans[obs.StageQueueWait] = now - arrived
@@ -732,7 +657,7 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 // hookedLocked reports whether an install of the object has anything
 // to fire. Callers hold db.mu.
 func (db *DB) hookedLocked(id model.ObjectID) bool {
-	return db.views[id].hooked || len(db.globalTriggers) > 0 || len(db.watchers) > 0
+	return db.viewLocked(id).hooked || len(db.globalTriggers) > 0 || len(db.watchers) > 0
 }
 
 // endRunLocked closes a run's critical section. It folds the queue-wait
@@ -811,7 +736,7 @@ func (db *DB) recordHistoryLocked(id model.ObjectID) {
 		r = &historyRing{}
 		db.history[id] = r
 	}
-	v := &db.views[id]
+	v := db.viewLocked(id)
 	r.add(historical{value: v.value, gen: v.gen}, db.cfg.HistoryDepth)
 }
 

@@ -43,15 +43,16 @@ func (db *DB) OnInstall(object string, fn func(Entry)) error {
 		db.globalTriggers = append(db.globalTriggers, fn)
 		return nil
 	}
-	id, ok := db.idLocked(object)
+	ref, ok := db.lookup(object)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, object)
 	}
+	id := ref.id
 	if db.triggers == nil {
 		db.triggers = make(map[model.ObjectID][]func(Entry))
 	}
 	db.triggers[id] = append(db.triggers[id], fn)
-	db.views[id].hooked = true
+	db.viewLocked(id).hooked = true
 	return nil
 }
 
@@ -80,24 +81,23 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	if _, ok := db.names[name]; ok {
+	if _, ok := db.lookup(name); ok {
 		return ErrDuplicateObject
 	}
 	depIDs := make([]model.ObjectID, len(deps))
 	for i, dep := range deps {
-		id, ok := db.idLocked(dep)
+		ref, ok := db.lookup(dep)
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownDependency, dep)
 		}
-		if db.views[id].derived {
+		if ref.derived {
 			// Chained derivation would need topological recompute
 			// ordering; keep the dependency graph one level deep.
 			return fmt.Errorf("strip: dependency %q is itself derived", dep)
 		}
-		depIDs[i] = id
+		depIDs[i] = ref.id
 	}
 	id := db.addDefLocked(name, Low, true)
-	db.publishLocked()
 	def := &derivedDef{id: id, deps: depIDs, compute: compute}
 	if db.derivedByDep == nil {
 		db.derivedByDep = make(map[model.ObjectID][]*derivedDef)
@@ -105,7 +105,7 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 	}
 	for _, dep := range depIDs {
 		db.derivedByDep[dep] = append(db.derivedByDep[dep], def)
-		db.views[dep].hooked = true
+		db.viewLocked(dep).hooked = true
 	}
 	db.derivedByID[id] = def
 	return nil
@@ -117,9 +117,9 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 // something registered (see hookedLocked).
 func (db *DB) fireTriggers(id model.ObjectID) {
 	db.mu.RLock()
-	v := db.views[id]
+	v := db.viewLocked(id)
 	e := Entry{
-		Object:    v.name,
+		Object:    db.nameLocked(id),
 		Value:     v.value,
 		Generated: genTime(v.gen),
 		Fields:    copyFields(db.fields[id]),
@@ -151,10 +151,11 @@ func (db *DB) recomputeDerived(def *derivedDef) {
 	// def.compute is user code that may retain the slice, so each
 	// recompute hands it a fresh one.
 	values := make([]float64, len(def.deps))
-	oldest := db.views[def.deps[0]].gen
+	oldest := db.viewLocked(def.deps[0]).gen
 	for i, dep := range def.deps {
-		values[i] = db.views[dep].value
-		oldest = min(oldest, db.views[dep].gen)
+		v := db.viewLocked(dep)
+		values[i] = v.value
+		oldest = min(oldest, v.gen)
 	}
 	db.mu.Unlock()
 
@@ -162,7 +163,7 @@ func (db *DB) recomputeDerived(def *derivedDef) {
 	result := def.compute(values)
 
 	db.mu.Lock()
-	v := &db.views[def.id]
+	v := db.viewLocked(def.id)
 	v.value = result
 	v.gen = oldest
 	db.recordHistoryLocked(def.id)
@@ -171,7 +172,7 @@ func (db *DB) recomputeDerived(def *derivedDef) {
 	// Derived installs fire plain triggers too (but never recurse
 	// into further derivation: dependencies cannot be derived).
 	db.mu.RLock()
-	entry := Entry{Object: db.views[def.id].name, Value: result, Generated: genTime(oldest)}
+	entry := Entry{Object: db.nameLocked(def.id), Value: result, Generated: genTime(oldest)}
 	var fns []func(Entry)
 	if n := len(db.globalTriggers) + len(db.triggers[def.id]); n > 0 {
 		fns = make([]func(Entry), 0, n)

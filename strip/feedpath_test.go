@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -66,17 +67,70 @@ func TestApplyUpdateTakesNoLock(t *testing.T) {
 	}
 }
 
+// TestApplyReplicatedTakesNoLock holds db.mu for writing, as the
+// scheduler does for a whole install run, and feeds replicated updates
+// for views already defined from another goroutine: accepted, refused
+// for a derived view, accepted under a carried importance the local
+// definition overrides — every call returns while the lock is still
+// held. The updates count as replica lag once the scheduler has
+// received them, not before.
+func TestApplyReplicatedTakesNoLock(t *testing.T) {
+	db := mustOpenStepped(t, Config{IngestBuffer: 2})
+	db.DefineView("x", Low)
+	if err := db.DefineDerived("d", []string{"x"}, func(v []float64) float64 { return v[0] }); err != nil {
+		t.Fatal(err)
+	}
+	gen := time.Now()
+
+	db.mu.Lock()
+	errs := make(chan error, 3)
+	go func() {
+		errs <- db.ApplyReplicated(Update{Object: "x", Value: 1, Generated: gen}, Low)
+		errs <- db.ApplyReplicated(Update{Object: "d", Value: 2, Generated: gen}, Low)
+		errs <- db.ApplyReplicated(Update{Object: "x", Value: 3, Generated: gen.Add(time.Second)}, High)
+	}()
+	want := []error{nil, ErrDerivedUpdate, nil}
+	for i, w := range want {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, w) {
+				t.Errorf("replicated update %d: %v, want %v", i, err, w)
+			}
+		case <-time.After(10 * time.Second):
+			db.mu.Unlock()
+			t.Fatalf("replicated update %d is waiting for db.mu", i)
+		}
+	}
+	db.mu.Unlock()
+	if s := db.Stats(); s.ReplicaLagUpdates != 0 {
+		t.Errorf("replica lag %d updates before the scheduler received any, want 0", s.ReplicaLagUpdates)
+	}
+	db.intake()
+	if s := db.Stats(); s.UpdatesReceived != 2 || s.ReplicaLagUpdates != 2 {
+		t.Errorf("received %d, replica lag %d updates; want 2 and 2", s.UpdatesReceived, s.ReplicaLagUpdates)
+	}
+	for db.step() {
+	}
+	if ma, uu := db.ReplicaLag(); ma != 0 || uu != 0 {
+		t.Errorf("replica lag after the installs = %v s, %d updates; want 0, 0", ma, uu)
+	}
+	if e, _ := db.Peek("x"); e.Value != 3 {
+		t.Errorf("x = %v, want 3", e.Value)
+	}
+}
+
 // TestDefinitionsAfterPublication: once offers have started, every way
 // of defining a view — DefineView, DefineDerived, a replicated update
 // for an unknown view, a snapshot — leaves it visible to the next
-// lock-free lookup, and the views defined before stay known.
+// lock-free lookup, and the views defined before stay known, also to a
+// reader still holding a table the definitions have since outgrown.
 func TestDefinitionsAfterPublication(t *testing.T) {
 	db := mustOpenStepped(t, Config{})
 	db.DefineView("a", Low)
 	if err := db.ApplyUpdate(Update{Object: "a", Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	published := db.registry()
+	published := db.defs.Load()
 
 	db.DefineView("b", High)
 	if err := db.DefineDerived("d", []string{"a", "b"}, func(v []float64) float64 { return v[0] + v[1] }); err != nil {
@@ -97,12 +151,19 @@ func TestDefinitionsAfterPublication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := published["b"]; ok || len(published) != 1 {
-		t.Errorf("a published map was written to: %v", published)
+	for i := range minIndex {
+		db.DefineView(fmt.Sprintf("pad%d", i), Low)
+	}
+
+	if db.defs.Load() == published {
+		t.Fatal("the definitions did not outgrow the first table")
+	}
+	if id, p := published.find("a", maphash.String(db.seed, "a")); p == nil || id != 0 {
+		t.Errorf("the outgrown table resolves a to %d, %v; want 0, found", id, p != nil)
 	}
 	for name, class := range map[string]Importance{"a": Low, "b": High, "c": High, "s1": Low, "s2": High, "s3": Low} {
-		if _, got, ok := db.lookup(name); !ok || got != class {
-			t.Errorf("lookup(%q) = class %v, known %v", name, got, ok)
+		if ref, ok := db.lookup(name); !ok || ref.class != class {
+			t.Errorf("lookup(%q) = class %v, known %v", name, ref.class, ok)
 		}
 		if err := db.ApplyUpdate(Update{Object: name, Value: 9}); err != nil {
 			t.Errorf("ApplyUpdate(%q): %v", name, err)
@@ -386,7 +447,7 @@ func TestFeedPathAllocations(t *testing.T) {
 	// The on-demand refresh: taking the object's queued updates out and
 	// installing the newest. The offers are part of each run, so the
 	// refresh's own share is the count less one per offer.
-	id0, _, _ := db.lookup(names[0])
+	ref0, _ := db.lookup(names[0])
 	for _, c := range []struct {
 		queued int
 		want   float64
@@ -400,7 +461,7 @@ func TestFeedPathAllocations(t *testing.T) {
 				offerTo(names[0])
 			}
 			db.intake()
-			if !db.refreshOnDemand(id0, Low) {
+			if !db.refreshOnDemand(ref0.id, Low) {
 				t.Fatal("nothing queued to refresh from")
 			}
 		})

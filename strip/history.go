@@ -66,14 +66,14 @@ func (db *DB) HistoryAt(name string, t time.Time) (Entry, error) {
 func (db *DB) readAsOf(name string, t time.Time) (Entry, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.idLocked(name)
+	ref, ok := db.lookup(name)
 	if !ok {
 		return Entry{}, ErrUnknownObject
 	}
 	if db.history == nil {
 		return Entry{}, ErrNoHistory
 	}
-	r := db.history[id]
+	r := db.history[ref.id]
 	at := genOf(t)
 	// The ring is generation-ordered: scan from the newest version.
 	for i := r.len() - 1; i >= 0; i-- {
@@ -89,11 +89,11 @@ func (db *DB) readAsOf(name string, t time.Time) (Entry, error) {
 func (db *DB) History(name string) ([]Entry, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.idLocked(name)
+	ref, ok := db.lookup(name)
 	if !ok {
 		return nil, ErrUnknownObject
 	}
-	r := db.history[id]
+	r := db.history[ref.id]
 	out := make([]Entry, r.len())
 	for i := range out {
 		h := r.at(i)

@@ -15,18 +15,19 @@ import (
 )
 
 // ApplyUpdate submits one update to the stream. It never blocks and
-// takes no lock — the registry is read from its published snapshot
-// (see registry), the closed flag, the arrival counter and the drop
-// counter are atomics — so a producer never waits for the scheduler's
-// install section: when the ingest buffer (the paper's OS queue) is
-// full the update is dropped and counted in Stats.UpdatesDropped.
+// takes no lock — the name is resolved through the published
+// definitions table (see defs.go); the closed flag, the arrival counter
+// and the drop counter are atomics — so a producer never waits for the
+// scheduler's install section: when the ingest buffer (the paper's OS
+// queue) is full the update is dropped and counted in
+// Stats.UpdatesDropped.
 // Updates for undefined objects are rejected with ErrUnknownObject.
 // Every offerYield-th offer yields the processor (see offerYield).
 func (db *DB) ApplyUpdate(u Update) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	ref, ok := db.registry()[u.Object]
+	ref, ok := db.lookup(u.Object)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, u.Object)
 	}
@@ -46,7 +47,7 @@ func (db *DB) ApplyUpdate(u Update) error {
 	mu := &model.Update{
 		Seq:         seq,
 		Object:      ref.id,
-		Class:       Importance(ref.class),
+		Class:       ref.class,
 		GenTime:     gen,
 		ArrivalTime: arrival,
 		Payload:     u.Value,

@@ -140,7 +140,7 @@ func TestIngestRingUnfilledHeadSlotParksTheScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.DefineView("x", Low)
-	id, _, _ := db.lookup("x")
+	ref, _ := db.lookup("x")
 	head, ok := db.ingest.claim()
 	if !ok {
 		t.Fatal("claim refused")
@@ -163,7 +163,7 @@ func TestIngestRingUnfilledHeadSlotParksTheScheduler(t *testing.T) {
 		t.Fatalf("received %d behind an unfilled head slot, want 0", s.UpdatesReceived)
 	}
 	now := db.secs(time.Now())
-	db.ingest.fill(head, &model.Update{Seq: db.arrival.Add(1), Object: id, Class: Low, GenTime: now, ArrivalTime: now})
+	db.ingest.fill(head, &model.Update{Seq: db.arrival.Add(1), Object: ref.id, Class: Low, GenTime: now, ArrivalTime: now})
 	waitFor(t, 5*time.Second, func() bool {
 		s := db.Stats()
 		return s.UpdatesReceived == 2 && s.QueueLen == 0

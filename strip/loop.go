@@ -125,19 +125,17 @@ const (
 // settleLocked is the one exit from the update queue: every update
 // that enqueue counted in leaves through here, exactly once, so the
 // conservation ledger (received = installed + skipped + evicted +
-// expired + queued) and the UU pending counts hold by construction.
-// An update that leaves uninstalled also settles its replication-lag
-// account; an installed one settles it in installLocked, which knows
-// the generation it installed. Callers hold db.mu for writing.
+// expired + queued) and the UU pending counts — the catalog's and, for
+// a replicated update, the replica-lag account's — hold by
+// construction. Callers hold db.mu for writing.
 func (db *DB) settleLocked(u *model.Update, cause settleCause) {
-	db.views[u.Object].pending--
+	db.viewLocked(u.Object).pending--
 	if db.onSettle != nil {
 		db.onSettle(u, cause)
 	}
 	switch cause {
 	case settleInstalled:
 		db.stats.UpdatesInstalled++
-		return
 	case settleSkipped:
 		db.stats.UpdatesSkipped++
 	case settleEvicted:
@@ -146,18 +144,29 @@ func (db *DB) settleLocked(u *model.Update, cause settleCause) {
 		db.stats.UpdatesExpired++
 	}
 	if u.Replicated {
-		db.lag.Removed(u.Object)
+		db.lag.Settled(u.Object)
 	}
 }
 
 // enqueueLocked inserts one received update, accounting for coalescing
-// and overflow evictions and maintaining the UU pending counts. Callers
-// hold db.mu for writing, run on the scheduler goroutine and flush
+// and overflow evictions and maintaining the UU pending counts. A
+// replicated update opens its replica-lag account here, where the
+// scheduler receives it: one admitted before the last ResetToSnapshot
+// counts as backlog until installLocked discards it, but its generation
+// belongs to the deposed stream and is not a receipt. Callers hold
+// db.mu for writing, run on the scheduler goroutine and flush
 // uuBacklog, which the burst's observations are staged in, before they
 // release the lock.
 func (db *DB) enqueueLocked(u *model.Update) {
 	db.stats.UpdatesReceived++
-	db.views[u.Object].pending++
+	db.viewLocked(u.Object).pending++
+	if u.Replicated {
+		gen := db.updateGen(u)
+		if u.Seq <= db.replBarrier {
+			gen = noGen
+		}
+		db.lag.Received(u.Object, gen)
+	}
 	for _, ev := range db.queue.Insert(u) {
 		switch {
 		case ev == u && !db.cfg.Coalesce:

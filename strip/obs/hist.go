@@ -1,12 +1,16 @@
 package obs
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sort"
+	"sync/atomic"
+)
 
 // Histogram is a fixed-bucket histogram over int64 observations
 // (typically nanoseconds). Bounds are inclusive upper edges in
 // ascending order, with an implicit +Inf bucket at the end. Observe
-// is allocation-free: one linear scan over a small bound slice plus
-// two atomic adds.
+// is allocation-free: a bucket lookup of a few compares (see bucket)
+// plus two atomic adds.
 //
 // Two atomic adds per observation are still the dearest thing a
 // histogram does, so a writer that observes in runs has a staged form:
@@ -23,7 +27,10 @@ import "sync/atomic"
 // and integer division keeps bucket edges like 1e-06 exact in the
 // text format.
 type Histogram struct {
-	bounds  []int64
+	bounds []int64
+	// start[b] is the first bucket a value of bit length b can fall in:
+	// the number of bounds below the least such value.
+	start   [65]uint16
 	perUnit float64
 	counts  []atomic.Uint64
 	sum     atomic.Int64
@@ -44,12 +51,23 @@ func newHistogram(bounds []int64, perUnit int64) *Histogram {
 	if perUnit <= 0 {
 		panic("obs: histogram perUnit must be positive")
 	}
-	return &Histogram{
+	if len(bounds) > 1<<16-1 {
+		panic("obs: histogram has too many buckets")
+	}
+	h := &Histogram{
 		bounds:  bounds,
 		perUnit: float64(perUnit),
 		counts:  make([]atomic.Uint64, len(bounds)+1),
 		staged:  make([]uint64, len(bounds)+1),
 	}
+	for b := range h.start {
+		var least int64 // of the values of bit length b
+		if b > 0 {
+			least = int64(uint64(1) << (b - 1))
+		}
+		h.start[b] = uint16(sort.Search(len(bounds), func(i int) bool { return bounds[i] >= least }))
+	}
+	return h
 }
 
 // Histogram registers and returns a new histogram. bounds are
@@ -107,8 +125,12 @@ func (h *Histogram) Flush() {
 }
 
 // bucket returns the index of the bucket a non-negative value falls in.
+// It scans from the first bucket of the value's bit length, so the scan
+// passes only the bounds in the value's octave: at most one for bound
+// sets whose consecutive bounds are at least a factor of two apart, as
+// the three below are — a lookup is at most three compares.
 func (h *Histogram) bucket(v int64) int {
-	i := 0
+	i := int(h.start[bits.Len64(uint64(v))])
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}

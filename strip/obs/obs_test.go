@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+	"math/bits"
 	"strings"
 	"testing"
 )
@@ -294,6 +296,46 @@ func TestBucketHelpersAscending(t *testing.T) {
 		for i := 1; i < len(tc.bounds); i++ {
 			if tc.bounds[i] <= tc.bounds[i-1] {
 				t.Fatalf("%s bounds not ascending at %d: %v", tc.name, i, tc.bounds)
+			}
+		}
+	}
+}
+
+// TestBucketMatchesLinearScan checks the bit-length lookup against the
+// plain scan over each bound set the engine uses, at zero, at every
+// bound and one either side of it, and at the largest int64; and that
+// no lookup passes more than one bound after its starting bucket.
+func TestBucketMatchesLinearScan(t *testing.T) {
+	linear := func(bounds []int64, v int64) int {
+		i := 0
+		for i < len(bounds) && v > bounds[i] {
+			i++
+		}
+		return i
+	}
+	for _, tc := range []struct {
+		name   string
+		bounds []int64
+	}{
+		{"latency", LatencyBuckets()},
+		{"age", AgeBuckets()},
+		{"count", CountBuckets()},
+	} {
+		h := newHistogram(tc.bounds, 1)
+		values := []int64{0, math.MaxInt64}
+		for _, b := range tc.bounds {
+			values = append(values, b-1, b, b+1)
+		}
+		for _, v := range values {
+			if v < 0 {
+				continue
+			}
+			got, want := h.bucket(v), linear(tc.bounds, v)
+			if got != want {
+				t.Errorf("%s: bucket(%d) = %d, the linear scan says %d", tc.name, v, got, want)
+			}
+			if passed := got - int(h.start[bits.Len64(uint64(v))]); passed > 1 {
+				t.Errorf("%s: bucket(%d) passed %d bounds after its start", tc.name, v, passed)
 			}
 		}
 	}

@@ -184,11 +184,11 @@ func (db *DB) Traces() []obs.Trace { return db.obs.ring.Snapshot() }
 func (db *DB) MaxStaleness(name string) (float64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.idLocked(name)
+	ref, ok := db.lookup(name)
 	if !ok {
 		return 0, ErrUnknownObject
 	}
-	return db.maxStale.Object(id), nil
+	return db.maxStale.Object(ref.id), nil
 }
 
 // nowNanos reads the instrumentation time axis in Unix nanoseconds.

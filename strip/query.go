@@ -46,8 +46,8 @@ func (db *DB) Query(q string) ([]Entry, error) {
 	now := db.now()
 	db.mu.RLock()
 	at := now.UnixNano()
-	snapshot := make([]Entry, len(db.views))
-	for id := range db.views {
+	snapshot := make([]Entry, db.nviews)
+	for id := range snapshot {
 		snapshot[id] = db.entryLocked(model.ObjectID(id), at)
 	}
 	db.mu.RUnlock()

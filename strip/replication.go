@@ -166,10 +166,10 @@ func (db *DB) emitInstallLocked(u *model.Update, gen int64) {
 		db.seq++
 		return
 	}
-	v := &db.views[u.Object]
+	v := db.viewLocked(u.Object)
 	ev := ReplEvent{
 		Kind:       ReplUpdate,
-		Object:     v.name,
+		Object:     db.nameLocked(u.Object),
 		Importance: Importance(v.class),
 		Value:      u.Payload,
 		Generated:  time.Unix(0, gen),
@@ -287,6 +287,9 @@ func checkBatchFits(writes map[string]float64) error {
 // replication applies backpressure to the stream rather than losing
 // updates. The update still flows through the normal scheduler queue,
 // so the configured policy governs install order on the replica too.
+// Like ApplyUpdate it takes no lock unless it must define the view:
+// the sequence number is an atomic, and the replica-lag account is
+// opened by the scheduler when it receives the update (enqueueLocked).
 func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 	id, class, err := db.ensureView(u.Object, imp)
 	if err != nil {
@@ -314,11 +317,12 @@ func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 			mu.Aux = completeFields(copyFields(u.Fields))
 		}
 	}
-	db.mu.Lock()
+	// ResetToSnapshot reads its barrier from the same atomic, so every
+	// update is totally ordered against every reset.
 	mu.Seq = db.arrival.Add(1)
-	db.lag.Received(id, mu.GenTime)
-	db.replicated.Store(true)
-	db.mu.Unlock()
+	if !db.replicated.Load() {
+		db.replicated.Store(true)
+	}
 
 	if !db.ingest.offerWait(mu, db.stopCh) {
 		return ErrClosed
@@ -337,28 +341,33 @@ func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 
 // ensureView resolves a view name to its object and the class its
 // updates queue under, defining it with the given importance when
-// missing. An existing definition wins over the carried importance:
-// the local definition is what every read looks the class up by, so
-// it is also what the update must be queued under. Derived views
-// cannot be fed externally.
+// missing; only the definition takes db.mu. An existing definition wins
+// over the carried importance: the local definition is what every read
+// looks the class up by, so it is also what the update must be queued
+// under. Derived views cannot be fed externally.
 func (db *DB) ensureView(name string, imp Importance) (model.ObjectID, Importance, error) {
 	if err := checkImportance(imp); err != nil {
 		return 0, 0, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.closed.Load() {
 		return 0, 0, ErrClosed
 	}
-	if ref, ok := db.names[name]; ok {
-		if ref.derived {
-			return 0, 0, fmt.Errorf("%w: %q", ErrDerivedUpdate, name)
+	ref, ok := db.lookup(name)
+	if !ok {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if db.closed.Load() {
+			return 0, 0, ErrClosed
 		}
-		return ref.id, Importance(ref.class), nil
+		// Another definer may have won the race to the lock.
+		if ref, ok = db.lookup(name); !ok {
+			return db.addDefLocked(name, imp, false), imp, nil
+		}
 	}
-	id := db.addDefLocked(name, imp, false)
-	db.publishLocked()
-	return id, imp, nil
+	if ref.derived {
+		return 0, 0, fmt.Errorf("%w: %q", ErrDerivedUpdate, name)
+	}
+	return ref.id, ref.class, nil
 }
 
 // checkSnapshot validates a snapshot before any of it is applied.
@@ -369,6 +378,18 @@ func checkSnapshot(s Snapshot) error {
 		}
 	}
 	return nil
+}
+
+// snapshotTargetLocked resolves a snapshot view to its object, defining
+// it with the snapshot's importance when missing. It reports false for
+// a derived view, which a snapshot never sets. Callers hold db.mu for
+// writing.
+func (db *DB) snapshotTargetLocked(v SnapshotView) (model.ObjectID, bool) {
+	ref, ok := db.lookup(v.Name)
+	if !ok {
+		return db.addDefLocked(v.Name, v.Importance, false), true
+	}
+	return ref.id, !ref.derived
 }
 
 // ApplyReplicatedBatch applies one committed write batch received
@@ -398,16 +419,18 @@ func (db *DB) ReplicaSnapshot() Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	s := Snapshot{Seq: db.seq, General: sortedKVs(db.general)}
-	for id, v := range db.views {
+	for i := range db.nviews {
+		id := model.ObjectID(i)
+		v := db.viewLocked(id)
 		if v.derived {
 			continue
 		}
 		s.Views = append(s.Views, SnapshotView{
-			Name:       v.name,
+			Name:       db.nameLocked(id),
 			Importance: Importance(v.class),
 			Value:      v.value,
 			Generated:  genTime(v.gen),
-			Fields:     sortedKVs(db.fields[model.ObjectID(id)]),
+			Fields:     sortedKVs(db.fields[id]),
 		})
 	}
 	sort.Slice(s.Views, func(i, j int) bool { return s.Views[i].Name < s.Views[j].Name })
@@ -429,23 +452,19 @@ func (db *DB) InstallSnapshot(s Snapshot) error {
 		return ErrClosed
 	}
 	defer db.publishStatsLocked()
-	defer db.publishLocked()
 	for _, v := range s.Views {
-		id, ok := db.idLocked(v.Name)
+		id, ok := db.snapshotTargetLocked(v)
 		if !ok {
-			id = db.addDefLocked(v.Name, v.Importance, false)
-		} else if db.views[id].derived {
 			continue
 		}
-		gen := genOf(v.Generated)
-		if gen <= db.views[id].gen {
+		rec, gen := db.viewLocked(id), genOf(v.Generated)
+		if gen <= rec.gen {
 			continue
 		}
-		db.views[id].value = v.Value
-		db.views[id].gen = gen
+		rec.value = v.Value
+		rec.gen = gen
 		db.setFieldsLocked(id, kvFields(v.Fields))
 		db.recordHistoryLocked(id)
-		db.lag.Installed(id, db.secs(v.Generated))
 		db.emitSnapshotViewLocked(v)
 	}
 	db.stats.ReplSnapshotsInstalled++
@@ -483,43 +502,46 @@ func (db *DB) ResetToSnapshot(s Snapshot) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	inSnap := make(map[string]bool, len(s.Views))
+	inSnap := make(map[model.ObjectID]bool, len(s.Views))
 	defer db.publishStatsLocked()
-	defer db.publishLocked()
 	for _, v := range s.Views {
-		inSnap[v.Name] = true
-		id, ok := db.idLocked(v.Name)
+		id, ok := db.snapshotTargetLocked(v)
 		if !ok {
-			id = db.addDefLocked(v.Name, v.Importance, false)
-		} else if db.views[id].derived {
 			continue
 		}
-		db.views[id].value = v.Value
-		db.views[id].gen = genOf(v.Generated)
+		inSnap[id] = true
+		rec := db.viewLocked(id)
+		rec.value = v.Value
+		rec.gen = genOf(v.Generated)
 		db.setFieldsLocked(id, kvFields(v.Fields))
 		// The view's history starts at the adopted version: the deposed
 		// history's versions are writes the new one never made, and the
-		// snapshot may be older than them.
+		// snapshot may be older than them. So do its replica-lag
+		// receipts: measured against an adopted generation older than
+		// them, they would report lag behind a stream the replica no
+		// longer follows.
 		delete(db.history, id)
 		db.recordHistoryLocked(id)
-		db.lag.Installed(id, db.secs(v.Generated))
+		db.lag.Forget(id)
 		db.emitSnapshotViewLocked(v)
 	}
 	// Blank views from the old history that the new one never defined;
 	// they stay registered (queued updates may still name the IDs) but
-	// hold no state, no history and no generation, so any later install
-	// wins. The deposed history's updates still in the scheduler queue
-	// would otherwise resurrect as fresher-than-snapshot state.
-	for i := range db.views {
-		v, id := &db.views[i], model.ObjectID(i)
-		if v.derived || inSnap[v.name] {
+	// hold no state, no history, no generation and no receipts, so any
+	// later install wins. The deposed history's updates still in the
+	// scheduler queue would otherwise resurrect as fresher-than-snapshot
+	// state.
+	for i := range db.nviews {
+		id := model.ObjectID(i)
+		v := db.viewLocked(id)
+		if v.derived || inSnap[id] {
 			continue
 		}
 		v.value = 0
 		v.gen = noGen
 		delete(db.fields, id)
 		delete(db.history, id)
-		db.lag.Removed(id)
+		db.lag.Forget(id)
 	}
 	// Everything already admitted to the scheduler queue predates the
 	// reset; the barrier makes installLocked discard it on arrival.
@@ -541,7 +563,15 @@ func (db *DB) ResetToSnapshot(s Snapshot) error {
 func (db *DB) ReplicaLag() (maSeconds float64, uuUpdates int) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.lag.Aggregate()
+	return db.lag.Aggregate(db.appliedGenLocked)
+}
+
+// appliedGenLocked is the generation MA replica lag measures a view's
+// receipts against: its installed generation, or the database's start
+// for a view that holds none — the oldest state a replica can be said
+// to have. Callers hold db.mu.
+func (db *DB) appliedGenLocked(id model.ObjectID) int64 {
+	return max(db.viewLocked(id).gen, db.startNanos)
 }
 
 // ObjectLag returns one view object's replication lag (MA seconds and
@@ -549,11 +579,11 @@ func (db *DB) ReplicaLag() (maSeconds float64, uuUpdates int) {
 func (db *DB) ObjectLag(name string) (maSeconds float64, uuUpdates int, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	id, ok := db.idLocked(name)
+	ref, ok := db.lookup(name)
 	if !ok {
 		return 0, 0, ErrUnknownObject
 	}
-	ma, uu := db.lag.Object(id)
+	ma, uu := db.lag.Object(ref.id, db.appliedGenLocked(ref.id))
 	return ma, uu, nil
 }
 

@@ -74,9 +74,9 @@ func TestSplitUpdatesAtCapacity(t *testing.T) {
 	if res := <-req.res; !res.Committed() {
 		t.Errorf("transaction: %+v", res)
 	}
-	for _, v := range db.views {
-		if v.pending != 0 {
-			t.Errorf("pending[%s] = %d at quiescence", v.name, v.pending)
+	for id := range model.ObjectID(db.nviews) {
+		if v := db.viewLocked(id); v.pending != 0 {
+			t.Errorf("pending[%s] = %d at quiescence", db.nameLocked(id), v.pending)
 		}
 	}
 	s := db.Stats()
@@ -97,7 +97,7 @@ func TestSplitUpdatesAtCapacity(t *testing.T) {
 func TestUUStaleUntilApplied(t *testing.T) {
 	db := mustOpen(t, Config{Policy: TransactionsFirst})
 	db.DefineView("x", Low)
-	id, _, _ := db.lookup("x")
+	ref, _ := db.lookup("x")
 
 	var stop atomic.Bool
 	violation := make(chan string, 1)
@@ -107,8 +107,8 @@ func TestUUStaleUntilApplied(t *testing.T) {
 		for !stop.Load() {
 			db.mu.RLock()
 			s := db.stats
-			pending := db.views[id].pending
-			value := db.views[id].value
+			pending := db.viewLocked(ref.id).pending
+			value := db.viewLocked(ref.id).value
 			db.mu.RUnlock()
 			var msg string
 			switch {

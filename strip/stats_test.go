@@ -173,7 +173,7 @@ func masterStats(db *DB) Stats {
 	s.WALErrors = db.dur.WALErrors()
 	s.Degraded = db.dur.Degraded()
 	s.DegradedHeals = db.dur.Heals()
-	s.ReplicaLagSeconds, s.ReplicaLagUpdates = db.lag.Aggregate()
+	s.ReplicaLagSeconds, s.ReplicaLagUpdates = db.lag.Aggregate(db.appliedGenLocked)
 	return s
 }
 
@@ -237,8 +237,8 @@ func TestStatsCopyFollowsEveryWriter(t *testing.T) {
 		t.Fatal("the queue did not overflow")
 	}
 	check("overflow")
-	id, class, _ := db.lookup("v15")
-	if !db.refreshOnDemand(id, class) {
+	ref, _ := db.lookup("v15")
+	if !db.refreshOnDemand(ref.id, ref.class) {
 		t.Fatal("nothing queued for v15")
 	}
 	check("on-demand refresh")

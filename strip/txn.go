@@ -232,10 +232,11 @@ func (tx *Tx) Read(name string) (Entry, error) {
 		return Entry{}, err
 	}
 	db := tx.db
-	id, class, ok := db.lookup(name)
+	ref, ok := db.lookup(name)
 	if !ok {
 		return Entry{}, fmt.Errorf("%w: %q", ErrUnknownObject, name)
 	}
+	id := ref.id
 
 	// Receive arrivals, then put the policy table's question with this
 	// transaction as the ready one: whatever it would install first
@@ -246,7 +247,7 @@ func (tx *Tx) Read(name string) (Entry, error) {
 	}
 
 	e := db.readEntry(id)
-	if e.Stale && db.cfg.Policy.RefreshesOnRead() && db.refreshOnDemand(id, class) {
+	if e.Stale && db.cfg.Policy.RefreshesOnRead() && db.refreshOnDemand(id, ref.class) {
 		e = db.readEntry(id)
 	}
 

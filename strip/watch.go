@@ -42,15 +42,16 @@ func (db *DB) addWatcher(object string, w *watcher) error {
 		db.watchers = append(db.watchers, w)
 		return nil
 	}
-	id, ok := db.idLocked(object)
+	ref, ok := db.lookup(object)
 	if !ok {
 		return ErrUnknownObject
 	}
+	id := ref.id
 	if db.watchersByID == nil {
 		db.watchersByID = make(map[model.ObjectID][]*watcher)
 	}
 	db.watchersByID[id] = append(db.watchersByID[id], w)
-	db.views[id].hooked = true
+	db.viewLocked(id).hooked = true
 	return nil
 }
 
