@@ -86,6 +86,7 @@ func newController(s *sim.Simulator, p *model.Params, policy Policy,
 		tracker:   tracker,
 		col:       col,
 		osq:       uqueue.NewOSQueue(p.OSMax),
+		ready:     newReadyQueue(),
 		lookupSec: p.Seconds(p.XLookup),
 		updateSec: p.Seconds(p.XUpdate),
 		switchSec: p.Seconds(p.XSwitch),
@@ -345,14 +346,12 @@ func (c *Controller) resumeOrNextTxn() bool {
 			continue
 		}
 		c.running = tr
-		c.txn(tr).State = model.TxnRunningState
+		tr.txn.State = model.TxnRunningState
 		c.traceTxn(TraceTxnStarted, tr)
 		c.continueTxn(tr)
 		return true
 	}
 }
-
-func (c *Controller) txn(tr *txnRun) *model.Txn { return tr.txn }
 
 // resolve finishes a transaction in the given terminal state and
 // reports it to the metrics collector. It does not dispatch; callers
@@ -384,7 +383,7 @@ func (c *Controller) resolve(tr *txnRun, state model.TxnState) {
 // transaction).
 func (c *Controller) onTxnArrival(txn *model.Txn) {
 	c.col.TxnArrived()
-	tr := &txnRun{txn: txn, estRemaining: estimateSeconds(c.p, txn)}
+	tr := &txnRun{Rank: uqueue.Rank{ID: txn.ID}, txn: txn, estRemaining: estimateSeconds(c.p, txn)}
 	c.traceTxn(TraceTxnArrived, tr)
 	tr.deadlineEv = c.sim.At(txn.Deadline, func() { c.onDeadline(tr) })
 	c.ready.Push(tr)
@@ -393,7 +392,7 @@ func (c *Controller) onTxnArrival(txn *model.Txn) {
 		return
 	}
 	if c.p.TxnPreemption && c.current.tr != nil && c.current.base &&
-		c.running != nil && tr.density > c.running.txn.Value/maxf(c.running.estRemaining, 1e-12) {
+		c.running != nil && tr.Density > uqueue.Density(c.running.txn.Value, c.running.estRemaining) {
 		// Extension: transaction preemption by value density. The
 		// displaced transaction re-enters the ready queue with its
 		// updated remaining time.
@@ -405,13 +404,6 @@ func (c *Controller) onTxnArrival(txn *model.Txn) {
 		c.ready.Push(displaced)
 		c.dispatch()
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // onDeadline enforces the firm deadline: an unresolved transaction is

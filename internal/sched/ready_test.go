@@ -4,17 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/uqueue"
 )
 
 func mkRun(id uint64, value, estRemaining float64) *txnRun {
 	return &txnRun{
+		Rank:         uqueue.Rank{ID: id},
 		txn:          &model.Txn{ID: id, Value: value},
 		estRemaining: estRemaining,
 	}
 }
 
 func TestReadyQueueDensityOrder(t *testing.T) {
-	var rq readyQueue
+	rq := newReadyQueue()
 	rq.Push(mkRun(1, 1.0, 0.1)) // density 10
 	rq.Push(mkRun(2, 2.0, 0.1)) // density 20
 	rq.Push(mkRun(3, 1.0, 0.2)) // density 5
@@ -31,7 +33,7 @@ func TestReadyQueueDensityOrder(t *testing.T) {
 }
 
 func TestReadyQueueTieBreakByID(t *testing.T) {
-	var rq readyQueue
+	rq := newReadyQueue()
 	rq.Push(mkRun(5, 1.0, 0.1))
 	rq.Push(mkRun(2, 1.0, 0.1))
 	rq.Push(mkRun(9, 1.0, 0.1))
@@ -43,7 +45,7 @@ func TestReadyQueueTieBreakByID(t *testing.T) {
 }
 
 func TestReadyQueueLazyRemoval(t *testing.T) {
-	var rq readyQueue
+	rq := newReadyQueue()
 	a := mkRun(1, 5.0, 0.1)
 	b := mkRun(2, 1.0, 0.1)
 	rq.Push(a)
@@ -57,24 +59,27 @@ func TestReadyQueueLazyRemoval(t *testing.T) {
 	}
 }
 
-func TestReadyQueuePeek(t *testing.T) {
-	var rq readyQueue
+// TestReadyQueueLenCountsResolved pins the lazy discard the simulator
+// keeps: a transaction resolved while queued stays counted by Len — so
+// the policy table still sees a transaction ready — until a Pop meets it.
+func TestReadyQueueLenCountsResolved(t *testing.T) {
+	rq := newReadyQueue()
 	a := mkRun(1, 5.0, 0.1)
 	rq.Push(a)
-	if rq.Peek() != a {
-		t.Fatal("Peek should return the top")
-	}
-	if rq.Len() != 1 {
-		t.Fatal("Peek must not remove")
+	if rq.Top() != a || rq.Len() != 1 {
+		t.Fatal("Top should return the top without removing it")
 	}
 	a.txn.State = model.TxnCommittedState
-	if rq.Peek() != nil {
-		t.Fatal("Peek should skip resolved transactions")
+	if rq.Len() != 1 {
+		t.Fatal("a resolved transaction leaves the queue only when a Pop meets it")
+	}
+	if rq.Pop() != nil || rq.Len() != 0 {
+		t.Fatal("Pop should discard the resolved transaction")
 	}
 }
 
 func TestReadyQueueZeroRemaining(t *testing.T) {
-	var rq readyQueue
+	rq := newReadyQueue()
 	rq.Push(mkRun(1, 1.0, 0)) // infinite density guarded
 	rq.Push(mkRun(2, 100.0, 1.0))
 	if got := rq.Pop().txn.ID; got != 1 {

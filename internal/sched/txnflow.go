@@ -3,12 +3,76 @@ package sched
 import (
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/sim"
+	"repro/internal/uqueue"
 	"repro/internal/workload"
 )
 
 // estimateSeconds is the perfect execution-time estimate of §3.4.
 func estimateSeconds(p *model.Params, txn *model.Txn) float64 {
 	return workload.EstimateSeconds(p, txn)
+}
+
+// txnRun is the controller-side execution state of one transaction:
+// which stage it is in, how much of the current stage remains after
+// preemptions, and the perfect-estimate remaining time used for value
+// density and the feasible-deadline test.
+type txnRun struct {
+	uqueue.Rank // density at the last push, and the transaction's ID
+	txn         *model.Txn
+
+	// estRemaining is the remaining base execution time (computation
+	// plus lookups) in seconds. OD's in-line scans and applies are
+	// not part of the estimate, matching the paper's perfect-estimate
+	// assumption.
+	estRemaining float64
+
+	// stage: 0 = pre-read computation, 1 = view reads, 2 = post-read
+	// computation.
+	stage int
+	// readIdx is the index of the read being performed in stage 1.
+	readIdx int
+	// stageRemaining is the unexecuted seconds of the current base
+	// job (set when a stage or read starts, decremented on
+	// preemption).
+	stageRemaining float64
+
+	// abortPending marks a firm-deadline abort that must take effect
+	// at the next flow continuation (set when the deadline fires
+	// during a non-cancellable in-line install).
+	abortPending bool
+
+	deadlineEv *sim.Event
+}
+
+// resolved reports whether the transaction has committed or aborted.
+func (tr *txnRun) resolved() bool {
+	return tr.txn.State == model.TxnCommittedState ||
+		tr.txn.State == model.TxnAbortedDeadline ||
+		tr.txn.State == model.TxnAbortedStale
+}
+
+// readyQueue is the live engine's ready queue too, with the simulator's
+// lazy discard: a transaction resolved while queued stays in it, counted
+// by Len, until a Pop meets it.
+type readyQueue struct{ uqueue.Heap[*txnRun] }
+
+func newReadyQueue() readyQueue { return readyQueue{uqueue.NewReadyQueue[*txnRun]()} }
+
+// Push queues tr at its current density.
+func (rq *readyQueue) Push(tr *txnRun) {
+	tr.Density = uqueue.Density(tr.txn.Value, tr.estRemaining)
+	rq.Heap.Push(tr)
+}
+
+// Pop removes and returns the densest unresolved transaction, or nil.
+func (rq *readyQueue) Pop() *txnRun {
+	for rq.Len() > 0 {
+		if tr := rq.Heap.Pop(); !tr.resolved() {
+			return tr
+		}
+	}
+	return nil
 }
 
 // continueTxn starts (or resumes after preemption) the base job for

@@ -20,23 +20,46 @@ import (
 // concurrent use; transactions and update installation execute on a
 // single internal scheduler goroutine, which is the system's "CPU".
 type DB struct {
+	// Fields are grouped by writer, a cache line apart, so that one
+	// group's stores do not evict another's readers
+	// (TestDBFieldsGroupedByWriter). First the read-mostly ones, set at
+	// Open or once; every offer and submission reads closed, defs and
+	// seed. defs is the published definitions table, replaced when it
+	// grows, and seed its name hash; closed is set once by Close (under
+	// mu, so a define that holds mu sees it settled); replicated is set
+	// once a replicated update has been offered, the one case in which
+	// Stats takes mu (for the replica-lag scan).
 	cfg   Config
 	start time.Time
 	// startNanos caches start.UnixNano(): the base the observability
 	// layer adds monotonic elapsed readings and float-seconds arrival
 	// stamps to (see nowNanos and arrivalNanos).
 	startNanos int64
+	ingest     *ingestRing // the arrival buffer, IngestBuffer slots
+	txnCh      chan *txnReq
+	stopCh     chan struct{}
+	done       chan struct{}
+	defs       atomic.Pointer[defTable]
+	seed       maphash.Seed
+	closed     atomic.Bool
+	replicated atomic.Bool
 
-	ingest *ingestRing // the arrival buffer, IngestBuffer slots
-	txnCh  chan *txnReq
-	stopCh chan struct{}
-	done   chan struct{}
+	// Producers' counters: arrival is the queue tie-break shared by
+	// ApplyUpdate and ApplyReplicated.
+	_         [cacheLine]byte
+	arrival   atomic.Uint64
+	dropped   atomic.Uint64
+	malformed atomic.Uint64
 
-	// mu guards the view catalog, general store and stats. The update
-	// queue and ready list are owned by the scheduler goroutine and need
-	// no locking. The catalog is the definitions table (defs.go): one
-	// record per view, indexed by ObjectID, beside the view's name and
-	// class, which readers that must not take mu (ApplyUpdate,
+	// Submitters': each Exec's count is its transaction's ID.
+	_         [cacheLine]byte
+	submitted atomic.Uint64
+
+	_ [cacheLine]byte
+	// The scheduler's. mu guards the view catalog, general store and
+	// stats. The catalog is the definitions table (defs.go): one record
+	// per view, indexed by ObjectID, beside the view's name and class,
+	// which readers that must not take mu (ApplyUpdate,
 	// ApplyReplicated, Tx.Read) resolve through defs. pages are the
 	// table's pages, reached here rather than through defs so that the
 	// scheduler's record accesses stay off the cache line producers
@@ -53,26 +76,8 @@ type DB struct {
 	general map[string]float64
 	stats   Stats
 
-	// The feed path's share of the state above, kept out of mu so that
-	// neither an offer nor a submission nor a Stats reader ever waits
-	// for the scheduler's install section. defs is the published
-	// definitions table and seed its name hash; closed is set once by
-	// Close (under mu, so a define that holds mu sees it settled);
-	// arrival is the queue tie-break counter shared by ApplyUpdate and
-	// ApplyReplicated; dropped, malformed and submitted are the three
-	// counters producers bump themselves; replicated is set once a
-	// replicated update has been offered, the one case in which Stats
-	// takes mu (for the replica-lag scan); pub is the copy of the
-	// counters that Stats reads (see statsCopy).
-	defs       atomic.Pointer[defTable]
-	seed       maphash.Seed
-	closed     atomic.Bool
-	arrival    atomic.Uint64
-	dropped    atomic.Uint64
-	malformed  atomic.Uint64
-	submitted  atomic.Uint64
-	replicated atomic.Bool
-	pub        statsCopy
+	// pub is the copy of the counters that Stats reads (see statsCopy).
+	pub statsCopy
 
 	// Triggers and derived views (fired on the scheduler goroutine).
 	triggers       map[model.ObjectID][]func(Entry) // guarded by mu
@@ -119,10 +124,12 @@ type DB struct {
 
 	// Scheduler-owned state. queue is the class-partitioned update
 	// queue the simulator's controller runs on too; order is its
-	// service discipline (Config.LIFO).
+	// service discipline (Config.LIFO). ready is the simulator's ready
+	// queue too; due orders the same transactions by latest start.
 	queue *uqueue.ClassQueue
 	order model.QueueOrder
-	ready []*txnReq
+	ready uqueue.Heap[*txnReq]
+	due   uqueue.Heap[*txnReq]
 	// answered is set when the scheduler has finished a transaction since
 	// its last yield (see loop).
 	answered bool
@@ -182,7 +189,14 @@ func genTime(gen int64) time.Time {
 	return time.Unix(0, gen)
 }
 
+// cacheLine is the span DB keeps between its groups of fields.
+const cacheLine = 64
+
+// txnReq is a submitted transaction, and the entry of db.ready (by
+// Rank) and db.due (at index due).
 type txnReq struct {
+	uqueue.Rank
+	due      int
 	spec     TxnSpec
 	res      chan Result
 	enqueued time.Time
@@ -258,6 +272,8 @@ func open(cfg Config) (*DB, error) {
 	db.defs.Store(newDefTable(minIndex))
 	db.obs = newDBObs(db, cfg.Metrics, cfg.TraceDepth)
 	db.queue = uqueue.NewClassQueue(cfg.QueueCapacity, 1, cfg.Coalesce)
+	db.ready = uqueue.NewReadyQueue[*txnReq]()
+	db.due = uqueue.NewHeap(startsBefore, func(req *txnReq) *int { return &req.due })
 	if cfg.LIFO {
 		db.order = model.LIFO
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock is a race-safe manually advanced time source.
@@ -381,5 +382,67 @@ func TestPeekUnknown(t *testing.T) {
 	db := mustOpen(t, Config{})
 	if _, err := db.Peek("nope"); !errors.Is(err, ErrUnknownObject) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestDBFieldsGroupedByWriter pins DB's grouping of its fields by
+// writer. A store evicts its cache line from every other core, so a
+// group keeps a line's distance from the fields others write or read on
+// every operation. No two of the groups may share a line: producers
+// write theirs on every offer, submitters on every Exec, the scheduler
+// at every scheduling point, and every offer and submission reads the
+// read-mostly group.
+func TestDBFieldsGroupedByWriter(t *testing.T) {
+	var db DB
+	type field struct {
+		name      string
+		off, size uintptr
+	}
+	groups := []struct {
+		name   string
+		fields []field
+	}{
+		{"read-mostly", []field{
+			{"cfg", unsafe.Offsetof(db.cfg), unsafe.Sizeof(db.cfg)},
+			{"ingest", unsafe.Offsetof(db.ingest), unsafe.Sizeof(db.ingest)},
+			{"txnCh", unsafe.Offsetof(db.txnCh), unsafe.Sizeof(db.txnCh)},
+			{"defs", unsafe.Offsetof(db.defs), unsafe.Sizeof(db.defs)},
+			{"seed", unsafe.Offsetof(db.seed), unsafe.Sizeof(db.seed)},
+			{"closed", unsafe.Offsetof(db.closed), unsafe.Sizeof(db.closed)},
+			{"replicated", unsafe.Offsetof(db.replicated), unsafe.Sizeof(db.replicated)},
+		}},
+		{"producers", []field{
+			{"arrival", unsafe.Offsetof(db.arrival), unsafe.Sizeof(db.arrival)},
+			{"dropped", unsafe.Offsetof(db.dropped), unsafe.Sizeof(db.dropped)},
+			{"malformed", unsafe.Offsetof(db.malformed), unsafe.Sizeof(db.malformed)},
+		}},
+		{"submitters", []field{
+			{"submitted", unsafe.Offsetof(db.submitted), unsafe.Sizeof(db.submitted)},
+		}},
+		{"scheduler", []field{
+			{"mu", unsafe.Offsetof(db.mu), unsafe.Sizeof(db.mu)},
+			{"stats", unsafe.Offsetof(db.stats), unsafe.Sizeof(db.stats)},
+			{"pub", unsafe.Offsetof(db.pub), unsafe.Sizeof(db.pub)},
+			{"queue", unsafe.Offsetof(db.queue), unsafe.Sizeof(db.queue)},
+			{"ready", unsafe.Offsetof(db.ready), unsafe.Sizeof(db.ready)},
+			{"due", unsafe.Offsetof(db.due), unsafe.Sizeof(db.due)},
+			{"answered", unsafe.Offsetof(db.answered), unsafe.Sizeof(db.answered)},
+		}},
+	}
+	for i, g := range groups {
+		for _, h := range groups[i+1:] {
+			for _, a := range g.fields {
+				for _, b := range h.fields {
+					lo, hi := a, b
+					if hi.off < lo.off {
+						lo, hi = hi, lo
+					}
+					if gap := int(hi.off) - int(lo.off+lo.size); gap < cacheLine {
+						t.Errorf("%s field %s and %s field %s are %d bytes apart, under a cache line",
+							g.name, a.name, h.name, b.name, gap)
+					}
+				}
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/uqueue"
 )
 
 // installRunLen bounds how many updates the scheduler installs under
@@ -65,7 +66,7 @@ func (db *DB) intake() {
 // put updates first, but every one of them is followed by a scheduling
 // point at which the transaction's deadline is looked at again.
 func (db *DB) act(run int) bool {
-	txnReady := len(db.ready) > 0
+	txnReady := db.ready.Len() > 0
 	if db.next(txnReady) == sched.RunTxn {
 		db.runNextTxn()
 		return true
@@ -280,87 +281,75 @@ func (db *DB) refreshOnDemand(id model.ObjectID, class Importance) bool {
 	return true
 }
 
-// drainTxnCh admits buffered transaction submissions to the ready
-// list.
+// drainTxnCh admits buffered transaction submissions.
 func (db *DB) drainTxnCh() {
 	for {
 		select {
 		case req := <-db.txnCh:
-			db.ready = append(db.ready, req)
+			db.admit(req)
 		default:
 			return
 		}
 	}
 }
 
-// reapDeadTxns aborts queued transactions whose firm deadline has
-// passed or that can no longer finish in time (feasible deadline).
+// admit puts a submitted transaction into both orderings of the ready
+// ones, ranked by the simulator's density rule.
+func (db *DB) admit(req *txnReq) {
+	req.Density = uqueue.Density(req.spec.Value, req.spec.Estimate.Seconds())
+	db.ready.Push(req)
+	db.due.Push(req)
+}
+
+// reapDeadTxns aborts the ready transactions whose firm deadline has
+// passed or that can no longer finish in time (feasible deadline): the
+// ones hopeless names, which lead the latest-start order.
 func (db *DB) reapDeadTxns() {
-	if len(db.ready) == 0 {
+	if db.due.Len() == 0 {
 		return
 	}
 	now := db.now()
-	kept := db.ready[:0]
-	for _, req := range db.ready {
-		if db.hopeless(req, now) {
-			db.finish(req, Result{State: AbortedDeadline, Err: ErrDeadlineExceeded})
-			db.answered = true
-			continue
-		}
-		kept = append(kept, req)
+	for db.due.Len() > 0 && db.hopeless(db.due.Top(), now) {
+		req := db.due.Pop()
+		db.ready.Remove(req)
+		db.finish(req, Result{State: AbortedDeadline, Err: ErrDeadlineExceeded})
+		db.answered = true
 	}
-	db.ready = kept
 }
 
 // hopeless reports whether the transaction cannot commit by its
-// deadline.
+// deadline: the deadline has come, or it has an estimate and its latest
+// start has passed.
 func (db *DB) hopeless(req *txnReq, now time.Time) bool {
-	if !now.Before(req.spec.Deadline) {
-		return true
-	}
-	if req.spec.Estimate > 0 && now.Add(req.spec.Estimate).After(req.spec.Deadline) {
-		return true
-	}
-	return false
+	return !now.Before(req.spec.Deadline) || req.spec.Estimate > 0 && now.After(req.latestStart())
+}
+
+// latestStart is the deadline less the estimate, if any.
+func (req *txnReq) latestStart() time.Time {
+	return req.spec.Deadline.Add(-max(req.spec.Estimate, 0))
+}
+
+// startsBefore orders by latest start, and at equal ones puts the
+// transaction without an estimate first: hopeless names it at that
+// instant, the other just after.
+func startsBefore(a, b *txnReq) bool {
+	sa, sb := a.latestStart(), b.latestStart()
+	return sa.Before(sb) || sa.Equal(sb) && a.spec.Estimate <= 0 && b.spec.Estimate > 0
 }
 
 // runNextTxn executes the highest value-density ready transaction.
 func (db *DB) runNextTxn() {
-	best := -1
-	bestPri := 0.0
-	now := db.now()
-	for i, req := range db.ready {
-		pri := req.priority(now)
-		if best < 0 || pri > bestPri {
-			best, bestPri = i, pri
-		}
-	}
-	if best < 0 {
-		return
-	}
-	req := db.ready[best]
-	db.ready = append(db.ready[:best], db.ready[best+1:]...)
+	req := db.ready.Pop()
+	db.due.Remove(req)
 	db.execute(req)
 }
 
-// priority is the value density: value per second of estimated work,
-// falling back to value per second of remaining slack when no
-// estimate is given.
-func (req *txnReq) priority(now time.Time) float64 {
-	if req.spec.Estimate > 0 {
-		return req.spec.Value / req.spec.Estimate.Seconds()
-	}
-	remaining := req.spec.Deadline.Sub(now).Seconds()
-	if remaining <= 0 {
-		return req.spec.Value * 1e9
-	}
-	return req.spec.Value / remaining
-}
-
-// idleWait blocks until an arrival, a submission, the next queued
-// deadline, or shutdown. It returns false on shutdown. It receives no
-// update itself: an arrival rings the ingest buffer's doorbell, and the
-// next scheduling point's drainIngest receives it. The scheduler parks
+// idleWait blocks until an arrival, a submission or shutdown, and
+// returns false on shutdown. It waits for no deadline: none is ready,
+// since act reports work while one is
+// (TestActReportsWorkWhileATxnIsReady). It receives no update itself:
+// an arrival rings the ingest buffer's doorbell, and the next
+// scheduling point's drainIngest receives it. The scheduler parks
 // whenever the head slot is empty, even with later slots filled behind
 // a position claimed and not yet filled: the producer that fills the
 // head slot rings (see ingestRing).
@@ -370,54 +359,25 @@ func (db *DB) idleWait() bool {
 		return true
 	}
 	defer r.awake()
-	var timer *time.Timer
-	var deadlineC <-chan time.Time
-	if next, ok := db.nextDeadline(); ok {
-		d := next.Sub(db.now())
-		if d < 0 {
-			d = 0
-		}
-		timer = time.NewTimer(d)
-		deadlineC = timer.C
-	}
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	select {
 	case <-r.bell:
 		return true
 	case req := <-db.txnCh:
-		db.ready = append(db.ready, req)
-		return true
-	case <-deadlineC:
+		db.admit(req)
 		return true
 	case <-db.stopCh:
 		return false
 	}
 }
 
-// nextDeadline returns the earliest deadline among ready transactions.
-func (db *DB) nextDeadline() (time.Time, bool) {
-	var out time.Time
-	found := false
-	for _, req := range db.ready {
-		if !found || req.spec.Deadline.Before(out) {
-			out = req.spec.Deadline
-			found = true
-		}
-	}
-	return out, found
-}
-
 // shutdown fails every queued and buffered transaction with ErrClosed.
 func (db *DB) shutdown() {
 	db.drainTxnCh()
-	for _, req := range db.ready {
+	for db.ready.Len() > 0 {
+		req := db.ready.Pop()
+		db.due.Remove(req)
 		db.finish(req, Result{State: Failed, Err: ErrClosed})
 	}
-	db.ready = nil
 }
 
 // finish delivers a transaction result and updates the counters.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/uqueue"
 	"repro/internal/workload"
 )
 
@@ -105,6 +106,7 @@ type oracleOutcome struct {
 	Installs []string          // "(object, generation)" in install order
 	Fates    map[uint64]string // update Seq -> installed | skipped | expired | evicted
 	Txns     map[uint64]string // txn ID -> terminal state, "+stale" after a stale read
+	Started  []uint64          // txn IDs in the order they first took the CPU
 }
 
 func (o *oracleOutcome) settle(u *model.Update, fate string) {
@@ -157,6 +159,9 @@ var (
 )
 
 func (s simTrace) Trace(e sched.TraceEvent) {
+	if e.Kind == sched.TraceTxnStarted {
+		s.out.Started = append(s.out.Started, e.Txn)
+	}
 	if fate, ok := simFate[e.Kind]; ok {
 		s.out.settle(s.bySeq[e.Seq], fate)
 	}
@@ -204,6 +209,7 @@ type liveRun struct {
 	updates []*model.Update // not yet delivered
 	txns    []*model.Txn    // not yet delivered
 	reqs    map[uint64]*txnReq
+	started []uint64
 }
 
 func viewName(id model.ObjectID) string { return fmt.Sprintf("o%d", id) }
@@ -248,6 +254,7 @@ func (r *liveRun) advanceTo(t float64) {
 		txn := r.txns[0]
 		r.txns = r.txns[1:]
 		req := &txnReq{
+			Rank: uqueue.Rank{ID: txn.ID},
 			spec: TxnSpec{
 				Value:    txn.Value,
 				Deadline: r.at(txn.Deadline),
@@ -268,6 +275,7 @@ func (r *liveRun) advanceTo(t float64) {
 // rest of the computation.
 func (r *liveRun) body(txn *model.Txn) func(*Tx) error {
 	return func(tx *Tx) error {
+		r.started = append(r.started, txn.ID)
 		r.advanceTo(r.now + txn.PView*txn.CompSeconds)
 		for _, obj := range txn.ReadSet {
 			r.advanceTo(r.now + r.s.lookupSec())
@@ -316,6 +324,7 @@ func (s *oracleScript) runLive(t *testing.T, policy Policy, run int) *oracleOutc
 		}
 		r.advanceTo(next)
 	}
+	out.Started = r.started
 	for id, req := range r.reqs {
 		select {
 		case res := <-req.res:
@@ -364,6 +373,127 @@ func TestSimulatorIsOracleForLiveScheduler(t *testing.T) {
 		"committed", "committed+stale", "aborted-deadline"} {
 		if !seen[f] {
 			t.Errorf("no policy produced a %q outcome; the script lost a case", f)
+		}
+	}
+}
+
+// scriptTxn is a transaction of a queue script: its arrival, value,
+// computation, slack and reads.
+type scriptTxn struct {
+	arr, value, comp, slack float64
+	reads                   []model.ObjectID
+}
+
+// newQueueScript builds a script whose transactions pile up behind a
+// blocker, so that when it ends at 0.30 they are ready at once and the
+// ready queue alone decides their order. Objects 0,1 (Low) and 2,3
+// (High) get a first value at 0.02-0.05 and obj1 and obj2 a second one
+// while the blocker runs; the blocker, transaction 1, arrives at 0.10,
+// reads nothing and computes 0.2 s; txns follow it as transactions 2...
+func newQueueScript(txns ...scriptTxn) *oracleScript {
+	p := model.DefaultParams()
+	p.NLow, p.NHigh = 2, 2
+	p.MaxAgeDelta = 0.3
+	p.UpdateRate, p.TxnRate = 0, 0
+	s := &oracleScript{params: p}
+	for _, u := range []struct {
+		obj      model.ObjectID
+		gen, arr float64
+	}{
+		{0, 0.010, 0.020}, {1, 0.011, 0.030}, {2, 0.012, 0.040}, {3, 0.013, 0.050},
+		{1, 0.195, 0.205}, {2, 0.200, 0.215},
+	} {
+		s.updates = append(s.updates, &model.Update{
+			Seq: uint64(len(s.updates) + 1), Object: u.obj, Class: p.ObjectClass(u.obj),
+			GenTime: u.gen, ArrivalTime: u.arr,
+		})
+	}
+	for _, x := range append([]scriptTxn{{0.10, 1, 0.2, 1, nil}}, txns...) {
+		txn := &model.Txn{
+			ID: uint64(len(s.txns) + 1), Value: x.value, ArrivalTime: x.arr,
+			CompSeconds: x.comp, ReadSet: x.reads, PView: 0.5,
+		}
+		txn.Deadline = x.arr + s.estimate(txn) + x.slack
+		s.txns = append(s.txns, txn)
+	}
+	return s
+}
+
+// newManyReadyScript queues fourteen transactions behind the blocker.
+// Six have density 100, with estimates of 0.02, 0.04 and 0.05 s, so
+// IDs order them; one of those (8) sees its deadline pass in the queue
+// and one (12) fails the feasible-deadline test once the ties ahead of
+// it have run; two read an object updated while they waited.
+func newManyReadyScript() *oracleScript {
+	return newQueueScript(
+		scriptTxn{0.110, 2, 0.02, 1, nil},                    // 2: 100
+		scriptTxn{0.120, 2, 0.02, 1, nil},                    // 3: 100
+		scriptTxn{0.130, 4, 0.04, 1, nil},                    // 4: 100
+		scriptTxn{0.140, 1, 0.02, 1, nil},                    // 5: 50
+		scriptTxn{0.150, 3, 0.01, 1, nil},                    // 6: 300
+		scriptTxn{0.160, 2, 0.02, 1, []model.ObjectID{1}},    // 7: just under 100
+		scriptTxn{0.170, 5, 0.05, 0.045, nil},                // 8: 100, due 0.265
+		scriptTxn{0.180, 2, 0.02, 1, nil},                    // 9: 100
+		scriptTxn{0.190, 1, 0.01, 1, []model.ObjectID{2, 3}}, // 10
+		scriptTxn{0.200, 6, 0.03, 1, nil},                    // 11: 200
+		scriptTxn{0.210, 2, 0.02, 0.195, nil},                // 12: 100, due 0.425
+		scriptTxn{0.220, 1, 0.05, 1, nil},                    // 13: 20
+		scriptTxn{0.230, 9, 0.03, 1, nil},                    // 14: 300
+		scriptTxn{0.240, 1, 0.01, 1, []model.ObjectID{0}},    // 15
+	)
+}
+
+// newNoEstimateScript queues transactions with no work to estimate —
+// no computation, no reads — among estimated ones. The model ranks an
+// estimate of zero at value·10¹², so they run first, the larger value
+// first and equal values in ID order; 2 and 5 are due at 0.37 and 0.35,
+// shortly after the blocker, and commit only because of that rule (a
+// ranking by value per second of remaining slack put them behind 3 and
+// 4 and past their deadlines). 7 and 8 share a latest start, 0.60.
+func newNoEstimateScript() *oracleScript {
+	return newQueueScript(
+		scriptTxn{0.120, 1, 0, 0.25, nil},                    // 2: due 0.37
+		scriptTxn{0.130, 10, 0.05, 1, nil},                   // 3: 200
+		scriptTxn{0.140, 10, 0.05, 1, nil},                   // 4: 200
+		scriptTxn{0.150, 1, 0, 0.2, nil},                     // 5: due 0.35
+		scriptTxn{0.160, 3, 0, 1, nil},                       // 6: 3·10¹²
+		scriptTxn{0.170, 1, 0, 0.43, nil},                    // 7: due 0.60
+		scriptTxn{0.180, 1, 0.05, 0.42, []model.ObjectID{1}}, // 8: latest start 0.60
+		scriptTxn{0.190, 2, 0.02, 1, nil},                    // 9: 100
+	)
+}
+
+// TestReadyRankingMatchesSimulator runs the queue scripts through the
+// simulator's controller and the stepped engine, with runs of one and
+// of installRunLen: both must start the transactions in the same order
+// and agree on every outcome.
+func TestReadyRankingMatchesSimulator(t *testing.T) {
+	for name, s := range map[string]*oracleScript{
+		"many-ready":  newManyReadyScript(),
+		"no-estimate": newNoEstimateScript(),
+	} {
+		for _, policy := range []Policy{UpdatesFirst, TransactionsFirst, SplitUpdates, OnDemand} {
+			t.Run(name+"/"+policy.String(), func(t *testing.T) {
+				want := s.simulate(t, policy)
+				if len(want.Started) < len(s.txns)-2 {
+					t.Errorf("the simulator started %v: the script lost its queue", want.Started)
+				}
+				for _, run := range []int{1, installRunLen} {
+					got := s.runLive(t, policy, run)
+					if !reflect.DeepEqual(got.Started, want.Started) {
+						t.Errorf("run %d: start order\n live %v\n sim  %v", run, got.Started, want.Started)
+					}
+					if !reflect.DeepEqual(got.Installs, want.Installs) {
+						t.Errorf("run %d: install order\n live %v\n sim  %v", run, got.Installs, want.Installs)
+					}
+					if !reflect.DeepEqual(got.Fates, want.Fates) {
+						t.Errorf("run %d: update fates\n live %v\n sim  %v", run, got.Fates, want.Fates)
+					}
+					if !reflect.DeepEqual(got.Txns, want.Txns) {
+						t.Errorf("run %d: transaction outcomes\n live %v\n sim  %v", run, got.Txns, want.Txns)
+					}
+				}
+			})
 		}
 	}
 }

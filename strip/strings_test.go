@@ -106,9 +106,9 @@ func TestSplitUpdatesLowDrainWhenIdle(t *testing.T) {
 	})
 }
 
-func TestIdleWaitDeadlineTimer(t *testing.T) {
-	// A transaction queued behind a blocker whose deadline passes
-	// while the scheduler idles must be reaped by the idle timer.
+func TestHopelessTxnReapedBehindBlocker(t *testing.T) {
+	// A transaction that turns hopeless while queued behind a running
+	// blocker is reaped at the scheduling point after the blocker.
 	db := mustOpen(t, Config{Policy: TransactionsFirst})
 	gate := make(chan struct{})
 	started := make(chan struct{})

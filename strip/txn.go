@@ -50,8 +50,10 @@ type TxnSpec struct {
 	// Deadline is the firm deadline. A zero deadline means "no
 	// deadline" and is normalized to one hour from submission.
 	Deadline time.Time
-	// Estimate, when positive, is the expected execution time; it
-	// enables precise value density and the feasible-deadline abort.
+	// Estimate, when positive, is the expected execution time: value
+	// density is Value per second of it, and the feasible-deadline abort
+	// uses it. Without one the density is Value·10¹², ahead of any
+	// estimated transaction's.
 	Estimate time.Duration
 	// Func is the transaction body. It runs on the scheduler
 	// goroutine; it must not call Exec (no nesting) and must return
@@ -107,8 +109,8 @@ func (db *DB) Exec(spec TxnSpec) Result {
 	if spec.Deadline.IsZero() {
 		spec.Deadline = now.Add(time.Hour)
 	}
-	db.submitted.Add(1)
 	req := &txnReq{spec: spec, res: make(chan Result, 1), enqueued: now}
+	req.ID = db.submitted.Add(1)
 	select {
 	case db.txnCh <- req:
 	case <-db.stopCh:
