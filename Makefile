@@ -30,12 +30,12 @@ striplint:
 # The second run repeats the tests of the lock-free offer paths (local
 # and replicated) and the ingest ring under them, of name lookups while
 # the definitions table grows, of the lock-free Stats copy and the
-# scrape built on it, of a submission that Close overtakes, and of the
-# replication ring's concurrent readers, whose interleavings differ
-# from run to run.
+# scrape built on it, of a submission that Close overtakes, of a Watch
+# cancelled and closed during delivery, and of the replication ring's
+# concurrent readers, whose interleavings differ from run to run.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestConcurrentOffersDefinitionsAndClose|TestApplyUpdateTakesNoLock|TestApplyReplicatedTakesNoLock|TestLookupsWhileTableGrows|TestIngestRing|TestStatsTakesNoLock|TestStatsBalanceUnderAFeed|TestScrapeIsOneSnapshot|TestExecOvertakenByCloseIsCounted|TestRingConcurrentReadersSeeEveryFrame' ./strip ./strip/repl
+	$(GO) test -race -count=10 -run 'TestConcurrentOffersDefinitionsAndClose|TestApplyUpdateTakesNoLock|TestApplyReplicatedTakesNoLock|TestLookupsWhileTableGrows|TestIngestRing|TestStatsTakesNoLock|TestStatsBalanceUnderAFeed|TestScrapeIsOneSnapshot|TestExecOvertakenByCloseIsCounted|TestWatchCancelAndCloseRaceDelivery|TestRingConcurrentReadersSeeEveryFrame' ./strip ./strip/repl
 
 # Fuzz smoke: run every Fuzz* target in the FUZZPKGS packages for
 # FUZZTIME each. `go test -fuzz` accepts only one matching target per

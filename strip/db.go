@@ -79,15 +79,15 @@ type DB struct {
 	// pub is the copy of the counters that Stats reads (see statsCopy).
 	pub statsCopy
 
-	// Triggers and derived views (fired on the scheduler goroutine).
-	triggers       map[model.ObjectID][]func(Entry) // guarded by mu
-	globalTriggers []func(Entry)                    // guarded by mu
-	derivedByDep   map[model.ObjectID][]*derivedDef // guarded by mu
-	derivedByID    map[model.ObjectID]*derivedDef   // guarded by mu
-
-	// Watch subscriptions.
-	watchers     []*watcher                    // guarded by mu
-	watchersByID map[model.ObjectID][]*watcher // guarded by mu
+	// Install hooks — triggers, Watch deliveries and derived-view
+	// recomputes — per object and for every object, fired on the
+	// scheduler goroutine (see captureLocked). Both lists are
+	// append-only. derivedByID holds each derived view's definition for
+	// staleness; watchers lists the subscriptions Close closes.
+	hooks       map[model.ObjectID][]func(Entry) // guarded by mu
+	globalHooks []func(Entry)                    // guarded by mu
+	derivedByID map[model.ObjectID]*derivedDef   // guarded by mu
+	watchers    []*watcher                       // guarded by mu
 
 	// wal is the write-ahead log for general data; nil when disabled.
 	// The pointer and fs (the filesystem it writes through; fault.OS
@@ -133,6 +133,8 @@ type DB struct {
 	// answered is set when the scheduler has finished a transaction since
 	// its last yield (see loop).
 	answered bool
+	// firing holds the hooks a run's last install captured, for afterRun.
+	firing firing
 	// onSettle, when set by an in-package test before the first step,
 	// observes every update leaving the queue (see settleLocked).
 	onSettle func(*model.Update, settleCause)
@@ -158,12 +160,11 @@ type view struct {
 	pending int32
 	class   int8 // the Importance; checkImportance keeps it to Low or High
 	derived bool
-	// hooked is set once an install of this object has something of its
-	// own to fire — a trigger, a watcher, a derived view depending on it
-	// — by the three calls that register those (none is ever removed: a
-	// cancelled watcher stays listed, closed). It spares every install
-	// the three map lookups that would answer the same question (see
-	// hookedLocked).
+	// hooked is set once the object has a hook list of its own — a
+	// trigger, a watcher, a derived view depending on it — by the three
+	// calls that register those (none is ever removed: a cancelled
+	// watcher stays listed, closed). It spares every install the map
+	// lookup that would answer the same question (see installLocked).
 	hooked bool
 }
 
@@ -284,14 +285,17 @@ func open(cfg Config) (*DB, error) {
 // still queued when Close is called complete with ErrClosed. Close is
 // idempotent.
 func (db *DB) Close() error {
-	if !db.markClosed() {
+	watchers, first := db.markClosed()
+	if !first {
 		<-db.done
 		return nil
 	}
 	close(db.stopCh)
 	<-db.done
 	db.dropStranded()
-	db.closeWatchers()
+	for _, w := range watchers {
+		w.close()
+	}
 	if db.wal != nil {
 		// The writer's fields are guarded by db.mu: a Checkpoint that
 		// passed its rotate phase before markClosed may still be
@@ -310,12 +314,13 @@ func (db *DB) Close() error {
 
 // markClosed flips the closed flag under the write lock — a definition
 // or subscription that holds the lock therefore completes before the
-// flag turns or sees it turned — reporting whether this call was the
-// one that closed the database.
-func (db *DB) markClosed() bool {
+// flag turns or sees it turned — and hands back the subscriptions Close
+// closes, which no Watch can add to afterwards, reporting whether this
+// call was the one that closed the database.
+func (db *DB) markClosed() (watchers []*watcher, first bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.closed.CompareAndSwap(false, true)
+	return db.watchers, db.closed.CompareAndSwap(false, true)
 }
 
 // DefineView registers a view object refreshed by the update stream.
@@ -580,21 +585,22 @@ func (db *DB) install(u *model.Update, superseded []*model.Update) {
 	db.endRunLocked(now, worthy)
 	db.publishQueueLocked()
 	db.mu.Unlock()
-	db.afterRun(u.Object, hooked)
+	db.afterRun(hooked)
 }
 
 // installLocked settles the departed updates and applies u in one
 // critical section, reporting whether u was worthy (newer than the
 // installed generation; 1 or 0, for the run's count) and, if so,
-// whether anything waits to fire on its object — a trigger, a watcher
-// or a derived view, decided here so that an install nobody watches
-// never pays for the hooks' own locking. Settling and writing under the
-// same lock is what keeps the UU criterion truthful: an object stops
-// being stale at the instant its value changes, never before. A worthy
-// install is published to the replication sink — and takes its place in
-// the replication total order — inside the same critical section. now
-// is the run's clock reading: the moment the update left the queue.
-// Callers hold db.mu for writing and run on the scheduler goroutine.
+// whether it has hooks to fire — a trigger, a watcher or a derived
+// view. It captures those hooks with u's entry in db.firing, so that
+// afterRun fires them without taking db.mu again. Settling and writing
+// under the same lock is what keeps the UU criterion truthful: an
+// object stops being stale at the instant its value changes, never
+// before. A worthy install is published to the replication sink — and
+// takes its place in the replication total order — inside the same
+// critical section. now is the run's clock reading: the moment the
+// update left the queue. Callers hold db.mu for writing and run on the
+// scheduler goroutine.
 func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int64) (worthy int, hooked bool) {
 	o := db.obs
 	var arrived int64
@@ -667,13 +673,11 @@ func (db *DB) installLocked(u *model.Update, superseded []*model.Update, now int
 		tr.Spans[obs.StageReplPublish] = published
 		o.run = append(o.run, tr)
 	}
-	return 1, db.hookedLocked(u.Object)
-}
-
-// hookedLocked reports whether an install of the object has anything
-// to fire. Callers hold db.mu.
-func (db *DB) hookedLocked(id model.ObjectID) bool {
-	return db.viewLocked(id).hooked || len(db.globalTriggers) > 0 || len(db.watchers) > 0
+	if !v.hooked && len(db.globalHooks) == 0 {
+		return 1, false
+	}
+	db.firing = db.captureLocked(u.Object)
+	return 1, true
 }
 
 // endRunLocked closes a run's critical section. It folds the queue-wait
@@ -703,9 +707,10 @@ func (db *DB) endRunLocked(now int64, worthy int) {
 // afterRun does what a run leaves for outside db.mu: it fires the hooks
 // of the run's last install, when that install had any (the run ended
 // there), and hands the run's traces to the ring.
-func (db *DB) afterRun(last model.ObjectID, hooked bool) {
+func (db *DB) afterRun(hooked bool) {
 	if hooked {
-		db.fireTriggers(last)
+		db.firing.fire()
+		db.firing = firing{} // let go of the entry's fields copy
 	}
 	o := db.obs
 	if len(o.run) == 0 {
@@ -730,6 +735,19 @@ func (db *DB) afterRun(last model.ObjectID, hooked bool) {
 // update's completeness.
 type partialFields map[string]float64
 type completeFields map[string]float64
+
+// taggedFields copies the update's record fields for the Aux payload,
+// tagged with its completeness; nil when it carries none.
+func (u *Update) taggedFields() any {
+	switch {
+	case u.Fields == nil:
+		return nil
+	case u.Partial:
+		return partialFields(copyFields(u.Fields))
+	default:
+		return completeFields(copyFields(u.Fields))
+	}
+}
 
 // setFieldsLocked replaces a view's record fields; nil removes them.
 // Callers hold db.mu for writing.

@@ -3,6 +3,7 @@ package strip
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -29,31 +30,49 @@ type derivedDef struct {
 
 // OnInstall registers fn to run after every install of the named view
 // object (object == "" registers for all views). The function runs on
-// the scheduler goroutine with the freshly installed entry: it must be
-// fast and must not call Exec. Triggers are the STRIP rule mechanism
-// in miniature; §7 names update-triggered rules as the follow-on
-// problem to update scheduling.
+// the scheduler goroutine with the freshly installed entry, outside
+// db.mu: it must be fast and must not call Exec. Triggers are the STRIP
+// rule mechanism in miniature; §7 names update-triggered rules as the
+// follow-on problem to update scheduling.
+//
+// Triggers, Watch subscriptions and derived views are all install
+// hooks, and an install fires its hooks in registration order, those
+// registered for all views first. A derived view's recompute is a hook
+// on each of its dependencies; it fires the derived view's own hooks,
+// which see the recomputed value, before the dependency's later hooks
+// run.
 func (db *DB) OnInstall(object string, fn func(Entry)) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.hookLocked(object, fn)
+}
+
+// hookLocked appends fn to the named object's hook list, or to the
+// global one for object "". Callers hold db.mu for writing.
+func (db *DB) hookLocked(object string, fn func(Entry)) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
 	if object == "" {
-		db.globalTriggers = append(db.globalTriggers, fn)
+		db.globalHooks = append(db.globalHooks, fn)
 		return nil
 	}
 	ref, ok := db.lookup(object)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, object)
 	}
-	id := ref.id
-	if db.triggers == nil {
-		db.triggers = make(map[model.ObjectID][]func(Entry))
-	}
-	db.triggers[id] = append(db.triggers[id], fn)
-	db.viewLocked(id).hooked = true
+	db.addHookLocked(ref.id, fn)
 	return nil
+}
+
+// addHookLocked appends fn to the object's hook list. Callers hold
+// db.mu for writing.
+func (db *DB) addHookLocked(id model.ObjectID, fn func(Entry)) {
+	if db.hooks == nil {
+		db.hooks = make(map[model.ObjectID][]func(Entry))
+	}
+	db.hooks[id] = append(db.hooks[id], fn)
+	db.viewLocked(id).hooked = true
 }
 
 // DefineDerived registers a computed view: whenever any dependency is
@@ -62,7 +81,8 @@ func (db *DB) OnInstall(object string, fn func(Entry)) error {
 // derived view's generation time is the *oldest* dependency
 // generation, so a maximum-age staleness bound propagates
 // conservatively; under the unapplied-update criterion the derived
-// view is stale while any dependency is.
+// view is stale while any dependency is. A dependency named twice
+// passes its value twice but recomputes the view once per install.
 //
 // Derived views are what §7 describes as the case On Demand cannot
 // handle directly ("an object X representing the average price of
@@ -99,65 +119,76 @@ func (db *DB) DefineDerived(name string, deps []string, compute func(values []fl
 	}
 	id := db.addDefLocked(name, Low, true)
 	def := &derivedDef{id: id, deps: depIDs, compute: compute}
-	if db.derivedByDep == nil {
-		db.derivedByDep = make(map[model.ObjectID][]*derivedDef)
-		db.derivedByID = make(map[model.ObjectID]*derivedDef)
+	recompute := func(Entry) { db.recompute(def) }
+	for i, dep := range depIDs {
+		if !slices.Contains(depIDs[:i], dep) {
+			db.addHookLocked(dep, recompute)
+		}
 	}
-	for _, dep := range depIDs {
-		db.derivedByDep[dep] = append(db.derivedByDep[dep], def)
-		db.viewLocked(dep).hooked = true
+	if db.derivedByID == nil {
+		db.derivedByID = make(map[model.ObjectID]*derivedDef)
 	}
 	db.derivedByID[id] = def
 	return nil
 }
 
-// fireTriggers runs install triggers, watcher delivery and derived-view
-// recomputation for an installed object. Called on the scheduler
-// goroutine, outside db.mu, and only for an install that found
-// something registered (see hookedLocked).
-func (db *DB) fireTriggers(id model.ObjectID) {
-	db.mu.RLock()
-	v := db.viewLocked(id)
-	e := Entry{
-		Object:    db.nameLocked(id),
-		Value:     v.value,
-		Generated: genTime(v.gen),
-		Fields:    copyFields(db.fields[id]),
-	}
-	// Copy the trigger lists so they run outside the lock; the copy is
-	// sized exactly and skipped when only watchers or derived views are
-	// registered.
-	var fns []func(Entry)
-	if n := len(db.globalTriggers) + len(db.triggers[id]); n > 0 {
-		fns = make([]func(Entry), 0, n)
-		fns = append(fns, db.globalTriggers...)
-		fns = append(fns, db.triggers[id]...)
-	}
-	derived := append([]*derivedDef(nil), db.derivedByDep[id]...)
-	db.mu.RUnlock()
+// firing is one install's entry and hooks, captured in the critical
+// section that installed it and fired after it (see captureLocked).
+type firing struct {
+	entry       Entry
+	global, own []func(Entry)
+}
 
-	for _, fn := range fns {
-		fn(e)
+// captureLocked captures the object's entry and its hooks: the global
+// list and its own. The hook lists are append-only — nothing
+// unregisters, and no element is ever overwritten — so a captured slice
+// header keeps naming the same functions after db.mu is released: a
+// later registration appends beyond its length or into a new array.
+// That is what lets fire run the hooks with no lock and no copy.
+// Callers hold db.mu for writing.
+func (db *DB) captureLocked(id model.ObjectID) firing {
+	v := db.viewLocked(id)
+	f := firing{
+		entry: Entry{
+			Object:    db.nameLocked(id),
+			Value:     v.value,
+			Generated: genTime(v.gen),
+			Fields:    copyFields(db.fields[id]),
+		},
+		global: db.globalHooks,
 	}
-	db.notifyWatchers(id, e)
-	for _, def := range derived {
-		db.recomputeDerived(def)
+	if v.hooked {
+		f.own = db.hooks[id]
+	}
+	return f
+}
+
+// fire runs captured hooks, global ones first, each list in
+// registration order. It runs on the scheduler goroutine, outside db.mu.
+func (f *firing) fire() {
+	for _, fn := range f.global {
+		fn(f.entry)
+	}
+	for _, fn := range f.own {
+		fn(f.entry)
 	}
 }
 
-// recomputeDerived evaluates one derived view from its dependencies.
-func (db *DB) recomputeDerived(def *derivedDef) {
-	db.mu.Lock()
+// recompute evaluates one derived view from its dependencies and fires
+// the derived view's own hooks (never a further derivation:
+// dependencies cannot be derived).
+func (db *DB) recompute(def *derivedDef) {
 	// def.compute is user code that may retain the slice, so each
 	// recompute hands it a fresh one.
 	values := make([]float64, len(def.deps))
+	db.mu.RLock()
 	oldest := db.viewLocked(def.deps[0]).gen
 	for i, dep := range def.deps {
 		v := db.viewLocked(dep)
 		values[i] = v.value
 		oldest = min(oldest, v.gen)
 	}
-	db.mu.Unlock()
+	db.mu.RUnlock()
 
 	// Compute outside the lock: user code.
 	result := def.compute(values)
@@ -167,23 +198,9 @@ func (db *DB) recomputeDerived(def *derivedDef) {
 	v.value = result
 	v.gen = oldest
 	db.recordHistoryLocked(def.id)
+	f := db.captureLocked(def.id)
 	db.mu.Unlock()
-
-	// Derived installs fire plain triggers too (but never recurse
-	// into further derivation: dependencies cannot be derived).
-	db.mu.RLock()
-	entry := Entry{Object: db.nameLocked(def.id), Value: result, Generated: genTime(oldest)}
-	var fns []func(Entry)
-	if n := len(db.globalTriggers) + len(db.triggers[def.id]); n > 0 {
-		fns = make([]func(Entry), 0, n)
-		fns = append(fns, db.globalTriggers...)
-		fns = append(fns, db.triggers[def.id]...)
-	}
-	db.mu.RUnlock()
-	for _, fn := range fns {
-		fn(entry)
-	}
-	db.notifyWatchers(def.id, entry)
+	f.fire()
 }
 
 func copyFields(m map[string]float64) map[string]float64 {

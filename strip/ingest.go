@@ -52,13 +52,7 @@ func (db *DB) ApplyUpdate(u Update) error {
 		ArrivalTime: arrival,
 		Payload:     u.Value,
 		WallGen:     wallGen,
-	}
-	if u.Fields != nil {
-		if u.Partial {
-			mu.Aux = partialFields(copyFields(u.Fields))
-		} else {
-			mu.Aux = completeFields(copyFields(u.Fields))
-		}
+		Aux:         u.taggedFields(),
 	}
 	if !db.ingest.offer(mu) {
 		db.dropped.Add(1)

@@ -242,7 +242,6 @@ func (db *DB) installRun(txnReady bool, max int) int {
 	}
 	now := db.nowNanos()
 	var (
-		last             model.ObjectID
 		popped, installs int
 		hooked           bool
 	)
@@ -256,7 +255,6 @@ func (db *DB) installRun(txnReady bool, max int) int {
 		var worthy int
 		worthy, hooked = db.installLocked(u, nil, now)
 		installs += worthy
-		last = u.Object
 		if hooked || popped == max || len(db.txnCh) > 0 || db.next(txnReady) != act {
 			break
 		}
@@ -264,7 +262,7 @@ func (db *DB) installRun(txnReady bool, max int) int {
 	db.endRunLocked(now, installs)
 	db.publishQueueLocked()
 	db.mu.Unlock()
-	db.afterRun(last, hooked)
+	db.afterRun(hooked)
 	return popped
 }
 

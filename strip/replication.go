@@ -309,13 +309,7 @@ func (db *DB) ApplyReplicated(u Update, imp Importance) error {
 		Payload:     u.Value,
 		WallGen:     gen.UnixNano(),
 		Replicated:  true,
-	}
-	if u.Fields != nil {
-		if u.Partial {
-			mu.Aux = partialFields(copyFields(u.Fields))
-		} else {
-			mu.Aux = completeFields(copyFields(u.Fields))
-		}
+		Aux:         u.taggedFields(),
 	}
 	// ResetToSnapshot reads its barrier from the same atomic, so every
 	// update is totally ordered against every reset.
