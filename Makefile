@@ -53,9 +53,10 @@ fuzz:
 # Crash-recovery torture: every byte-level crash point of a scripted
 # workload, the WAL's format, refusal and recovery tests (every test
 # named WAL), seeded WAL fault schedules, degraded-mode policy,
-# replication connection chaos, and consensus failover — the elected
-# primary killed at enumerated crash points with partitions active —
-# all under the race detector.
+# replication connection chaos, and the scenario library (the
+# Scenario match), whose failover files kill the elected primary at
+# enumerated crash points with partitions active — all under the race
+# detector.
 torture:
 	$(GO) test -race -count=1 -run 'Torture|CrashPoint|Chaos|Degraded|Replay|Checkpoint|WAL|Fault|MemFS|Schedule|Failover|Elect|Scenario' \
 		./strip ./strip/fault ./strip/repl ./strip/elect ./strip/scenario

@@ -3,8 +3,6 @@ package strip
 import (
 	"math"
 	"strings"
-
-	"repro/internal/model"
 )
 
 // Aggregate evaluates an aggregate SELECT over the view objects and
@@ -28,14 +26,7 @@ func (db *DB) Aggregate(q string) (float64, error) {
 		return 0, err
 	}
 
-	now := db.now()
-	db.mu.RLock()
-	at := now.UnixNano()
-	snapshot := make([]Entry, db.nviews)
-	for id := range snapshot {
-		snapshot[id] = db.entryLocked(model.ObjectID(id), at)
-	}
-	db.mu.RUnlock()
+	now, snapshot := db.catalogSnapshot()
 
 	count := 0
 	sum := 0.0

@@ -161,11 +161,12 @@ type view struct {
 	class   int8 // the Importance; checkImportance keeps it to Low or High
 	derived bool
 	// hooked is set once the object has a hook list of its own — a
-	// trigger, a watcher, a derived view depending on it — by the three
-	// calls that register those (none is ever removed: a cancelled
-	// watcher stays listed, closed). It spares every install the map
-	// lookup that would answer the same question (see installLocked).
-	hooked bool
+	// trigger, a watcher, a derived view depending on it — and entryRead
+	// once it has a hook that reads the installed entry: a trigger or a
+	// watcher (none is ever removed). They spare every install the map
+	// lookup, and an install whose hooks all ignore the entry the copy of
+	// its fields (see installLocked and captureLocked).
+	hooked, entryRead bool
 }
 
 // noGen is the generation of a view that holds no state: never
@@ -531,11 +532,10 @@ func (p *statsCopy) load() Stats {
 
 // Degraded reports whether the database is in degraded durability
 // mode: the write-ahead log has failed, commits fail fast with
-// ErrDurability, and a successful Checkpoint is needed to heal.
+// ErrDurability, and a successful Checkpoint is needed to heal. It
+// reads the published Stats copy and takes no lock.
 func (db *DB) Degraded() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.dur.Degraded()
+	return db.pub.load().Degraded
 }
 
 // now returns the configured clock's time.

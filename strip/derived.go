@@ -62,6 +62,7 @@ func (db *DB) hookLocked(object string, fn func(Entry)) error {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, object)
 	}
 	db.addHookLocked(ref.id, fn)
+	db.viewLocked(ref.id).entryRead = true
 	return nil
 }
 
@@ -153,12 +154,14 @@ func (db *DB) captureLocked(id model.ObjectID) firing {
 			Object:    db.nameLocked(id),
 			Value:     v.value,
 			Generated: genTime(v.gen),
-			Fields:    copyFields(db.fields[id]),
 		},
 		global: db.globalHooks,
 	}
 	if v.hooked {
 		f.own = db.hooks[id]
+	}
+	if v.entryRead || len(f.global) > 0 {
+		f.entry.Fields = copyFields(db.fields[id])
 	}
 	return f
 }

@@ -99,22 +99,35 @@ func TestHooksFireInRegistrationOrder(t *testing.T) {
 // a hook-less one: nothing. Offering an update and installing it
 // allocates the queued update alone, whether or not the view has an
 // OnInstall trigger: the hooks fire from the lists the install
-// captured, without a copy.
+// captured, without a copy. A partial two-field offer to a record view
+// whose only hook is a derived dependant costs 4: the update, the
+// offer's copy of its fields (2) and the recompute's values slice. The
+// recompute ignores the entry, so the install does not copy the fields
+// again for it.
 func TestHookedInstallAllocations(t *testing.T) {
 	clock := newFakeClock()
 	db := mustOpenStepped(t, Config{Policy: UpdatesFirst, Clock: clock.Now})
 	db.DefineView("plain", Low)
 	db.DefineView("hooked", Low)
+	db.DefineView("record", Low)
 	fired := 0
 	if err := db.OnInstall("hooked", func(Entry) { fired++ }); err != nil {
 		t.Fatal(err)
 	}
+	if err := db.DefineDerived("derived", []string{"record"}, func(vs []float64) float64 { return vs[0] }); err != nil {
+		t.Fatal(err)
+	}
+	quote := map[string]float64{"bid": 99.5, "ask": 100.5}
 	n := 0
 	offerAndInstall := func(name string) func() {
 		return func() {
 			n++
 			clock.Advance(time.Microsecond)
-			if err := db.ApplyUpdate(Update{Object: name, Value: float64(n), Generated: clock.Now()}); err != nil {
+			u := Update{Object: name, Value: float64(n), Generated: clock.Now()}
+			if name == "record" {
+				u.Fields, u.Partial = quote, true
+			}
+			if err := db.ApplyUpdate(u); err != nil {
 				t.Fatal(err)
 			}
 			if !db.step() {
@@ -123,17 +136,23 @@ func TestHookedInstallAllocations(t *testing.T) {
 		}
 	}
 	const warm, runs = 100, 100
-	for _, name := range []string{"plain", "hooked"} {
+	for _, c := range []struct {
+		name string
+		want float64
+	}{{"plain", 1}, {"hooked", 1}, {"record", 4}} {
 		for i := 0; i < warm; i++ {
-			offerAndInstall(name)()
+			offerAndInstall(c.name)()
 		}
-		if allocs := testing.AllocsPerRun(runs, offerAndInstall(name)); allocs != 1 {
-			t.Errorf("an offer to %s and its install allocate %v times, want 1 (the queued update)", name, allocs)
+		if allocs := testing.AllocsPerRun(runs, offerAndInstall(c.name)); allocs != c.want {
+			t.Errorf("an offer to %s and its install allocate %v times, want %v", c.name, allocs, c.want)
 		}
 	}
 	// AllocsPerRun makes one more call than it measures.
 	if fired != warm+runs+1 {
 		t.Errorf("the trigger fired %d times, want %d", fired, warm+runs+1)
+	}
+	if e, err := db.Peek("record"); err != nil || e.Fields["bid"] != 99.5 {
+		t.Errorf("Peek(record) = %+v, %v; want the offered fields", e, err)
 	}
 }
 

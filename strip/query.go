@@ -43,14 +43,7 @@ func (db *DB) Query(q string) ([]Entry, error) {
 		return nil, err
 	}
 
-	now := db.now()
-	db.mu.RLock()
-	at := now.UnixNano()
-	snapshot := make([]Entry, db.nviews)
-	for id := range snapshot {
-		snapshot[id] = db.entryLocked(model.ObjectID(id), at)
-	}
-	db.mu.RUnlock()
+	now, snapshot := db.catalogSnapshot()
 
 	var out []Entry
 	for _, e := range snapshot {
@@ -71,6 +64,19 @@ func (db *DB) Query(q string) ([]Entry, error) {
 		out = out[:stmt.limit]
 	}
 	return out, nil
+}
+
+// catalogSnapshot reads the clock, then every view's entry under one RLock.
+func (db *DB) catalogSnapshot() (now time.Time, snapshot []Entry) {
+	now = db.now()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	at := now.UnixNano()
+	snapshot = make([]Entry, db.nviews)
+	for id := range snapshot {
+		snapshot[id] = db.entryLocked(model.ObjectID(id), at)
+	}
+	return now, snapshot
 }
 
 // ErrQuery wraps all query parse and evaluation failures.

@@ -357,11 +357,11 @@ func (r *Replica) apply(msg Msg, connEpoch uint64) error {
 	switch m := msg.(type) {
 	case *SnapshotMsg:
 		if r.cfg.ResetSnapshots {
-			// The reset's installs and general-store swap are WAL-logged,
-			// and a node that crashes between here and its next checkpoint
-			// rejoins through the failover manager, which re-points it and
-			// resets again — so no synchronous checkpoint on the stream
-			// path; replication stays ahead of durability by design.
+			// The reset is not WAL-logged and not checkpointed here:
+			// replication stays ahead of durability by design. A node
+			// that crashes before its next checkpoint recovers the old
+			// history and rejoins through the failover manager, which
+			// resets it again; a promotion checkpoints (Failover.promote).
 			if err := r.db.ResetToSnapshot(m.Snap); err != nil {
 				return err
 			}

@@ -98,6 +98,13 @@ func evaluate(sc *Scenario, r *rig) []assertResult {
 				res.ok = true
 				res.detail = fmt.Sprintf("%d promotions, one winner per epoch", promotions)
 			}
+		case "rebootstrap":
+			if revived, err := r.rebootstrapped(20 * time.Second); err != nil {
+				res.detail = err.Error()
+			} else {
+				res.ok = true
+				res.detail = fmt.Sprintf("%d restarted nodes re-bootstrapped as replicas of a later epoch", revived)
+			}
 		case "degraded":
 			// One database life must have both entered degraded mode
 			// (WAL errors failing commits) and healed out of it.

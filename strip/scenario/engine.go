@@ -88,6 +88,7 @@ type planEvent struct {
 	kind string // wal_on | wal_off | kill | restart | checkpoint
 	node string // target selector
 	pair *walPair
+	ops  int // kill: the checkpoint operation its filesystem crashes at
 }
 
 // plan is everything deterministic about a run: the full update and
@@ -282,7 +283,7 @@ func (pl *plan) planFaults(sc *Scenario) error {
 				&planEvent{at: f.At, kind: "wal_on", node: f.Node, pair: pair},
 				&planEvent{at: f.At + f.Duration, kind: "wal_off", node: f.Node, pair: pair})
 		case "kill", "restart", "checkpoint":
-			pl.events = append(pl.events, &planEvent{at: f.At, kind: f.Kind, node: f.Node})
+			pl.events = append(pl.events, &planEvent{at: f.At, kind: f.Kind, node: f.Node, ops: f.CheckpointOps})
 		}
 	}
 	// Events fire in time order; the fault list is already sorted by
@@ -358,6 +359,10 @@ func (pl *plan) render(sc *Scenario) {
 		case "partition":
 			if f.Windows > 0 {
 				fmt.Fprintf(&b, " windows=%d", f.Windows)
+			}
+		case "kill":
+			if f.CheckpointOps > 0 {
+				fmt.Fprintf(&b, " checkpoint_ops=%d", f.CheckpointOps)
 			}
 		}
 		pl.lines = append(pl.lines, b.String())

@@ -40,12 +40,14 @@ type runNode struct {
 
 	alive bool
 	// kill captures, for restart and for assertions over dead lives.
-	killOps  []fault.Op
-	killStat strip.Stats
-	lives    int
+	killOps   []fault.Op
+	killStat  strip.Stats
+	killEpoch uint64 // elect mode: the epoch the node last died in
+	lives     int
 }
 
-// winners mirrors the failover tests' exactly-one-winner ledger.
+// winners is the exactly-one-winner ledger: every promotion any node
+// reports, by epoch.
 type winners struct {
 	mu         sync.Mutex
 	byEpoch    map[uint64]string
@@ -419,7 +421,7 @@ func (r *rig) followStatic(n *runNode) error {
 // bootStatic builds the declared replica tree: every node with
 // children serves a Primary; every node with an upstream follows it.
 func (r *rig) bootStatic() error {
-	for i, name := range r.order {
+	for _, name := range r.order {
 		n := r.nodes[name]
 		var fs *fault.MemFS
 		if r.sc.Topology.FS == "mem" {
@@ -436,7 +438,6 @@ func (r *rig) bootStatic() error {
 		if err := r.serveStatic(n); err != nil {
 			return err
 		}
-		_ = i
 	}
 	// Replicas start after every listener is up, parents first so a
 	// chain bootstraps in one pass.
@@ -451,8 +452,8 @@ func (r *rig) bootStatic() error {
 	return nil
 }
 
-// electTiming shrinks the election clocks to scenario scale, matching
-// the failover tests.
+// electTiming shrinks the election clocks so a kill, the re-election
+// and a restart fit in a scenario run of a few seconds.
 func electTiming() elect.Timing {
 	return elect.Timing{
 		ProbeInterval: 20 * time.Millisecond,
@@ -773,7 +774,7 @@ func (r *rig) exec(ev *planEvent) {
 			r.note("kill at %.3fs found no target for %q", ev.at, ev.node)
 			return
 		}
-		r.kill(n)
+		r.kill(n, ev.ops)
 	case "restart":
 		n := r.resolve(ev.node)
 		if n == nil || n.alive {
@@ -789,8 +790,10 @@ func (r *rig) exec(ev *planEvent) {
 // kill tears a node down in process-death order, capturing the disk
 // image its crash leaves behind. On an elect node with a WAL it first
 // commits and syncs durability markers — the synced⇒present evidence
-// the durability assertion checks after restart.
-func (r *rig) kill(n *runNode) {
+// the durability assertion checks after restart. With checkpointOps >
+// 0 it then dies mid-checkpoint: the filesystem crashes at the
+// checkpoint's checkpointOps-th operation, freezing it half written.
+func (r *rig) kill(n *runNode, checkpointOps int) {
 	if r.sc.Topology.Mode == "elect" && n.spec.WAL {
 		for i := 0; i < 3; i++ {
 			key := fmt.Sprintf("durable/%s-%d-%d", n.name, n.lives, i)
@@ -805,8 +808,21 @@ func (r *rig) kill(n *runNode) {
 			r.mu.Unlock()
 		}
 	}
+	if checkpointOps > 0 {
+		fs, ops := n.fs, new(atomic.Int64)
+		fs.SetInjector(func(fault.Op) (int, error) {
+			if ops.Add(1) == int64(checkpointOps) {
+				fs.Crash()
+			}
+			return 0, nil
+		})
+		r.note("checkpoint on %s crashing at operation %d returned %v", n.name, checkpointOps, n.db.Checkpoint())
+	}
 	n.killOps = n.fs.Ops()
 	n.killStat = n.db.Stats()
+	if n.fo != nil {
+		_, n.killEpoch = n.fo.Role()
+	}
 	r.mu.Lock()
 	r.deadStats = append(r.deadStats, n.killStat)
 	r.lastKilled = n.name
@@ -986,6 +1002,39 @@ func (r *rig) converge(timeout time.Duration) error {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return fmt.Errorf("%s never matched %s byte for byte", lagging, head.name)
+}
+
+// rebootstrapped polls until every node restarted during the run is a
+// replica at an epoch above the one it died in, whose new life has
+// installed a snapshot, and returns how many were restarted.
+func (r *rig) rebootstrapped(timeout time.Duration) (int, error) {
+	deadline := time.Now().Add(timeout)
+	for {
+		revived, err := 0, error(nil)
+		for _, name := range r.order {
+			n := r.nodes[name]
+			if n.lives < 2 {
+				continue
+			}
+			revived++
+			if !n.alive {
+				err = fmt.Errorf("%s was restarted and is down at the end", n.name)
+				continue
+			}
+			role, e := n.fo.Role()
+			if snaps := n.db.Stats().ReplSnapshotsInstalled; role != repl.RoleReplica || e <= n.killEpoch || snaps == 0 {
+				err = fmt.Errorf("%s is %s at epoch %d with %d snapshots installed, want a replica above epoch %d with >= 1",
+					n.name, role, e, snaps, n.killEpoch)
+			}
+		}
+		if revived == 0 {
+			err = fmt.Errorf("no node was restarted")
+		}
+		if err == nil || time.Now().After(deadline) {
+			return revived, err
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // faultsTotal sums every injector's landed faults.

@@ -20,8 +20,8 @@ func TestScenarioLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) < 6 {
-		t.Fatalf("scenario library has %d files, want at least 6", len(paths))
+	if len(paths) < 10 {
+		t.Fatalf("scenario library has %d files, want at least 10", len(paths))
 	}
 	for _, p := range paths {
 		p := p

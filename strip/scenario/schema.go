@@ -116,13 +116,17 @@ type Fault struct {
 	// wal: seeded filesystem fault probabilities applied to WAL files
 	// (fault.ScheduleConfig) for the window.
 	WriteErr, ShortWrite, SyncErr float64
+
+	// kill: CheckpointOps > 0 kills the node mid-checkpoint — its
+	// filesystem crashes at the checkpoint's CheckpointOps-th operation.
+	CheckpointOps int
 }
 
 // Assertion is one end-of-run check.
 type Assertion struct {
 	// Kind is one of: convergence, progress, staleness_p99,
 	// staleness_max, uu_p99, faults_injected, reconnects, durability,
-	// one_winner, degraded.
+	// one_winner, degraded, rebootstrap.
 	Kind string
 	// Min and Max bound the measured value where the kind takes
 	// bounds; the has flags record which were declared.
@@ -341,7 +345,7 @@ func decodeFaults(n *node) ([]Fault, error) {
 		if err := item.mapping(path, "at", "kind", "node", "duration",
 			"reset", "partial", "flip", "max_delay_us",
 			"windows", "min_ms", "max_ms",
-			"write_err", "short_write", "sync_err"); err != nil {
+			"write_err", "short_write", "sync_err", "checkpoint_ops"); err != nil {
 			return nil, err
 		}
 		var f Fault
@@ -375,13 +379,16 @@ func decodeFaults(n *node) ([]Fault, error) {
 			dst *int
 		}{
 			{"max_delay_us", &f.MaxDelayUS}, {"windows", &f.Windows},
-			{"min_ms", &f.MinMS}, {"max_ms", &f.MaxMS},
+			{"min_ms", &f.MinMS}, {"max_ms", &f.MaxMS}, {"checkpoint_ops", &f.CheckpointOps},
 		} {
 			if v := item.get(in.key); v != nil {
 				if *in.dst, err = v.integer(path + "." + in.key); err != nil {
 					return nil, err
 				}
 			}
+		}
+		if v := item.get("checkpoint_ops"); v != nil && f.CheckpointOps <= 0 {
+			return nil, errAt(v.line, "%s.checkpoint_ops must be positive", path)
 		}
 		out = append(out, f)
 	}
@@ -569,6 +576,9 @@ func (sc *Scenario) validateFaults(byName map[string]bool, bad func(string, ...a
 			}
 			return nil
 		}
+		if f.CheckpointOps != 0 && f.Kind != "kill" {
+			return bad("%s: checkpoint_ops applies only to kill", where)
+		}
 		switch f.Kind {
 		case "chaos":
 			if err := needWindow(); err != nil {
@@ -707,6 +717,13 @@ func (sc *Scenario) validateAssertions(bad func(string, ...any) error) error {
 		case "one_winner":
 			if !elect {
 				return bad("%s: requires an elect topology", where)
+			}
+		case "rebootstrap":
+			if !elect {
+				return bad("%s: a restarted node re-bootstraps from an elected primary; use an elect topology", where)
+			}
+			if !hasKind("restart") {
+				return bad("%s: needs a restart fault to exercise", where)
 			}
 		case "degraded":
 			if !hasKind("wal") {

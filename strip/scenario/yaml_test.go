@@ -71,8 +71,8 @@ func TestDecodeShippedScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) < 6 {
-		t.Fatalf("scenario library has %d files, want at least 6", len(paths))
+	if len(paths) < 10 {
+		t.Fatalf("scenario library has %d files, want at least 10", len(paths))
 	}
 	names := map[string]string{}
 	for _, p := range paths {

@@ -81,6 +81,42 @@ func TestStatsTakesNoLock(t *testing.T) {
 	}
 }
 
+// TestDegradedTakesNoLock degrades a database through a failed Sync,
+// holds db.mu for writing and reads Degraded from another goroutine:
+// it reads the published copy, so it returns, and reports the
+// degradation, while the lock is held.
+func TestDegradedTakesNoLock(t *testing.T) {
+	fs := fault.NewMemFS()
+	db := mustOpenStepped(t, Config{WALPath: "wal", FS: fs})
+	fs.SetInjector(func(op fault.Op) (int, error) {
+		if op.Kind == fault.OpSync {
+			return 0, fault.ErrInjected
+		}
+		return 0, nil
+	})
+	if err := db.Sync(); !errors.Is(err, ErrDurability) {
+		t.Fatalf("Sync under a failing fsync: %v", err)
+	}
+	fs.SetInjector(nil)
+
+	db.mu.Lock()
+	degraded := make(chan bool)
+	go func() { degraded <- db.Degraded() }()
+	var bad string
+	select {
+	case d := <-degraded:
+		if !d {
+			bad = "Degraded() = false after a failed Sync"
+		}
+	case <-time.After(10 * time.Second):
+		bad = "Degraded is waiting for db.mu"
+	}
+	db.mu.Unlock()
+	if bad != "" {
+		t.Fatal(bad)
+	}
+}
+
 // TestStatsAllocatesNothing: a Stats read is a copy of words.
 func TestStatsAllocatesNothing(t *testing.T) {
 	db := mustOpen(t, Config{})
