@@ -17,8 +17,9 @@
 //	stripd -replicate-from 127.0.0.1:7008 -policy UF   # replica
 //
 // A replica can chain by passing its own -repl-listen. The once-a-
-// second report shows the replication sequence and, on replicas, the
-// MA/UU replication lag.
+// second report shows the replication sequence while the node serves a
+// stream and the MA/UU replication lag while it follows one (a chained
+// replica does both).
 //
 // Failover: -elect-listen and -peers replace the static primary/
 // replica split with consensus-elected roles. Every node of the group
@@ -30,7 +31,8 @@
 //	stripd -listen :7007 -elect-listen :7107 \
 //	    -peers 127.0.0.1:7107=127.0.0.1:7207,127.0.0.1:7108=127.0.0.1:7208
 //
-// The once-a-second report then carries elect-state and elect-epoch.
+// The once-a-second report then carries elect-state and elect-epoch,
+// and repl-seq or repl-lag for the role the election gave the node.
 // -elect-state names the durable election ledger (promises, accepted
 // values, the decided epoch) so a restarted node keeps its word; it
 // defaults to <wal>.elect when -wal is set.
@@ -48,6 +50,12 @@
 //
 // The server also runs a sample read-only transaction each second so
 // the transaction counters move.
+//
+// Every server mode is one repl.Node: stripd turns its flags into a
+// repl.NodeConfig and boots it with repl.StartNode, the same assembly
+// the scenario library (strip/scenario) runs its fleets on. Around the
+// node it keeps only the feed and metrics listeners and the report
+// loop.
 package main
 
 import (
@@ -76,60 +84,28 @@ func main() {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("stripd", flag.ContinueOnError)
-	listen := fs.String("listen", "", "serve updates on this TCP address")
-	feed := fs.String("feed", "", "act as a synthetic feed client to this address")
-	views := fs.Int("views", 100, "number of view objects (px.000 ... )")
-	policyName := fs.String("policy", "OD", "scheduling policy: UF, TF, SU or OD")
-	maxAge := fs.Duration("maxage", time.Second, "MA staleness bound (0 selects UU)")
-	rate := fs.Float64("rate", 400, "feed mode: updates per second")
-	duration := fs.Duration("duration", 0, "exit after this long (0 = run until signal)")
-	replListen := fs.String("repl-listen", "", "serve the replication frame stream on this TCP address")
-	replicateFrom := fs.String("replicate-from", "", "run as a replica of the primary at this -repl-listen address")
-	walPath := fs.String("wal", "", "write-ahead log path: makes general data durable across restarts")
-	ckptEvery := fs.Duration("checkpoint-every", 30*time.Second, "checkpoint interval when -wal is set (also heals a degraded log)")
-	electListen := fs.String("elect-listen", "", "join leader election with this address as the node's identity")
-	peers := fs.String("peers", "", "election membership as elect=repl address pairs, comma separated (identical on every node)")
-	electState := fs.String("elect-state", "", "election ledger path: makes promises and decisions durable across restarts (defaults to <wal>.elect when -wal is set)")
-	metricsListen := fs.String("metrics-listen", "", "serve Prometheus text on /metrics (plus /debug/pprof) on this HTTP address")
-	metricsDump := fs.String("metrics-dump", "", "write a final metrics snapshot (Prometheus text) to this file on exit")
-	traceDepth := fs.Int("trace-depth", 256, "keep the last N per-update pipeline traces for /debug/traces (0 disables)")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-
 	switch {
-	case *feed != "":
-		return runFeed(*feed, *views, *rate, *duration)
-	case *listen != "" || *replicateFrom != "" || *electListen != "":
-		return runServer(serverConfig{
-			listen:        *listen,
-			views:         *views,
-			policyName:    *policyName,
-			maxAge:        *maxAge,
-			duration:      *duration,
-			replListen:    *replListen,
-			replicateFrom: *replicateFrom,
-			walPath:       *walPath,
-			ckptEvery:     *ckptEvery,
-			electListen:   *electListen,
-			peers:         *peers,
-			electState:    *electState,
-			metricsListen: *metricsListen,
-			metricsDump:   *metricsDump,
-			traceDepth:    *traceDepth,
-		})
+	case cfg.feed != "":
+		return runFeed(cfg.feed, cfg.views, cfg.rate, cfg.duration)
+	case cfg.listen != "" || cfg.replicateFrom != "" || cfg.electListen != "":
+		return runServer(cfg)
 	default:
 		return fmt.Errorf("pass -listen <addr> (server), -replicate-from <addr> (replica), -elect-listen <addr> (failover group) or -feed <addr> (feed client)")
 	}
 }
 
-// serverConfig carries runServer's knobs.
-type serverConfig struct {
+// config carries the command line.
+type config struct {
 	listen        string
+	feed          string
 	views         int
 	policyName    string
 	maxAge        time.Duration
+	rate          float64
 	duration      time.Duration
 	replListen    string
 	replicateFrom string
@@ -141,6 +117,30 @@ type serverConfig struct {
 	metricsListen string
 	metricsDump   string
 	traceDepth    int
+}
+
+// parseFlags reads the command line into a config.
+func parseFlags(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("stripd", flag.ContinueOnError)
+	fs.StringVar(&c.listen, "listen", "", "serve updates on this TCP address")
+	fs.StringVar(&c.feed, "feed", "", "act as a synthetic feed client to this address")
+	fs.IntVar(&c.views, "views", 100, "number of view objects (px.000 ... )")
+	fs.StringVar(&c.policyName, "policy", "OD", "scheduling policy: UF, TF, SU or OD")
+	fs.DurationVar(&c.maxAge, "maxage", time.Second, "MA staleness bound (0 selects UU)")
+	fs.Float64Var(&c.rate, "rate", 400, "feed mode: updates per second")
+	fs.DurationVar(&c.duration, "duration", 0, "exit after this long (0 = run until signal)")
+	fs.StringVar(&c.replListen, "repl-listen", "", "serve the replication frame stream on this TCP address")
+	fs.StringVar(&c.replicateFrom, "replicate-from", "", "run as a replica of the primary at this -repl-listen address")
+	fs.StringVar(&c.walPath, "wal", "", "write-ahead log path: makes general data durable across restarts")
+	fs.DurationVar(&c.ckptEvery, "checkpoint-every", 30*time.Second, "checkpoint interval when -wal is set (also heals a degraded log)")
+	fs.StringVar(&c.electListen, "elect-listen", "", "join leader election with this address as the node's identity")
+	fs.StringVar(&c.peers, "peers", "", "election membership as elect=repl address pairs, comma separated (identical on every node)")
+	fs.StringVar(&c.electState, "elect-state", "", "election ledger path: makes promises and decisions durable across restarts (defaults to <wal>.elect when -wal is set)")
+	fs.StringVar(&c.metricsListen, "metrics-listen", "", "serve Prometheus text on /metrics (plus /debug/pprof) on this HTTP address")
+	fs.StringVar(&c.metricsDump, "metrics-dump", "", "write a final metrics snapshot (Prometheus text) to this file on exit")
+	fs.IntVar(&c.traceDepth, "trace-depth", 256, "keep the last N per-update pipeline traces for /debug/traces (0 disables)")
+	return c, fs.Parse(args)
 }
 
 // parsePeers parses the -peers membership list: comma-separated
@@ -196,42 +196,93 @@ func parsePolicy(name string) (strip.Policy, error) {
 
 func viewName(i int) string { return fmt.Sprintf("px.%03d", i) }
 
-func runServer(cfg serverConfig) error {
+// nodeConfig turns the server flags into the node stripd runs: its
+// database, its schema and its replication role.
+func nodeConfig(cfg config) (repl.NodeConfig, error) {
 	policy, err := parsePolicy(cfg.policyName)
 	if err != nil {
-		return err
+		return repl.NodeConfig{}, err
 	}
-	if cfg.electListen != "" || cfg.peers != "" {
-		if cfg.electListen == "" || cfg.peers == "" {
-			return fmt.Errorf("-elect-listen and -peers must be used together")
-		}
-		if cfg.replListen != "" || cfg.replicateFrom != "" {
-			return fmt.Errorf("-elect-listen manages the replication roles itself; drop -repl-listen and -replicate-from")
-		}
+	seed := uint64(time.Now().UnixNano())
+	nc := repl.NodeConfig{
+		DB: strip.Config{
+			Policy:  policy,
+			MaxAge:  cfg.maxAge,
+			OnStale: strip.Warn,
+			WALPath: cfg.walPath,
+			// One registry for the whole process: the database,
+			// replication sides and election node all register into
+			// it, the /metrics endpoint exposes it, and the 1s console
+			// report reads from it.
+			Metrics:    obs.NewRegistry(),
+			TraceDepth: cfg.traceDepth,
+		},
+		Schema: func(db *strip.DB) error {
+			for i := 0; i < cfg.views; i++ {
+				// Alternate importance so SplitUpdates has both classes.
+				imp := strip.Low
+				if i%2 == 1 {
+					imp = strip.High
+				}
+				if err := db.DefineView(viewName(i), imp); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		Serve:   cfg.replListen,
+		Replica: repl.ReplicaConfig{Addr: cfg.replicateFrom, Seed: seed},
 	}
-	views := cfg.views
-	// One registry for the whole process: the database, replication
-	// sides and election node all register into it, the /metrics
-	// endpoint exposes it, and the 1s console report reads from it.
-	reg := obs.NewRegistry()
-	db, err := strip.Open(strip.Config{
-		Policy:  policy,
-		MaxAge:  cfg.maxAge,
-		OnStale: strip.Warn,
-		// Replicas install the full stream; an elected node may become
-		// one at any moment.
-		Coalesce:   cfg.replicateFrom == "" && cfg.electListen == "",
-		WALPath:    cfg.walPath,
-		Metrics:    reg,
-		TraceDepth: cfg.traceDepth,
-	})
+	if cfg.electListen == "" && cfg.peers == "" {
+		return nc, nil
+	}
+	if cfg.electListen == "" || cfg.peers == "" {
+		return nc, fmt.Errorf("-elect-listen and -peers must be used together")
+	}
+	if cfg.replListen != "" || cfg.replicateFrom != "" {
+		return nc, fmt.Errorf("-elect-listen manages the replication roles itself; drop -repl-listen and -replicate-from")
+	}
+	peerOrder, replOf, err := parsePeers(cfg.peers)
+	if err != nil {
+		return nc, err
+	}
+	if _, ok := replOf[cfg.electListen]; !ok {
+		return nc, fmt.Errorf("-elect-listen %q is not one of the elect addresses in -peers", cfg.electListen)
+	}
+	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+	// The election ledger rides next to the WAL by default: a node
+	// durable enough to keep its data should also keep its word.
+	statePath := cfg.electState
+	if statePath == "" && cfg.walPath != "" {
+		statePath = cfg.walPath + ".elect"
+	}
+	nc.Elect = elect.Config{
+		Self:      cfg.electListen,
+		Peers:     peerOrder,
+		Seed:      seed,
+		StatePath: statePath,
+		Logf:      logf,
+	}
+	nc.ReplAddrs = replOf
+	nc.Primary.Logf = logf
+	nc.Replica.Logf = logf
+	return nc, nil
+}
+
+func runServer(cfg config) error {
+	nc, err := nodeConfig(cfg)
 	if err != nil {
 		return err
 	}
-	defer db.Close()
+	node, err := repl.StartNode(nc)
+	if err != nil {
+		return err
+	}
+	defer node.Close()
+	db, reg, views := node.DB(), nc.DB.Metrics, cfg.views
 	if cfg.metricsDump != "" {
-		// Runs before the deferred db.Close (LIFO), so gauge funcs still
-		// read a live database.
+		// Runs before the deferred node.Close (LIFO), so gauge funcs
+		// still read a live database.
 		defer func() {
 			if err := dumpMetrics(reg, cfg.metricsDump); err != nil {
 				fmt.Fprintln(os.Stderr, "stripd: metrics dump:", err)
@@ -241,28 +292,23 @@ func runServer(cfg serverConfig) error {
 	if cfg.walPath != "" {
 		fmt.Printf("write-ahead log at %s (checkpoint every %v)\n", cfg.walPath, cfg.ckptEvery)
 	}
-	if cfg.replicateFrom == "" {
-		// Replicas import the primary's schema from the stream; a
-		// primary (or standalone server) defines its own views.
-		for i := 0; i < views; i++ {
-			// Alternate importance so SplitUpdates has both classes.
-			imp := strip.Low
-			if i%2 == 1 {
-				imp = strip.High
-			}
-			if err := db.DefineView(viewName(i), imp); err != nil {
-				return err
-			}
-		}
+	switch {
+	case cfg.electListen != "":
+		fmt.Printf("election on %s across %d peers (replication at %s when primary)\n",
+			cfg.electListen, len(nc.Elect.Peers), nc.ReplAddrs[cfg.electListen])
+	case cfg.replicateFrom != "":
+		fmt.Printf("replicating from %s (policy %s)\n", cfg.replicateFrom, nc.DB.Policy)
 	}
-
+	if cfg.replListen != "" {
+		fmt.Printf("replication stream on %s\n", cfg.replListen)
+	}
 	if cfg.listen != "" {
 		l, err := net.Listen("tcp", cfg.listen)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("stripd serving %d views on %s (policy %s, maxage %v)\n",
-			views, l.Addr(), policy, cfg.maxAge)
+			views, l.Addr(), nc.DB.Policy, cfg.maxAge)
 		go db.Serve(l)
 	}
 	if cfg.metricsListen != "" {
@@ -274,77 +320,6 @@ func runServer(cfg serverConfig) error {
 		defer srv.Close()
 		fmt.Printf("metrics on http://%s/metrics\n", ml.Addr())
 		go srv.Serve(ml)
-	}
-	if cfg.replListen != "" {
-		primary := repl.NewPrimary(db, repl.PrimaryConfig{Metrics: reg})
-		defer primary.Close()
-		rl, err := net.Listen("tcp", cfg.replListen)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("replication stream on %s\n", rl.Addr())
-		go primary.Serve(rl)
-	}
-	if cfg.replicateFrom != "" {
-		replica, err := repl.StartReplica(db, repl.ReplicaConfig{
-			Addr:    cfg.replicateFrom,
-			Seed:    uint64(time.Now().UnixNano()),
-			Metrics: reg,
-		})
-		if err != nil {
-			return err
-		}
-		defer replica.Close()
-		fmt.Printf("replicating from %s (policy %s)\n", cfg.replicateFrom, policy)
-	}
-	var fo *repl.Failover
-	if cfg.electListen != "" {
-		peerOrder, replOf, err := parsePeers(cfg.peers)
-		if err != nil {
-			return err
-		}
-		selfRepl, ok := replOf[cfg.electListen]
-		if !ok {
-			return fmt.Errorf("-elect-listen %q is not one of the elect addresses in -peers", cfg.electListen)
-		}
-		logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-		// The election ledger rides next to the WAL by default: a node
-		// durable enough to keep its data should also keep its word.
-		statePath := cfg.electState
-		if statePath == "" && cfg.walPath != "" {
-			statePath = cfg.walPath + ".elect"
-		}
-		node, err := elect.NewNode(elect.Config{
-			Self:      cfg.electListen,
-			Peers:     peerOrder,
-			Seed:      uint64(time.Now().UnixNano()),
-			Logf:      logf,
-			StatePath: statePath,
-			Metrics:   reg,
-		})
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		el, err := net.Listen("tcp", cfg.electListen)
-		if err != nil {
-			return err
-		}
-		go node.Serve(el)
-		fo, err = repl.StartFailover(db, repl.FailoverConfig{
-			Node:       node,
-			ReplAddrOf: func(id string) string { return replOf[id] },
-			ListenRepl: func() (net.Listener, error) { return net.Listen("tcp", selfRepl) },
-			Seed:       uint64(time.Now().UnixNano()),
-			Logf:       logf,
-			Metrics:    reg,
-		})
-		if err != nil {
-			return err
-		}
-		defer fo.Close()
-		fmt.Printf("election on %s across %d peers (replication at %s when primary)\n",
-			el.Addr(), len(peerOrder), selfRepl)
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -413,43 +388,37 @@ func runServer(cfg serverConfig) error {
 				},
 			})
 			staleViews, _ := db.Aggregate("SELECT COUNT(*) FROM views WHERE stale")
-			fmt.Println(reportLine(reg, cfg, fo, staleViews, res.StaleReads))
+			role, epoch := node.Role()
+			fmt.Println(reportLine(reg, cfg, role, epoch, staleViews, res.StaleReads))
 		}
 	}
 }
 
 // reportLine renders the once-a-second console report from the
 // metrics registry — the same series /metrics serves, so the console
-// and the scrape endpoint cannot drift apart. staleViews and
-// staleReads come from the sample monitoring transaction, which is
-// per-tick state rather than a registered series.
-func reportLine(reg *obs.Registry, cfg serverConfig, fo *repl.Failover, staleViews float64, staleReads []string) string {
+// and the scrape endpoint cannot drift apart. The replication fields
+// follow the node's current role: repl-seq while it serves a stream,
+// repl-lag while it follows one. staleViews and staleReads come from
+// the sample monitoring transaction, which is per-tick state rather
+// than a registered series.
+func reportLine(reg *obs.Registry, cfg config, role repl.Role, epoch uint64, staleViews float64, staleReads []string) string {
 	mv := func(name string) int64 {
 		v, _ := reg.Value(name)
 		return int64(v)
-	}
-	mf := func(name string) float64 {
-		v, _ := reg.Value(name)
-		return v
 	}
 	line := fmt.Sprintf("recv=%d installed=%d skipped=%d expired=%d queue=%d txns=%d stale-views=%.0f stale-reads=%v",
 		mv("strip_updates_received_total"), mv("strip_updates_installed_total"),
 		mv("strip_updates_skipped_total"), mv("strip_updates_expired_total"),
 		mv("strip_queue_len"), mv("strip_txns_committed_total"), staleViews, staleReads)
-	if cfg.replListen != "" {
+	if role.Serves() {
 		line += fmt.Sprintf(" repl-seq=%d", mv("strip_replication_seq"))
 	}
-	if cfg.replicateFrom != "" {
-		line += fmt.Sprintf(" repl-lag=%.3fs/%du",
-			mf("strip_replica_lag_seconds"), mv("strip_replica_lag_updates"))
+	if role.Follows() {
+		lag, _ := reg.Value("strip_replica_lag_seconds")
+		line += fmt.Sprintf(" repl-lag=%.3fs/%du", lag, mv("strip_replica_lag_updates"))
 	}
-	if fo != nil {
-		role, epoch := fo.Role()
+	if cfg.electListen != "" {
 		line += fmt.Sprintf(" elect-state=%s elect-epoch=%d", role, epoch)
-		if role == repl.RoleReplica {
-			line += fmt.Sprintf(" repl-lag=%.3fs/%du",
-				mf("strip_replica_lag_seconds"), mv("strip_replica_lag_updates"))
-		}
 	}
 	if cfg.walPath != "" {
 		line += fmt.Sprintf(" wal-errors=%d", mv("strip_wal_errors_total"))

@@ -14,6 +14,9 @@ import (
 	"time"
 
 	"repro/strip"
+	"repro/strip/obs"
+	"repro/strip/repl"
+	"repro/strip/scenario"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -293,6 +296,224 @@ func TestRunRejectsBadFailoverSetup(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted an invalid failover setup", args)
+		}
+	}
+}
+
+// TestReportLineFollowsRole pins which replication fields the console
+// report carries for each role: repl-seq whenever the node serves a
+// stream, repl-lag whenever it follows one, the election fields on an
+// election member — whatever flags made the role.
+func TestReportLineFollowsRole(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.GaugeFunc("strip_replication_seq", "", func() float64 { return 42 })
+	reg.GaugeFunc("strip_replica_lag_seconds", "", func() float64 { return 0.5 })
+	reg.GaugeFunc("strip_replica_lag_updates", "", func() float64 { return 3 })
+	static := config{}
+	elected := config{electListen: "127.0.0.1:7107"}
+	const seq, lag = " repl-seq=42", " repl-lag=0.500s/3u"
+	cases := []struct {
+		name  string
+		cfg   config
+		role  repl.Role
+		epoch uint64
+		want  []string
+		never []string
+	}{
+		{"standalone", static, repl.RoleStandalone, 0, nil, []string{seq, lag, "elect-"}},
+		{"static primary", static, repl.RolePrimary, 0, []string{seq}, []string{lag, "elect-"}},
+		{"static replica", static, repl.RoleReplica, 0, []string{lag}, []string{seq, "elect-"}},
+		{"chained mid-tier", static, repl.RoleRelay, 0, []string{seq, lag}, []string{"elect-"}},
+		{"elect idle", elected, repl.RoleIdle, 0, []string{" elect-state=idle elect-epoch=0"}, []string{seq, lag}},
+		{"elected primary", elected, repl.RolePrimary, 3, []string{seq, " elect-state=primary elect-epoch=3"}, []string{lag}},
+		{"elected replica", elected, repl.RoleReplica, 3, []string{lag, " elect-state=replica elect-epoch=3"}, []string{seq}},
+	}
+	for _, tc := range cases {
+		line := reportLine(reg, tc.cfg, tc.role, tc.epoch, 0, nil)
+		for _, w := range tc.want {
+			if !strings.Contains(line, w) {
+				t.Errorf("%s: report %q lacks %q", tc.name, line, w)
+			}
+		}
+		for _, w := range tc.never {
+			if strings.Contains(line, w) {
+				t.Errorf("%s: report %q carries %q", tc.name, line, w)
+			}
+		}
+	}
+}
+
+// TestNodeConfigMatchesScenarioRig pins that the scenario library runs
+// the node stripd deploys: for each stripd mode, the repl.NodeConfig
+// its flags produce equals, field by field, the one the scenario rig
+// boots the matching scenario node with. The flags pick the rig's
+// policy and staleness settings; the exceptions are named one by one
+// below.
+func TestNodeConfigMatchesScenarioRig(t *testing.T) {
+	// Deployment settings: each side picks its own, but both set them
+	// or neither does (a Serve on one side only is a different role).
+	presence := map[string]bool{
+		"DB.WALPath": true, "DB.Metrics": true, "Serve": true,
+		"Replica.Addr": true, "Replica.Seed": true, "Elect.Self": true,
+		"Elect.Peers": true, "Elect.Seed": true, "Elect.StatePath": true,
+		"ReplAddrs": true, "Schema": true,
+	}
+	ignored := map[string]bool{
+		// Values the rig shrinks so a scenario fits in seconds.
+		"Primary.RingFrames": true, "Replica.BackoffBase": true, "Replica.BackoffMax": true,
+		"Elect.Timing": true, "Elect.IOTimeout": true,
+		// The rig's fault seams: MemFS crash images, the partition
+		// gate, link chaos, reserved relistening and the winner ledger.
+		"DB.FS": true, "Listen": true, "Dial": true, "Elect.Dial": true, "OnRole": true,
+		// stripd logs diagnostics to stderr; the rig discards them.
+		"Primary.Logf": true, "Replica.Logf": true, "Elect.Logf": true,
+	}
+	workload := []string{"-policy", "UF", "-maxage", "0", "-trace-depth", "0", "-wal", "node.wal"}
+	cases := []struct {
+		mode, scenario, node string
+		flags                []string
+	}{
+		{"standalone", "degraded-wal", "solo", []string{"-listen", "127.0.0.1:7007"}},
+		{"static primary", "baseline-convergence", "primary",
+			[]string{"-listen", "127.0.0.1:7007", "-repl-listen", "127.0.0.1:7008"}},
+		{"static replica", "baseline-convergence", "r2",
+			[]string{"-replicate-from", "127.0.0.1:7009"}},
+		{"chained mid-tier", "baseline-convergence", "r1",
+			[]string{"-replicate-from", "127.0.0.1:7008", "-repl-listen", "127.0.0.1:7009"}},
+		{"elect member", "failover-kill", "n1",
+			[]string{"-listen", "127.0.0.1:7007", "-elect-listen", "127.0.0.1:7107",
+				"-peers", "127.0.0.1:7107=127.0.0.1:7207,127.0.0.1:7108=127.0.0.1:7208,127.0.0.1:7109=127.0.0.1:7209"}},
+	}
+	seen := map[string]bool{}
+	for _, tc := range cases {
+		cfg, err := parseFlags(append(append([]string(nil), workload...), tc.flags...))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.mode, err)
+		}
+		deployed, err := nodeConfig(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.mode, err)
+		}
+		sc, err := scenario.Load(filepath.Join("..", "..", "scenarios", tc.scenario+".yaml"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rigs, err := scenario.NodeConfigs(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig, ok := rigs[tc.node]
+		if !ok {
+			t.Fatalf("%s: scenario %s has no node %s", tc.mode, tc.scenario, tc.node)
+		}
+		compareConfigs(t, tc.mode, "", reflect.ValueOf(deployed), reflect.ValueOf(rig), presence, ignored, seen)
+	}
+	for name := range presence {
+		if !seen[name] {
+			t.Errorf("presence exception %s names no field", name)
+		}
+	}
+	for name := range ignored {
+		if !seen[name] {
+			t.Errorf("ignored exception %s names no field", name)
+		}
+	}
+}
+
+// compareConfigs walks two values of one struct type field by field,
+// reporting every field that differs apart from the named exceptions.
+// Functions compare by presence: two closures are never equal.
+func compareConfigs(t *testing.T, mode, path string, a, b reflect.Value, presence, ignored, seen map[string]bool) {
+	t.Helper()
+	for i := 0; i < a.NumField(); i++ {
+		f := a.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		name := f.Name
+		if path != "" {
+			name = path + "." + f.Name
+		}
+		seen[name] = true
+		fa, fb := a.Field(i), b.Field(i)
+		switch {
+		case ignored[name]:
+		case presence[name] || fa.Kind() == reflect.Func:
+			if fa.IsZero() != fb.IsZero() {
+				t.Errorf("%s: %s is set on one side only (stripd %v, rig %v)", mode, name, !fa.IsZero(), !fb.IsZero())
+			}
+		case fa.Kind() == reflect.Struct:
+			compareConfigs(t, mode, name, fa, fb, presence, ignored, seen)
+		case !reflect.DeepEqual(fa.Interface(), fb.Interface()):
+			t.Errorf("%s: %s differs: stripd %v, rig %v", mode, name, fa.Interface(), fb.Interface())
+		}
+	}
+}
+
+// TestElectedGroupEndToEnd runs three stripd election members in one
+// process and scrapes their metrics endpoints until the group has
+// elected exactly one primary that the other two follow at the same
+// epoch — the elected mode's wiring, flags to roles.
+func TestElectedGroupEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out a real election")
+	}
+	var electAddrs, peers, metrics []string
+	for i := 0; i < 3; i++ {
+		e := freeAddr(t)
+		electAddrs = append(electAddrs, e)
+		peers = append(peers, e+"="+freeAddr(t))
+		metrics = append(metrics, freeAddr(t))
+	}
+	dir := t.TempDir()
+	errs := make(chan error, 3)
+	for i := range electAddrs {
+		args := []string{
+			"-elect-listen", electAddrs[i], "-peers", strings.Join(peers, ","),
+			"-metrics-listen", metrics[i], "-wal", filepath.Join(dir, fmt.Sprintf("n%d.wal", i)),
+			"-views", "10", "-duration", "8s",
+		}
+		go func() { errs <- run(args) }()
+	}
+	scrape := func(addr, name string) (float64, bool) {
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			return 0, false
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				var f float64
+				_, err := fmt.Sscan(v, &f)
+				return f, err == nil
+			}
+		}
+		return 0, false
+	}
+	settled := func() bool {
+		primaries, epochs := 0, map[float64]bool{}
+		for _, m := range metrics {
+			isPrimary, ok1 := scrape(m, "strip_failover_is_primary")
+			epoch, ok2 := scrape(m, "strip_failover_epoch")
+			if !ok1 || !ok2 || epoch == 0 {
+				return false
+			}
+			primaries += int(isPrimary)
+			epochs[epoch] = true
+		}
+		return primaries == 1 && len(epochs) == 1
+	}
+	deadline := time.Now().Add(7 * time.Second)
+	for !settled() {
+		if time.Now().After(deadline) {
+			t.Fatal("the group did not settle on one primary and two followers at one epoch")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	for range electAddrs {
+		if err := <-errs; err != nil {
+			t.Fatalf("member failed: %v", err)
 		}
 	}
 }

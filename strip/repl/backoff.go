@@ -5,35 +5,33 @@ import (
 	"time"
 )
 
+// backoffJitter is the fraction of each reconnect delay randomized.
+const backoffJitter = 0.2
+
 // backoff produces the replica's reconnect delays: exponential
 // doubling from base to max, with a multiplicative jitter drawn from
 // an injected seeded PCG so a given seed yields one reproducible
 // delay sequence (and striplint's determinism rules see no global
 // randomness).
 type backoff struct {
-	base   time.Duration
-	max    time.Duration
-	jitter float64 // fraction of the delay randomized, in [0, 1)
-	rng    *rand.Rand
-	n      int // consecutive failures so far
+	base time.Duration
+	max  time.Duration
+	rng  *rand.Rand
+	n    int // consecutive failures so far
 }
 
 // newBackoff returns a backoff policy seeded deterministically.
-func newBackoff(base, max time.Duration, jitter float64, seed uint64) *backoff {
+func newBackoff(base, max time.Duration, seed uint64) *backoff {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
 	if max < base {
 		max = 100 * base
 	}
-	if jitter < 0 || jitter >= 1 {
-		jitter = 0.2
-	}
 	return &backoff{
-		base:   base,
-		max:    max,
-		jitter: jitter,
-		rng:    rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		base: base,
+		max:  max,
+		rng:  rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 	}
 }
 
@@ -49,7 +47,7 @@ func (b *backoff) next() time.Duration {
 	}
 	b.n++
 	// Scale by a factor in [1-jitter, 1+jitter).
-	f := 1 - b.jitter + 2*b.jitter*b.rng.Float64()
+	f := 1 - backoffJitter + 2*backoffJitter*b.rng.Float64()
 	return time.Duration(float64(d) * f)
 }
 

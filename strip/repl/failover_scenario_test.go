@@ -11,7 +11,7 @@ import (
 // The failover checks live in the scenario library: the scenario rig is
 // the one harness that boots an elected fleet, and each schedule is a
 // file under scenarios/. These tests run those files from the package
-// whose Failover they exercise, so `go test ./strip/repl` still covers
+// whose Node they exercise, so `go test ./strip/repl` still covers
 // promotion, demotion and re-bootstrap.
 
 // runFailoverScenario loads scenarios/<name>.yaml, runs it at its own

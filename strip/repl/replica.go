@@ -26,19 +26,10 @@ type ReplicaConfig struct {
 	Dial func() (net.Conn, error)
 
 	// BackoffBase and BackoffMax bound the reconnect delay (defaults
-	// 50ms and 5s); BackoffJitter is the randomized fraction (default
-	// 0.2) and Seed makes the jitter sequence reproducible.
-	BackoffBase   time.Duration
-	BackoffMax    time.Duration
-	BackoffJitter float64
-	Seed          uint64
-
-	// ResetSnapshots makes snapshots replace the local state wholesale
-	// (db.ResetToSnapshot) instead of merging by generation. Failover
-	// re-pointing sets it: the new primary's history supersedes
-	// everything local, including writes a deposed primary accepted
-	// that never reached the quorum's chosen leader.
-	ResetSnapshots bool
+	// 50ms and 5s); Seed makes its ±20% jitter reproducible.
+	BackoffBase time.Duration
+	BackoffMax  time.Duration
+	Seed        uint64
 
 	// OnFrame, when set, observes every applied frame in order (the
 	// resume tests record the sequence history through it).
@@ -48,6 +39,13 @@ type ReplicaConfig struct {
 	Metrics *obs.Registry
 	// Logf receives connection-level diagnostics; nil discards them.
 	Logf func(format string, args ...any)
+
+	// resetSnapshots makes snapshots replace the local state wholesale
+	// (db.ResetToSnapshot) instead of merging by generation. A Node
+	// sets it on an elected follower: the new primary's history
+	// supersedes everything local, including writes a deposed primary
+	// accepted that never reached the quorum's chosen leader.
+	resetSnapshots bool
 }
 
 // Replica keeps a database continuously fed from a primary: it dials,
@@ -173,7 +171,7 @@ func (r *Replica) run() {
 	if seed == 0 {
 		seed = 1
 	}
-	bo := newBackoff(r.cfg.BackoffBase, r.cfg.BackoffMax, r.cfg.BackoffJitter, seed)
+	bo := newBackoff(r.cfg.BackoffBase, r.cfg.BackoffMax, seed)
 	first := true
 	for {
 		if r.isClosed() {
@@ -356,12 +354,12 @@ func (r *Replica) logStreamEnd(err error, applied int) {
 func (r *Replica) apply(msg Msg, connEpoch uint64) error {
 	switch m := msg.(type) {
 	case *SnapshotMsg:
-		if r.cfg.ResetSnapshots {
+		if r.cfg.resetSnapshots {
 			// The reset is not WAL-logged and not checkpointed here:
 			// replication stays ahead of durability by design. A node
 			// that crashes before its next checkpoint recovers the old
-			// history and rejoins through the failover manager, which
-			// resets it again; a promotion checkpoints (Failover.promote).
+			// history and rejoins through its Node's election, which
+			// resets it again; a promotion checkpoints (Node.promote).
 			if err := r.db.ResetToSnapshot(m.Snap); err != nil {
 				return err
 			}

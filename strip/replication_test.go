@@ -432,10 +432,9 @@ func TestObjectLag(t *testing.T) {
 	if err := db.ApplyReplicated(strip.Update{Object: "o", Value: 1, Generated: time.Now()}, strip.Low); err != nil {
 		t.Fatal(err)
 	}
-	replWaitFor(t, "install", func() bool {
-		_, uu, err := db.ObjectLag("o")
-		return err == nil && uu == 0
-	})
+	// Wait for the install itself: uu also reads 0 before the
+	// scheduler has taken the update out of the ingest buffer.
+	replWaitFor(t, "install", func() bool { return db.Stats().UpdatesInstalled == 1 })
 	ma, uu, err := db.ObjectLag("o")
 	if err != nil || ma != 0 || uu != 0 {
 		t.Errorf("ObjectLag after install = (%v, %d, %v), want (0, 0, nil)", ma, uu, err)

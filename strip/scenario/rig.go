@@ -22,21 +22,15 @@ type runNode struct {
 	name string
 	spec NodeSpec
 
-	fs  *fault.MemFS // nil when the scenario runs on the real filesystem
-	dir string       // temp dir for fs=os
-	reg *obs.Registry
-	db  *strip.DB
+	fs   *fault.MemFS // nil when the scenario runs on the real filesystem
+	dir  string       // temp dir for fs=os
+	reg  *obs.Registry
+	db   *strip.DB
+	node *repl.Node
 
-	// static mode
-	serveAddr string // reserved replication address when this node has children
-	ln        net.Listener
-	primary   *repl.Primary
-	replica   *repl.Replica
-
-	// elect mode
-	electID string // peer address; doubles as the elect listen address
-	fo      *repl.Failover
-	node    *elect.Node
+	// Addresses reserved at boot and kept across restarts.
+	serveAddr string // replication address
+	electID   string // elect mode: peer ID, doubling as the elect listen address
 
 	alive bool
 	// kill captures, for restart and for assertions over dead lives.
@@ -126,7 +120,6 @@ type rig struct {
 
 	nodes map[string]*runNode
 	order []string
-	root  string // static mode's declared primary
 
 	startMu sync.Mutex
 	start   time.Time
@@ -161,9 +154,6 @@ func newRig(sc *Scenario, pl *plan, logf func(string, ...any)) *rig {
 	for _, n := range sc.Topology.Nodes {
 		r.order = append(r.order, n.Name)
 		r.nodes[n.Name] = &runNode{name: n.Name, spec: n}
-		if sc.Topology.Mode == "static" && n.Upstream == "" {
-			r.root = n.Name
-		}
 	}
 	for target, spec := range pl.chaos {
 		r.chaos[target] = &chaosCtl{rig: r, spec: spec}
@@ -260,32 +250,6 @@ func (r *rig) publishPartition(p *fault.Partition) {
 	r.startMu.Unlock()
 }
 
-// openNodeDB opens (or reopens) a node's database on the given
-// filesystem with a fresh registry.
-func (r *rig) openNodeDB(n *runNode, fs *fault.MemFS) error {
-	n.reg = obs.NewRegistry()
-	cfg := strip.Config{Policy: strip.UpdatesFirst, Metrics: n.reg}
-	if fs != nil {
-		n.fs = fs
-		cfg.FS = fs
-		if n.spec.WAL {
-			cfg.WALPath = "wal"
-		}
-	} else if n.spec.WAL {
-		cfg.WALPath = filepath.Join(n.dir, "wal")
-	}
-	db, err := strip.Open(cfg)
-	if err != nil {
-		return fmt.Errorf("scenario: open %s: %w", n.name, err)
-	}
-	r.mu.Lock()
-	n.db = db
-	n.alive = true
-	n.lives++
-	r.mu.Unlock()
-	return nil
-}
-
 // defineObjects declares the planned view objects on a database.
 func (r *rig) defineObjects(db *strip.DB) error {
 	for _, o := range r.pl.objects {
@@ -296,27 +260,39 @@ func (r *rig) defineObjects(db *strip.DB) error {
 	return nil
 }
 
+// elected reports whether the fleet's roles come from an election.
+func (r *rig) elected() bool { return r.sc.Topology.Mode == "elect" }
+
 // boot builds the fleet. For elect topologies it also waits for the
 // first election to settle, so the scenario clock starts with a
 // working primary — fault offsets then mean the same thing run to run.
 func (r *rig) boot() error {
-	if r.sc.Topology.FS == "os" {
-		for _, name := range r.order {
+	for _, name := range r.order {
+		n := r.nodes[name]
+		if r.sc.Topology.FS == "os" {
 			dir, err := os.MkdirTemp("", "scenario-"+name+"-")
 			if err != nil {
 				return err
 			}
-			r.nodes[name].dir = dir
+			n.dir = dir
+		}
+		var err error
+		if n.serveAddr, err = reserveAddr(); err != nil {
+			return err
+		}
+		if r.elected() {
+			if n.electID, err = reserveAddr(); err != nil {
+				return err
+			}
 		}
 	}
-	var err error
-	if r.sc.Topology.Mode == "static" {
-		err = r.bootStatic()
-	} else {
-		err = r.bootElect()
+	for i, name := range r.order {
+		if err := r.startNode(r.nodes[name], r.firstLife(i, r.nodes[name])); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return err
+	if r.elected() && r.awaitRoles(0, 20*time.Second) == nil {
+		return fmt.Errorf("scenario: initial election did not settle")
 	}
 	r.setStart(time.Now())
 	// The partition starts with the scenario clock, after boot — so its
@@ -326,6 +302,49 @@ func (r *rig) boot() error {
 		r.publishPartition(fault.NewPartition(nil, r.pl.partWins...))
 	}
 	return nil
+}
+
+// firstLife is the configuration node n, the i-th declared, boots
+// with.
+func (r *rig) firstLife(i int, n *runNode) repl.NodeConfig {
+	var fs *fault.MemFS
+	if r.elected() || r.sc.Topology.FS == "mem" {
+		fs = fault.NewMemFS()
+	}
+	if r.elected() {
+		return r.nodeConfig(n, fs, subSeed(r.pl.seed, 32+i))
+	}
+	return r.nodeConfig(n, fs, subSeed(r.pl.seed, 65))
+}
+
+// NodeConfigs returns the configuration each of a scenario's nodes
+// boots with on its first life, by name, with placeholder addresses:
+// the rig's assembly of a node, to compare with a deployment's.
+func NodeConfigs(sc *Scenario) (map[string]repl.NodeConfig, error) {
+	pl, err := buildPlan(sc, sc.Seed)
+	if err != nil {
+		return nil, err
+	}
+	r := newRig(sc, pl, nil)
+	out := map[string]repl.NodeConfig{}
+	for _, name := range r.order {
+		r.nodes[name].serveAddr, r.nodes[name].electID = name+".repl", name+".elect"
+	}
+	for i, name := range r.order {
+		out[name] = r.firstLife(i, r.nodes[name])
+	}
+	return out, nil
+}
+
+// reserveAddr picks a free loopback address for a listener the node
+// opens later (and reopens on restart).
+func reserveAddr() (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	defer ln.Close()
+	return ln.Addr().String(), nil
 }
 
 // children lists a static node's direct downstreams in declaration
@@ -355,101 +374,16 @@ func listenReserved(addr string) (net.Listener, error) {
 	return nil, lastErr
 }
 
-// serveStatic opens a static node's replication listener (wrapped in
-// its children's chaos) and starts its Primary.
-func (r *rig) serveStatic(n *runNode) error {
-	if len(r.children(n.name)) == 0 {
-		return nil
+// dialer dials through the partition gate and, when ctl is set, wraps
+// the link in its chaos.
+func (r *rig) dialer(timeout time.Duration, ctl *chaosCtl) func(string) (net.Conn, error) {
+	return func(addr string) (net.Conn, error) {
+		conn, err := r.gate(func() (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) })
+		if err != nil || ctl == nil {
+			return conn, err
+		}
+		return ctl.wrap(conn), nil
 	}
-	var ln net.Listener
-	var err error
-	if n.serveAddr == "" {
-		ln, err = net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		n.serveAddr = ln.Addr().String()
-	} else if ln, err = listenReserved(n.serveAddr); err != nil {
-		return fmt.Errorf("scenario: relisten %s for %s: %w", n.serveAddr, n.name, err)
-	}
-	var ctls []*chaosCtl
-	for _, child := range r.children(n.name) {
-		if c := r.chaos[child.name]; c != nil {
-			ctls = append(ctls, c)
-		}
-	}
-	n.ln = ln
-	if len(ctls) > 0 {
-		ln = &chaosListener{Listener: ln, ctls: ctls}
-	}
-	n.primary = repl.NewPrimary(n.db, repl.PrimaryConfig{RingFrames: 256, Metrics: n.reg})
-	go n.primary.Serve(ln)
-	return nil
-}
-
-// followStatic points a static node's replica at its upstream through
-// the partition gate and the link's chaos.
-func (r *rig) followStatic(n *runNode) error {
-	up := r.nodes[n.spec.Upstream]
-	ctl := r.chaos[n.name]
-	dial := func() (net.Conn, error) {
-		conn, err := r.gate(func() (net.Conn, error) {
-			return net.DialTimeout("tcp", up.serveAddr, time.Second)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if ctl != nil {
-			conn = ctl.wrap(conn)
-		}
-		return conn, nil
-	}
-	rep, err := repl.StartReplica(n.db, repl.ReplicaConfig{
-		Dial:        dial,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-		Seed:        subSeed(r.pl.seed, 64+n.lives),
-		Metrics:     n.reg,
-	})
-	if err != nil {
-		return err
-	}
-	n.replica = rep
-	return nil
-}
-
-// bootStatic builds the declared replica tree: every node with
-// children serves a Primary; every node with an upstream follows it.
-func (r *rig) bootStatic() error {
-	for _, name := range r.order {
-		n := r.nodes[name]
-		var fs *fault.MemFS
-		if r.sc.Topology.FS == "mem" {
-			fs = fault.NewMemFS()
-		}
-		if err := r.openNodeDB(n, fs); err != nil {
-			return err
-		}
-		if name == r.root {
-			if err := r.defineObjects(n.db); err != nil {
-				return err
-			}
-		}
-		if err := r.serveStatic(n); err != nil {
-			return err
-		}
-	}
-	// Replicas start after every listener is up, parents first so a
-	// chain bootstraps in one pass.
-	for _, name := range r.order {
-		n := r.nodes[name]
-		if n.spec.Upstream != "" {
-			if err := r.followStatic(n); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // electTiming shrinks the election clocks so a kill, the re-election
@@ -464,118 +398,87 @@ func electTiming() elect.Timing {
 	}
 }
 
-// startElect builds and starts one elect participant on fs, listening
-// on ln (which must be bound to the node's electID).
-func (r *rig) startElect(n *runNode, ln net.Listener, fs *fault.MemFS, seed uint64) error {
-	if err := r.openNodeDB(n, fs); err != nil {
-		return err
+// nodeConfig is node n's configuration for a life on fs (nil: the real
+// filesystem under n.dir). Everything the rig adds to a deployed
+// node's wiring rides in its seams: listeners relisten on reserved
+// addresses and carry the children's chaos, dials go through the
+// partition gate and the link's chaos, and elected promotions feed the
+// winner ledger.
+func (r *rig) nodeConfig(n *runNode, fs *fault.MemFS, seed uint64) repl.NodeConfig {
+	var ctls []*chaosCtl
+	for _, child := range r.children(n.name) {
+		if c := r.chaos[child.name]; c != nil {
+			ctls = append(ctls, c)
+		}
 	}
-	if err := r.defineObjects(n.db); err != nil {
-		return err
-	}
-	var peers []string
-	for _, name := range r.order {
-		peers = append(peers, r.nodes[name].electID)
-	}
-	node, err := elect.NewNode(elect.Config{
-		Self:      n.electID,
-		Peers:     peers,
-		Seed:      seed,
-		Timing:    electTiming(),
-		TickEvery: 5 * time.Millisecond,
-		IOTimeout: 500 * time.Millisecond,
-		StatePath: "elect-ledger",
-		FS:        fs,
-		Dial: func(addr string) (net.Conn, error) {
-			return r.gate(func() (net.Conn, error) {
-				return net.DialTimeout("tcp", addr, 500*time.Millisecond)
-			})
-		},
-	})
-	if err != nil {
-		return err
-	}
-	go node.Serve(ln)
-	r.mu.Lock()
-	n.node = node
-	r.mu.Unlock()
-	name := n.name
-	ctl := r.chaos["all"]
-	fo, err := repl.StartFailover(n.db, repl.FailoverConfig{
-		Node:       node,
-		ReplAddrOf: func(peer string) string { return r.replAddrOf(peer) },
-		ListenRepl: func() (net.Listener, error) { return listenReserved(n.serveAddr) },
-		DialRepl: func(addr string) (net.Conn, error) {
-			conn, err := r.gate(func() (net.Conn, error) {
-				return net.DialTimeout("tcp", addr, 500*time.Millisecond)
-			})
-			if err != nil {
-				return nil, err
+	cfg := repl.NodeConfig{
+		DB:      strip.Config{Policy: strip.UpdatesFirst, OnStale: strip.Warn, Metrics: obs.NewRegistry()},
+		Schema:  r.defineObjects,
+		Primary: repl.PrimaryConfig{RingFrames: 256},
+		Replica: repl.ReplicaConfig{BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond, Seed: seed},
+		Listen: func(addr string) (net.Listener, error) {
+			ln, err := listenReserved(addr)
+			if err != nil || len(ctls) == 0 {
+				return ln, err
 			}
-			if ctl != nil {
-				conn = ctl.wrap(conn)
-			}
-			return conn, nil
+			return &chaosListener{Listener: ln, ctls: ctls}, nil
 		},
-		RingFrames:  256,
-		BackoffBase: 2 * time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
-		Seed:        seed,
-		Metrics:     n.reg,
-		OnRole: func(role repl.FailoverRole, epoch uint64) {
+	}
+	if fs != nil {
+		cfg.DB.FS = fs
+	}
+	if n.spec.WAL {
+		cfg.DB.WALPath = "wal"
+		if fs == nil {
+			cfg.DB.WALPath = filepath.Join(n.dir, "wal")
+		}
+	}
+	if r.elected() {
+		cfg.Elect = elect.Config{
+			Self:      n.electID,
+			Seed:      seed,
+			Timing:    electTiming(),
+			IOTimeout: 500 * time.Millisecond,
+			StatePath: "elect-ledger",
+			Dial:      r.dialer(500*time.Millisecond, nil),
+		}
+		cfg.ReplAddrs = map[string]string{}
+		for _, name := range r.order {
+			peer := r.nodes[name]
+			cfg.Elect.Peers = append(cfg.Elect.Peers, peer.electID)
+			cfg.ReplAddrs[peer.electID] = peer.serveAddr
+		}
+		cfg.Replica.BackoffBase, cfg.Replica.BackoffMax = 2*time.Millisecond, 20*time.Millisecond
+		cfg.Dial = r.dialer(500*time.Millisecond, r.chaos["all"])
+		cfg.OnRole = func(role repl.Role, epoch uint64) {
 			if role == repl.RolePrimary {
-				r.win.promoted(name, epoch)
+				r.win.promoted(n.name, epoch)
 			}
-		},
-	})
+		}
+		return cfg
+	}
+	if len(r.children(n.name)) > 0 {
+		cfg.Serve = n.serveAddr
+	}
+	if up := n.spec.Upstream; up != "" {
+		cfg.Replica.Addr = r.nodes[up].serveAddr
+		cfg.Dial = r.dialer(time.Second, r.chaos[n.name])
+	}
+	return cfg
+}
+
+// startNode boots one life of n.
+func (r *rig) startNode(n *runNode, cfg repl.NodeConfig) error {
+	node, err := repl.StartNode(cfg)
 	if err != nil {
-		node.Close()
-		return err
+		return fmt.Errorf("scenario: start %s: %w", n.name, err)
 	}
+	fs, _ := cfg.DB.FS.(*fault.MemFS)
 	r.mu.Lock()
-	n.fo = fo
+	n.node, n.db, n.reg, n.fs = node, node.DB(), cfg.DB.Metrics, fs
+	n.alive = true
+	n.lives++
 	r.mu.Unlock()
-	return nil
-}
-
-// replAddrOf maps an elect peer ID to its replication address.
-func (r *rig) replAddrOf(peer string) string {
-	for _, name := range r.order {
-		if n := r.nodes[name]; n.electID == peer {
-			return n.serveAddr
-		}
-	}
-	return ""
-}
-
-// bootElect builds the peer set and waits for the first election.
-func (r *rig) bootElect() error {
-	listeners := make([]net.Listener, len(r.order))
-	for i, name := range r.order {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		listeners[i] = ln
-		r.nodes[name].electID = ln.Addr().String()
-	}
-	for _, name := range r.order {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		r.nodes[name].serveAddr = addr
-	}
-	for i, name := range r.order {
-		if err := r.startElect(r.nodes[name], listeners[i], fault.NewMemFS(), subSeed(r.pl.seed, 32+i)); err != nil {
-			return err
-		}
-	}
-	if r.awaitRoles(0, 20*time.Second) == nil {
-		return fmt.Errorf("scenario: initial election did not settle")
-	}
 	return nil
 }
 
@@ -600,7 +503,7 @@ func (r *rig) rolesSettled(after uint64) *runNode {
 		if !n.alive {
 			continue
 		}
-		role, e := n.fo.Role()
+		role, e := n.node.Role()
 		if role == repl.RolePrimary {
 			if primary != nil {
 				return nil
@@ -616,7 +519,7 @@ func (r *rig) rolesSettled(after uint64) *runNode {
 		if !n.alive || n == primary {
 			continue
 		}
-		role, e := n.fo.Role()
+		role, e := n.node.Role()
 		if role != repl.RoleReplica || e != epoch {
 			return nil
 		}
@@ -624,26 +527,21 @@ func (r *rig) rolesSettled(after uint64) *runNode {
 	return primary
 }
 
-// head is the node currently receiving the workload: the static root,
-// or the elected leader (nil while an election is in flight). The
-// database handle is snapshotted under the rig lock because kill and
-// restart swap it while the feeder goroutines are still running.
+// head is the node currently receiving the workload: the live node
+// that follows no stream — the static root, or the elected leader
+// (nil while an election is in flight). The database handle is
+// snapshotted under the rig lock because kill and restart swap it
+// while the feeder goroutines are still running.
 func (r *rig) head() (*runNode, *strip.DB) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sc.Topology.Mode == "static" {
-		n := r.nodes[r.root]
-		if n.alive {
-			return n, n.db
-		}
-		return nil, nil
-	}
 	for _, name := range r.order {
 		n := r.nodes[name]
-		if n.alive && n.fo != nil {
-			if role, _ := n.fo.Role(); role == repl.RolePrimary {
-				return n, n.db
-			}
+		if !n.alive {
+			continue
+		}
+		if role, _ := n.node.Role(); role == repl.RolePrimary || role == repl.RoleStandalone {
+			return n, n.db
 		}
 	}
 	return nil, nil
@@ -794,7 +692,7 @@ func (r *rig) exec(ev *planEvent) {
 // 0 it then dies mid-checkpoint: the filesystem crashes at the
 // checkpoint's checkpointOps-th operation, freezing it half written.
 func (r *rig) kill(n *runNode, checkpointOps int) {
-	if r.sc.Topology.Mode == "elect" && n.spec.WAL {
+	if r.elected() && n.spec.WAL {
 		for i := 0; i < 3; i++ {
 			key := fmt.Sprintf("durable/%s-%d-%d", n.name, n.lives, i)
 			if !r.execSet(n.db, key, float64(i+1)) {
@@ -820,33 +718,13 @@ func (r *rig) kill(n *runNode, checkpointOps int) {
 	}
 	n.killOps = n.fs.Ops()
 	n.killStat = n.db.Stats()
-	if n.fo != nil {
-		_, n.killEpoch = n.fo.Role()
-	}
+	_, n.killEpoch = n.node.Role()
 	r.mu.Lock()
 	r.deadStats = append(r.deadStats, n.killStat)
 	r.lastKilled = n.name
 	n.alive = false
 	r.mu.Unlock()
-	if r.sc.Topology.Mode == "elect" {
-		n.fo.Close()
-		n.node.Close()
-		n.db.Close()
-	} else {
-		if n.replica != nil {
-			n.replica.Close()
-			n.replica = nil
-		}
-		if n.primary != nil {
-			n.primary.Close()
-			n.primary = nil
-		}
-		if n.ln != nil {
-			n.ln.Close()
-			n.ln = nil
-		}
-		n.db.Close()
-	}
+	n.node.Close()
 	r.note("killed %s", n.name)
 }
 
@@ -856,29 +734,13 @@ func (r *rig) kill(n *runNode, checkpointOps int) {
 // group on a second rebuild of the same image.
 func (r *rig) restart(n *runNode) error {
 	full := fault.CrashPoint{OpIdx: len(n.killOps)}
-	if r.sc.Topology.Mode == "elect" {
+	seed := subSeed(r.pl.seed, 64+n.lives+1)
+	if r.elected() {
 		r.checkDurability(n, fault.BuildFS(n.killOps, full))
-		ln, err := listenReserved(n.electID)
-		if err != nil {
-			return err
-		}
-		if err := r.startElect(n, ln, fault.BuildFS(n.killOps, full), subSeed(r.pl.seed, 48+n.lives)); err != nil {
-			ln.Close()
-			return err
-		}
-		r.note("restarted %s", n.name)
-		return nil
+		seed = subSeed(r.pl.seed, 48+n.lives)
 	}
-	if err := r.openNodeDB(n, fault.BuildFS(n.killOps, full)); err != nil {
+	if err := r.startNode(n, r.nodeConfig(n, fault.BuildFS(n.killOps, full), seed)); err != nil {
 		return err
-	}
-	if err := r.serveStatic(n); err != nil {
-		return err
-	}
-	if n.spec.Upstream != "" {
-		if err := r.followStatic(n); err != nil {
-			return err
-		}
 	}
 	r.note("restarted %s", n.name)
 	return nil
@@ -938,7 +800,7 @@ func (r *rig) settle() {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	if r.sc.Topology.Mode == "elect" {
+	if r.elected() {
 		if r.awaitRoles(0, 20*time.Second) == nil {
 			r.note("fleet did not settle on a single primary after the schedule")
 		}
@@ -1021,7 +883,7 @@ func (r *rig) rebootstrapped(timeout time.Duration) (int, error) {
 				err = fmt.Errorf("%s was restarted and is down at the end", n.name)
 				continue
 			}
-			role, e := n.fo.Role()
+			role, e := n.node.Role()
 			if snaps := n.db.Stats().ReplSnapshotsInstalled; role != repl.RoleReplica || e <= n.killEpoch || snaps == 0 {
 				err = fmt.Errorf("%s is %s at epoch %d with %d snapshots installed, want a replica above epoch %d with >= 1",
 					n.name, role, e, snaps, n.killEpoch)
@@ -1062,26 +924,10 @@ func (r *rig) statRecords() []strip.Stats {
 func (r *rig) teardown() {
 	// Leaves first so nothing re-dials a closed upstream for long.
 	for i := len(r.order) - 1; i >= 0; i-- {
-		n := r.nodes[r.order[i]]
-		if !n.alive {
-			continue
-		}
-		n.alive = false
-		if r.sc.Topology.Mode == "elect" {
-			n.fo.Close()
+		if n := r.nodes[r.order[i]]; n.alive {
+			n.alive = false
 			n.node.Close()
-		} else {
-			if n.replica != nil {
-				n.replica.Close()
-			}
-			if n.primary != nil {
-				n.primary.Close()
-			}
-			if n.ln != nil {
-				n.ln.Close()
-			}
 		}
-		n.db.Close()
 	}
 	for _, name := range r.order {
 		if dir := r.nodes[name].dir; dir != "" {

@@ -8,10 +8,37 @@ import (
 	"testing"
 )
 
+// libraryRuns keeps TestScenarioLibrary's reports by scenario name, so
+// a later test that needs a run of a shipped file reuses one.
+var libraryRuns struct {
+	mu   sync.Mutex
+	reps map[string]*Report
+}
+
+// goldenPath is a scenario's committed transcript.
+func goldenPath(name string) string {
+	return filepath.Join("testdata", "transcripts", name+".transcript")
+}
+
+// checkGolden fails the test unless transcript matches the scenario's
+// committed golden byte for byte.
+func checkGolden(t *testing.T, name, transcript string) {
+	t.Helper()
+	want, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if transcript != string(want) {
+		t.Fatalf("transcript drifted from %s:\n--- got\n%s\n--- want\n%s",
+			goldenPath(name), transcript, want)
+	}
+}
+
 // TestScenarioLibrary runs every shipped scenario end to end: build
 // the fleet, drive the planned workload, inflict the fault schedule,
-// evaluate the assertions. Each scenario must pass; a failure logs the
-// exact command that reproduces it.
+// evaluate the assertions, and compare the transcript with the
+// scenario's committed golden. Each scenario must pass; a failure logs
+// the exact command that reproduces it.
 func TestScenarioLibrary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario runs take real wall-clock time")
@@ -25,7 +52,8 @@ func TestScenarioLibrary(t *testing.T) {
 	}
 	for _, p := range paths {
 		p := p
-		t.Run(strings.TrimSuffix(filepath.Base(p), ".yaml"), func(t *testing.T) {
+		name := strings.TrimSuffix(filepath.Base(p), ".yaml")
+		t.Run(name, func(t *testing.T) {
 			sc, err := Load(p)
 			if err != nil {
 				t.Fatal(err)
@@ -37,17 +65,25 @@ func TestScenarioLibrary(t *testing.T) {
 			for _, d := range rep.Details {
 				t.Log(d)
 			}
+			libraryRuns.mu.Lock()
+			if libraryRuns.reps == nil {
+				libraryRuns.reps = map[string]*Report{}
+			}
+			libraryRuns.reps[name] = rep
+			libraryRuns.mu.Unlock()
 			if !rep.Passed {
 				t.Errorf("scenario %s seed=%d failed:\n  %s",
 					rep.Name, rep.Seed, strings.Join(rep.Failures, "\n  "))
 				t.Logf("repro: %s", ReproCommand(p, rep.Seed))
 			}
+			checkGolden(t, name, rep.Transcript)
 		})
 	}
 }
 
-// chaosLink runs the chaos-link scenario (the ported replication chaos
-// test) once per needed run, shared across the tests below.
+// chaosLink holds two runs of the chaos-link scenario (the ported
+// replication chaos test), shared across the tests below: the library
+// run when TestScenarioLibrary made one, and as many more as needed.
 var chaosLink struct {
 	once sync.Once
 	reps []*Report
@@ -62,7 +98,12 @@ func chaosLinkRuns(t *testing.T) []*Report {
 			chaosLink.err = err
 			return
 		}
-		for i := 0; i < 2; i++ {
+		libraryRuns.mu.Lock()
+		if rep := libraryRuns.reps["chaos-link"]; rep != nil {
+			chaosLink.reps = append(chaosLink.reps, rep)
+		}
+		libraryRuns.mu.Unlock()
+		for len(chaosLink.reps) < 2 {
 			rep, err := Run(sc, Options{})
 			if err != nil {
 				chaosLink.err = err
@@ -110,15 +151,7 @@ func TestScenarioTranscriptDeterministic(t *testing.T) {
 		t.Fatalf("same seed, different transcripts:\n--- run 1\n%s\n--- run 2\n%s",
 			reps[0].Transcript, reps[1].Transcript)
 	}
-	golden := filepath.Join("testdata", "chaos-link.transcript")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reps[0].Transcript != string(want) {
-		t.Fatalf("transcript drifted from %s:\n--- got\n%s\n--- want\n%s",
-			golden, reps[0].Transcript, want)
-	}
+	checkGolden(t, "chaos-link", reps[0].Transcript)
 }
 
 // TestScenarioSeedOverride reruns a scenario under a different seed —
