@@ -204,6 +204,7 @@ func nodeConfig(cfg config) (repl.NodeConfig, error) {
 		return repl.NodeConfig{}, err
 	}
 	seed := uint64(time.Now().UnixNano())
+	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	nc := repl.NodeConfig{
 		DB: strip.Config{
 			Policy:  policy,
@@ -231,7 +232,8 @@ func nodeConfig(cfg config) (repl.NodeConfig, error) {
 			return nil
 		},
 		Serve:   cfg.replListen,
-		Replica: repl.ReplicaConfig{Addr: cfg.replicateFrom, Seed: seed},
+		Primary: repl.PrimaryConfig{Logf: logf},
+		Replica: repl.ReplicaConfig{Addr: cfg.replicateFrom, Seed: seed, Logf: logf},
 	}
 	if cfg.electListen == "" && cfg.peers == "" {
 		return nc, nil
@@ -249,7 +251,6 @@ func nodeConfig(cfg config) (repl.NodeConfig, error) {
 	if _, ok := replOf[cfg.electListen]; !ok {
 		return nc, fmt.Errorf("-elect-listen %q is not one of the elect addresses in -peers", cfg.electListen)
 	}
-	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	// The election ledger rides next to the WAL by default: a node
 	// durable enough to keep its data should also keep its word.
 	statePath := cfg.electState
@@ -264,8 +265,6 @@ func nodeConfig(cfg config) (repl.NodeConfig, error) {
 		Logf:      logf,
 	}
 	nc.ReplAddrs = replOf
-	nc.Primary.Logf = logf
-	nc.Replica.Logf = logf
 	return nc, nil
 }
 

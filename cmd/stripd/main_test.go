@@ -160,6 +160,33 @@ func TestReplicationFlagsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStaticReplicaLogsDialFailures: a static replica whose upstream
+// refuses connections says so on stderr, as an elected follower does.
+func TestStaticReplicaLogsDialFailures(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	logged := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		logged <- b
+	}()
+	err = run([]string{"-replicate-from", freeAddr(t), "-views", "1", "-duration", "300ms"})
+	os.Stderr = stderr
+	w.Close()
+	out := <-logged
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "repl: dial failed") {
+		t.Errorf("stderr does not report the refused dial:\n%s", out)
+	}
+}
+
 // TestMetricsFlagsEndToEnd runs a server with -metrics-listen and
 // -metrics-dump, feeds it, and checks that the scrape endpoint serves
 // the pipeline histograms and that the exit snapshot lands on disk.

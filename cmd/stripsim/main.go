@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 	fs.Float64Var(&p.XSwitch, "xswitch", p.XSwitch, "context switch cost (instr)")
 	fs.IntVar(&p.NLow, "nlow", p.NLow, "low-importance view objects")
 	fs.IntVar(&p.NHigh, "nhigh", p.NHigh, "high-importance view objects")
-	fs.BoolVar(&p.CoalesceQueue, "coalesce", false, "use the hash-coalescing update queue")
+	fs.BoolVar(&p.CoalesceQueue, "coalesce", false, "keep at most the newest queued update per object (coalescing queue)")
 	fs.BoolVar(&p.PartitionedQueues, "partition", false, "drain high-importance updates first")
 	fs.Float64Var(&p.UpdateCPUFraction, "fraction", p.UpdateCPUFraction, "update CPU share (FC policy)")
 	fs.Float64Var(&p.MetricsWarmup, "warmup", 0, "seconds excluded from metrics")

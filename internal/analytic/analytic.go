@@ -62,16 +62,10 @@ func StaleFractionImmediateInstall(p *model.Params, class model.Importance) floa
 	return (x*math.Exp(-delta/abar) - math.Exp(-mu*delta)) / (x - 1)
 }
 
-// TxnCPUDemand returns the offered transaction load: λt times the
-// mean execution time (computation plus view lookups).
-func TxnCPUDemand(p *model.Params) float64 {
-	meanExec := p.CompMean + p.ReadsMean*p.XLookup/p.IPS
-	return p.TxnRate * meanExec
-}
-
 // SaturationTxnRate returns the transaction arrival rate at which the
 // CPU saturates, given that the update stream takes its full demand
-// (the UF regime): λt* such that TxnCPUDemand + UpdateCPUDemand = 1.
+// (the UF regime): λt* such that λt* times the mean execution time
+// (computation plus view lookups) plus UpdateCPUDemand is 1.
 func SaturationTxnRate(p *model.Params) float64 {
 	meanExec := p.CompMean + p.ReadsMean*p.XLookup/p.IPS
 	if meanExec <= 0 {

@@ -500,15 +500,6 @@ func (f *Facts) AcquiredLocks(fn *types.Func) []string {
 	return out
 }
 
-// LockCycleCount reports how many distinct cycles the order graph
-// holds. Exposed for tests.
-func (f *Facts) LockCycleCount() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.lockCycles)
-}
-
 // LockGraphDOT renders the acquisition-order graph in DOT form for
 // the striplint -lockgraph mode. Nodes are mutex identities, edges
 // carry their witness function and position, relative to the module

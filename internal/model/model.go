@@ -305,9 +305,9 @@ type Params struct {
 
 	// --- Extensions (DESIGN.md §6) ---
 
-	// CoalesceQueue replaces the generation-ordered queue with the
-	// paper's proposed hash-coalescing queue holding at most one (the
-	// newest) update per object.
+	// CoalesceQueue puts the generation-ordered queue in coalescing
+	// mode, the paper's proposed queue holding at most one (the newest)
+	// update per object.
 	CoalesceQueue bool
 	// PartitionedQueues makes the idle-time update process drain
 	// high-importance updates before low-importance ones (the §4.2

@@ -271,8 +271,8 @@ func TestUUUFNeverStale(t *testing.T) {
 	}
 }
 
-func TestCoalescedQueueExtension(t *testing.T) {
-	// The hash-coalescing queue keeps at most one update per object:
+func TestCoalescingQueueExtension(t *testing.T) {
+	// The coalescing queue keeps at most one update per object:
 	// bounded queue length and no expired-update churn.
 	p := model.DefaultParams()
 	p.TxnRate = 20

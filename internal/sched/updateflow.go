@@ -74,10 +74,13 @@ func (c *Controller) startReceive() bool {
 		now := c.sim.Now()
 		for _, u := range batch {
 			c.tracker.Received(u.Object, u.GenTime, now)
-			for _, ev := range c.uq.Insert(u) {
-				c.tracker.Removed(ev.Object, ev.GenTime, now)
-				c.col.UpdateOverflowDropped()
-				c.traceUpdate(TraceUpdateDropped, ev)
+			superseded, evicted := c.uq.Insert(u)
+			for _, ev := range [2]*model.Update{superseded, evicted} {
+				if ev != nil {
+					c.tracker.Removed(ev.Object, ev.GenTime, now)
+					c.col.UpdateOverflowDropped()
+					c.traceUpdate(TraceUpdateDropped, ev)
+				}
 			}
 		}
 	}

@@ -10,36 +10,35 @@ import "repro/internal/model"
 // baseline), or — with the simulator's PartitionedQueues extension —
 // the same class-priority drain as SU.
 type ClassQueue struct {
-	q   [2]Queue // indexed by model.Importance
+	q   [2]*GenQueue // indexed by model.Importance
 	cap int
 }
 
-// NewClassQueue builds the queue pair: generation-ordered treap queues
-// by default, coalescing queues when coalesce is set. capacity bounds
-// the two classes jointly (<= 0 means unbounded); seed makes the
-// internal balancing deterministic.
+// NewClassQueue builds the queue pair, in coalescing mode when coalesce
+// is set. capacity bounds the two classes jointly (<= 0 means
+// unbounded); seed makes the internal balancing deterministic.
 func NewClassQueue(capacity int, seed uint64, coalesce bool) *ClassQueue {
-	mk := func(s uint64) Queue {
-		if coalesce {
-			return NewCoalescedQueue(0, s)
-		}
-		return NewGenQueue(0, s)
+	mk := NewGenQueue
+	if coalesce {
+		mk = newCoalescingQueue
 	}
 	return &ClassQueue{
-		q:   [2]Queue{mk(seed), mk(seed + 1)},
+		q:   [2]*GenQueue{mk(0, seed), mk(0, seed+1)},
 		cap: capacity,
 	}
 }
 
-// Insert adds u to its class queue and enforces the joint capacity,
-// evicting the globally oldest update on overflow. All departures
-// (coalesced, rejected or overflow-evicted) are returned.
-func (cq *ClassQueue) Insert(u *model.Update) []*model.Update {
-	evicted := cq.q[u.Class].Insert(u)
+// Insert adds u to its class queue and enforces the joint capacity. It
+// returns what left the queue because of u, by cause: superseded lost
+// to a newer generation of its own object (coalescing only; see
+// GenQueue.Insert), and evicted is the globally oldest update, dropped
+// on overflow. Either may be u.
+func (cq *ClassQueue) Insert(u *model.Update) (superseded, evicted *model.Update) {
+	superseded, _ = cq.q[u.Class].Insert(u)
 	if cq.cap > 0 && cq.Len() > cq.cap {
-		evicted = append(evicted, cq.Pop(model.FIFO, -1))
+		evicted = cq.Pop(model.FIFO, -1)
 	}
-	return evicted
+	return superseded, evicted
 }
 
 // Len returns the total queued updates across both classes.
@@ -52,7 +51,7 @@ func (cq *ClassQueue) LenClass(class model.Importance) int { return cq.q[class].
 // (LIFO) of one class, or — class < 0, the merged view — of both
 // classes together. It returns nil when there is none.
 func (cq *ClassQueue) Pop(order model.QueueOrder, class int) *model.Update {
-	var q Queue
+	var q *GenQueue
 	if class >= 0 {
 		q = cq.q[class]
 	} else {
@@ -67,7 +66,7 @@ func (cq *ClassQueue) Pop(order model.QueueOrder, class int) *model.Update {
 // mergedHead returns the class queue holding the merged view's next
 // update. Only when both classes are backlogged are their heads
 // compared.
-func (cq *ClassQueue) mergedHead(order model.QueueOrder) Queue {
+func (cq *ClassQueue) mergedHead(order model.QueueOrder) *GenQueue {
 	lo, hi := cq.q[model.Low], cq.q[model.High]
 	switch {
 	case hi.Len() == 0:

@@ -75,9 +75,9 @@ func TestClassQueueJointCapacity(t *testing.T) {
 	cq.Insert(cu(1, 0, model.Low, 1))
 	cq.Insert(cu(2, 500, model.High, 2))
 	cq.Insert(cu(3, 1, model.Low, 3))
-	ev := cq.Insert(cu(4, 501, model.High, 4))
-	if len(ev) != 1 || ev[0].GenTime != 1 {
-		t.Fatalf("joint overflow evicted %v, want the globally oldest (gen 1)", ev)
+	sup, ev := cq.Insert(cu(4, 501, model.High, 4))
+	if sup != nil || ev == nil || ev.GenTime != 1 {
+		t.Fatalf("joint overflow superseded %v and evicted %v, want only the globally oldest (gen 1) evicted", sup, ev)
 	}
 	if cq.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", cq.Len())
@@ -129,9 +129,9 @@ func TestClassQueueDiscardBothClasses(t *testing.T) {
 func TestClassQueueCoalescing(t *testing.T) {
 	cq := newTestQueues(100, true)
 	cq.Insert(cu(1, 42, model.Low, 1))
-	ev := cq.Insert(cu(2, 42, model.Low, 7))
-	if len(ev) != 1 || ev[0].Seq != 1 {
-		t.Fatalf("coalescing eviction = %v", ev)
+	sup, ev := cq.Insert(cu(2, 42, model.Low, 7))
+	if sup == nil || sup.Seq != 1 || ev != nil {
+		t.Fatalf("coalescing superseded %v and evicted %v, want seq 1 superseded", sup, ev)
 	}
 	if cq.Len() != 1 {
 		t.Fatalf("coalesced Len = %d, want 1", cq.Len())
@@ -145,11 +145,17 @@ func TestClassQueueCoalescingAtCapacity(t *testing.T) {
 	cq := newTestQueues(2, true)
 	cq.Insert(cu(1, 42, model.Low, 1))
 	cq.Insert(cu(2, 500, model.High, 2))
-	if ev := cq.Insert(cu(3, 42, model.Low, 3)); len(ev) != 1 || ev[0].Seq != 1 {
-		t.Fatalf("replace at capacity evicted %v, want only the superseded seq 1", ev)
+	if sup, ev := cq.Insert(cu(3, 42, model.Low, 3)); sup == nil || sup.Seq != 1 || ev != nil {
+		t.Fatalf("replace at capacity superseded %v and evicted %v, want only the superseded seq 1", sup, ev)
 	}
-	if ev := cq.Insert(cu(4, 43, model.Low, 4)); len(ev) != 1 || ev[0].Seq != 2 {
-		t.Fatalf("overflow evicted %v, want the globally oldest (seq 2)", ev)
+	if sup, ev := cq.Insert(cu(4, 43, model.Low, 4)); sup != nil || ev == nil || ev.Seq != 2 {
+		t.Fatalf("overflow superseded %v and evicted %v, want the globally oldest (seq 2) evicted", sup, ev)
+	}
+	// An arrival for a new object that is older than everything queued
+	// is its own overflow victim: evicted, not superseded.
+	arrival := cu(5, 44, model.High, 0)
+	if sup, ev := cq.Insert(arrival); sup != nil || ev != arrival {
+		t.Fatalf("oldest arrival at capacity: superseded %v and evicted %v, want the arrival evicted", sup, ev)
 	}
 	if cq.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", cq.Len())

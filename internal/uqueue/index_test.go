@@ -33,6 +33,9 @@ func (t *treap) dump() string {
 	return s
 }
 
+// insert adds u to a bare treap.
+func (t *treap) insert(u *model.Update) { t.link(t.alloc(u)) }
+
 // TestPopExtremeMatchesMinPlusRemove: popMin and popMax, one descent
 // each, give the same sequence and leave the same tree — shape,
 // priorities, free list — as looking the extreme up and removing it by
@@ -190,7 +193,7 @@ func TestGenQueueIndexMatchesShadow(t *testing.T) {
 			seq++
 			u := upd(seq, model.ObjectID(r.Intn(objects)), float64(r.Intn(100)))
 			shadow[u.Seq] = u
-			gone(q.Insert(u)...)
+			gone(q.Insert(u))
 		case op == 5:
 			gone(q.PopOldest())
 		case op == 6:
@@ -284,31 +287,31 @@ func TestTakeForAllocatesTheSupersededSlice(t *testing.T) {
 	}
 }
 
-// TestCoalescedInsertAllocatesTheEvictionSlice pins the coalescing
-// queue's Insert: a first update for an object allocates nothing once
-// the free list is warm, and one that supersedes (or is rejected by) a
-// queued update allocates once — the one-element slice that hands the
-// loser back to the caller, who must account for it.
-func TestCoalescedInsertAllocatesTheEvictionSlice(t *testing.T) {
+// TestCoalescingInsertAllocatesNothing pins the coalescing queue's
+// Insert: once the free list is warm, neither a first update for an
+// object nor one that supersedes (or is rejected by) a queued update
+// allocates. The loser comes back as a plain result, and the winner
+// takes the loser's recycled node.
+func TestCoalescingInsertAllocatesNothing(t *testing.T) {
 	const obj = model.ObjectID(7)
-	q := NewCoalescedQueue(0, 1)
+	q := newCoalescingQueue(0, 1)
 	older, newer := cu(1, obj, model.Low, 1), cu(2, obj, model.Low, 2)
 	if allocs := testing.AllocsPerRun(100, func() {
 		q.Insert(older)
 		q.TakeFor(obj)
 	}); allocs != 0 {
-		t.Errorf("a coalesced Insert that supersedes nothing allocates %v times, want 0", allocs)
+		t.Errorf("a coalescing Insert that supersedes nothing allocates %v times, want 0", allocs)
 	}
 	for _, pair := range [][2]*model.Update{{older, newer}, {newer, older}} {
 		allocs := testing.AllocsPerRun(100, func() {
 			q.Insert(pair[0])
-			if out := q.Insert(pair[1]); len(out) != 1 || out[0] != older {
-				t.Fatalf("second Insert returned %v, want the older update", out)
+			if sup, ev := q.Insert(pair[1]); sup != older || ev != nil {
+				t.Fatalf("second Insert superseded %v and evicted %v, want the older update superseded", sup, ev)
 			}
 			q.TakeFor(obj)
 		})
-		if allocs != 1 {
-			t.Errorf("a coalesced Insert that loses an update allocates %v times, want 1 (the returned slice)", allocs)
+		if allocs != 0 {
+			t.Errorf("a coalescing Insert that loses an update allocates %v times, want 0", allocs)
 		}
 	}
 }

@@ -6,50 +6,6 @@ import (
 	"repro/internal/model"
 )
 
-// Queue is the interface the scheduler uses to buffer unapplied
-// updates. Implementations keep updates ordered by generation time.
-//
-// Insert may evict updates to respect a capacity bound or a coalescing
-// rule; every update that leaves the queue without being installed is
-// returned so the caller can account for it (the UU staleness tracker
-// must observe every enqueue and dequeue).
-type Queue interface {
-	// Insert adds u and returns any updates evicted as a consequence
-	// (capacity overflow or coalescing). The returned slice never
-	// contains u itself unless u was rejected outright (possible in a
-	// coalescing queue when a newer update for the object is already
-	// queued).
-	Insert(u *model.Update) (evicted []*model.Update)
-	// Len returns the number of queued updates.
-	Len() int
-	// PeekOldest returns the oldest-generation update, or nil.
-	PeekOldest() *model.Update
-	// PeekNewest returns the newest-generation update, or nil.
-	PeekNewest() *model.Update
-	// PopOldest removes and returns the oldest-generation update
-	// (FIFO service), or nil.
-	PopOldest() *model.Update
-	// PopNewest removes and returns the newest-generation update
-	// (LIFO service), or nil.
-	PopNewest() *model.Update
-	// NewestFor returns the newest queued update for an object
-	// without removing it, or nil.
-	NewestFor(id model.ObjectID) *model.Update
-	// TakeFor removes every queued update for the object and returns
-	// the newest one plus the superseded remainder (every removed
-	// update except the newest). It is the On Demand refresh
-	// operation: apply the newest, discard the superseded — returned
-	// individually so the caller can account for each one (class
-	// counts, replication lag).
-	TakeFor(id model.ObjectID) (newest *model.Update, superseded []*model.Update)
-	// DiscardOlderGen removes every update whose generation time is
-	// strictly before cutoff (MA expiry at a scheduling point) and
-	// returns them in generation order.
-	DiscardOlderGen(cutoff float64) []*model.Update
-	// CountFor returns the number of queued updates for an object.
-	CountFor(id model.ObjectID) int
-}
-
 // GenQueue is the paper's baseline update queue: all received,
 // unapplied updates ordered by generation time, with a per-object
 // index used by On Demand, bounded at capacity (oldest dropped on
@@ -63,6 +19,11 @@ type Queue interface {
 // (newest) update is the smaller (larger) of the list's end and the
 // treap's extreme. Both hold the same recycled nodes; a list node is
 // told apart by its zero priority.
+//
+// In coalescing mode (newCoalescingQueue) the queue is the paper's
+// proposed coalescing queue (§4.2, §7): for complete updates to
+// snapshot views only the newest update per object matters, so an
+// object's chain in the index holds at most one node.
 type GenQueue struct {
 	t          *treap
 	head, tail *node
@@ -75,12 +36,12 @@ type GenQueue struct {
 	// nothing to delete when an object's chain empties.
 	heads []*node
 	cap   int
+	// coalesce keeps at most the newest update per object.
+	coalesce bool
 	// treapOnly sends every arrival into the treap: the reference the
 	// equivalence tests compare the list against.
 	treapOnly bool
 }
-
-var _ Queue = (*GenQueue)(nil)
 
 // NewGenQueue returns a queue bounded at capacity updates; capacity <= 0
 // means unbounded. The seed makes the internal balancing deterministic.
@@ -88,10 +49,30 @@ func NewGenQueue(capacity int, seed uint64) *GenQueue {
 	return &GenQueue{t: newTreap(seed), cap: capacity}
 }
 
-// Insert adds u; if the queue exceeds its capacity the oldest update
-// is evicted and returned (§4.2: "discard the oldest updates when the
-// maximum queue size has been exceeded").
-func (q *GenQueue) Insert(u *model.Update) []*model.Update {
+// newCoalescingQueue returns a queue in coalescing mode, bounded at
+// capacity updates (= objects) like NewGenQueue's.
+func newCoalescingQueue(capacity int, seed uint64) *GenQueue {
+	q := NewGenQueue(capacity, seed)
+	q.coalesce = true
+	return q
+}
+
+// Insert adds u and returns what left the queue because of it, by
+// cause. superseded lost to a newer generation of its own object; only
+// a coalescing queue has one: the older queued update, which u
+// replaces, or u itself when the queued update is at least as new.
+// evicted is the oldest update, dropped because the queue exceeded its
+// capacity (§4.2: "discard the oldest updates when the maximum queue
+// size has been exceeded"); it may be u.
+func (q *GenQueue) Insert(u *model.Update) (superseded, evicted *model.Update) {
+	if q.coalesce {
+		if prev := q.chain(u.Object); prev != nil {
+			if !less(prev.update, u) {
+				return u, nil
+			}
+			superseded = q.removeNode(prev)
+		}
+	}
 	n := q.t.alloc(u)
 	if q.treapOnly || (q.tail != nil && less(u, q.tail.update)) {
 		q.t.link(n)
@@ -115,11 +96,9 @@ func (q *GenQueue) Insert(u *model.Update) []*model.Update {
 	}
 	q.heads[u.Object] = n
 	if q.cap > 0 && q.Len() > q.cap {
-		if old := q.PopOldest(); old != nil {
-			return []*model.Update{old}
-		}
+		evicted = q.PopOldest()
 	}
-	return nil
+	return superseded, evicted
 }
 
 // Len returns the number of queued updates.
@@ -210,6 +189,17 @@ func (q *GenQueue) release(n *node) *model.Update {
 	return q.t.recycle(n)
 }
 
+// removeNode takes a queued node out of the list or the treap and out
+// of its object's chain, recycles it and returns its update.
+func (q *GenQueue) removeNode(n *node) *model.Update {
+	if n.priority == 0 {
+		q.unlink(n)
+	} else {
+		q.t.remove(n.update)
+	}
+	return q.release(n)
+}
+
 // chain returns the first node of the object's chain, nil when nothing
 // is queued for it or the object has never been seen.
 func (q *GenQueue) chain(id model.ObjectID) *node {
@@ -257,21 +247,13 @@ func (q *GenQueue) TakeFor(id model.ObjectID) (*model.Update, []*model.Update) {
 	if count > 1 {
 		superseded = make([]*model.Update, count-1, count-1)
 	}
-	q.heads[id] = nil
 	// The chain runs newest insert first; fill from the back.
 	i := len(superseded)
-	for n := head; n != nil; {
-		next := n.objNext
-		if n.priority == 0 {
-			q.unlink(n)
-		} else {
-			q.t.remove(n.update)
-		}
-		if u := q.t.recycle(n); u != newest {
+	for n := head; n != nil; n = q.heads[id] {
+		if u := q.removeNode(n); u != newest {
 			i--
 			superseded[i] = u
 		}
-		n = next
 	}
 	return newest, superseded
 }
@@ -290,8 +272,8 @@ func (q *GenQueue) DiscardOlderGen(cutoff float64) []*model.Update {
 	}
 }
 
-// Walk visits every queued update in generation order. It is used by
-// tests and by the UU-strict staleness tracker.
+// Walk visits every queued update in generation order. Only tests use
+// it.
 func (q *GenQueue) Walk(visit func(*model.Update)) {
 	l := q.head
 	q.t.walk(func(u *model.Update) {
@@ -302,114 +284,5 @@ func (q *GenQueue) Walk(visit func(*model.Update)) {
 	})
 	for ; l != nil; l = l.right {
 		visit(l.update)
-	}
-}
-
-// CoalescedQueue is the paper's proposed hash-indexed queue (§4.2, §7):
-// for complete updates to snapshot views only the newest update per
-// object matters, so the queue stores at most one update per object.
-// Superseded and rejected updates are reported as evictions.
-type CoalescedQueue struct {
-	t     *treap
-	byObj map[model.ObjectID]*model.Update
-	cap   int
-}
-
-var _ Queue = (*CoalescedQueue)(nil)
-
-// NewCoalescedQueue returns a coalescing queue bounded at capacity
-// objects; capacity <= 0 means unbounded.
-func NewCoalescedQueue(capacity int, seed uint64) *CoalescedQueue {
-	return &CoalescedQueue{
-		t:     newTreap(seed),
-		byObj: make(map[model.ObjectID]*model.Update),
-		cap:   capacity,
-	}
-}
-
-// Insert adds u unless a newer update for the same object is already
-// queued (then u itself is returned as evicted). An older queued
-// update for the object is replaced and returned.
-func (q *CoalescedQueue) Insert(u *model.Update) []*model.Update {
-	if prev, ok := q.byObj[u.Object]; ok {
-		if !less(prev, u) {
-			// The queued update is at least as new: reject u.
-			return []*model.Update{u}
-		}
-		q.t.recycle(q.t.remove(prev))
-		q.t.insert(u)
-		q.byObj[u.Object] = u
-		return []*model.Update{prev}
-	}
-	q.t.insert(u)
-	q.byObj[u.Object] = u
-	if q.cap > 0 && q.t.len() > q.cap {
-		if old := q.PopOldest(); old != nil {
-			return []*model.Update{old}
-		}
-	}
-	return nil
-}
-
-// Len returns the number of queued updates (= distinct objects).
-func (q *CoalescedQueue) Len() int { return q.t.len() }
-
-// PeekOldest returns the oldest-generation update without removing it.
-func (q *CoalescedQueue) PeekOldest() *model.Update { return q.t.min() }
-
-// PeekNewest returns the newest-generation update without removing it.
-func (q *CoalescedQueue) PeekNewest() *model.Update { return q.t.max() }
-
-// PopOldest removes and returns the oldest-generation update.
-func (q *CoalescedQueue) PopOldest() *model.Update {
-	return q.release(q.t.popMin(math.Inf(1), nil))
-}
-
-// PopNewest removes and returns the newest-generation update.
-func (q *CoalescedQueue) PopNewest() *model.Update { return q.release(q.t.popMax(nil)) }
-
-// release drops a node already unlinked from the tree from the object
-// index, recycles it and returns its update (nil for nil).
-func (q *CoalescedQueue) release(n *node) *model.Update {
-	if n == nil {
-		return nil
-	}
-	delete(q.byObj, n.update.Object)
-	return q.t.recycle(n)
-}
-
-// NewestFor returns the queued update for the object, if any. This is
-// the O(1) lookup the paper's hash-table proposal enables.
-func (q *CoalescedQueue) NewestFor(id model.ObjectID) *model.Update {
-	return q.byObj[id]
-}
-
-// CountFor returns 1 if an update for the object is queued, else 0.
-func (q *CoalescedQueue) CountFor(id model.ObjectID) int {
-	if _, ok := q.byObj[id]; ok {
-		return 1
-	}
-	return 0
-}
-
-// TakeFor removes and returns the update for the object, if any; a
-// coalescing queue never holds superseded updates.
-func (q *CoalescedQueue) TakeFor(id model.ObjectID) (*model.Update, []*model.Update) {
-	u, ok := q.byObj[id]
-	if !ok {
-		return nil, nil
-	}
-	return q.release(q.t.remove(u)), nil
-}
-
-// DiscardOlderGen removes every update generated strictly before cutoff.
-func (q *CoalescedQueue) DiscardOlderGen(cutoff float64) []*model.Update {
-	var out []*model.Update
-	for {
-		n := q.t.popMin(cutoff, nil)
-		if n == nil {
-			return out
-		}
-		out = append(out, q.release(n))
 	}
 }

@@ -83,13 +83,13 @@ func TestGenQueueEmptyOps(t *testing.T) {
 func TestGenQueueCapacityEvictsOldest(t *testing.T) {
 	q := NewGenQueue(3, 1)
 	for i := 0; i < 3; i++ {
-		if ev := q.Insert(upd(uint64(i), model.ObjectID(i), float64(i))); ev != nil {
-			t.Fatalf("unexpected eviction at insert %d", i)
+		if sup, ev := q.Insert(upd(uint64(i), model.ObjectID(i), float64(i))); sup != nil || ev != nil {
+			t.Fatalf("unexpected departure at insert %d", i)
 		}
 	}
-	ev := q.Insert(upd(9, 9, 9))
-	if len(ev) != 1 || ev[0].GenTime != 0 {
-		t.Fatalf("eviction = %v, want the oldest (gen 0)", ev)
+	sup, ev := q.Insert(upd(9, 9, 9))
+	if sup != nil || ev == nil || ev.GenTime != 0 {
+		t.Fatalf("superseded %v, evicted %v; want the oldest (gen 0) evicted", sup, ev)
 	}
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
@@ -238,27 +238,27 @@ func TestQuickGenQueueInvariants(t *testing.T) {
 	_ = op{}
 }
 
-func TestCoalescedQueueKeepsNewestPerObject(t *testing.T) {
-	q := NewCoalescedQueue(0, 1)
+func TestCoalescingQueueKeepsNewestPerObject(t *testing.T) {
+	q := newCoalescingQueue(0, 1)
 	q.Insert(upd(1, 7, 1))
-	ev := q.Insert(upd(2, 7, 5)) // newer: replaces
-	if len(ev) != 1 || ev[0].Seq != 1 {
-		t.Fatalf("replacing insert evicted %v", ev)
+	sup, ev := q.Insert(upd(2, 7, 5)) // newer: replaces
+	if sup == nil || sup.Seq != 1 || ev != nil {
+		t.Fatalf("replacing insert superseded %v and evicted %v, want seq 1 superseded", sup, ev)
 	}
-	ev = q.Insert(upd(3, 7, 3)) // older: rejected
-	if len(ev) != 1 || ev[0].Seq != 3 {
-		t.Fatalf("stale insert evicted %v, want the incoming update", ev)
+	stale := upd(3, 7, 3) // older: rejected
+	if sup, ev = q.Insert(stale); sup != stale || ev != nil {
+		t.Fatalf("stale insert superseded %v and evicted %v, want the incoming update superseded", sup, ev)
 	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", q.Len())
+	if q.Len() != 1 || q.CountFor(7) != 1 {
+		t.Fatalf("Len = %d, CountFor = %d, want 1 and 1", q.Len(), q.CountFor(7))
 	}
 	if got := q.NewestFor(7); got.GenTime != 5 {
 		t.Fatalf("NewestFor = gen %v, want 5", got.GenTime)
 	}
 }
 
-func TestCoalescedQueueOrdering(t *testing.T) {
-	q := NewCoalescedQueue(0, 1)
+func TestCoalescingQueueOrdering(t *testing.T) {
+	q := newCoalescingQueue(0, 1)
 	q.Insert(upd(1, 1, 5))
 	q.Insert(upd(2, 2, 3))
 	q.Insert(upd(3, 3, 9))
@@ -273,8 +273,8 @@ func TestCoalescedQueueOrdering(t *testing.T) {
 	}
 }
 
-func TestCoalescedQueueTakeForAndCount(t *testing.T) {
-	q := NewCoalescedQueue(0, 1)
+func TestCoalescingQueueTakeForAndCount(t *testing.T) {
+	q := newCoalescingQueue(0, 1)
 	q.Insert(upd(1, 7, 1))
 	if q.CountFor(7) != 1 || q.CountFor(8) != 0 {
 		t.Fatal("CountFor wrong")
@@ -289,18 +289,23 @@ func TestCoalescedQueueTakeForAndCount(t *testing.T) {
 	}
 }
 
-func TestCoalescedQueueCapacity(t *testing.T) {
-	q := NewCoalescedQueue(2, 1)
+func TestCoalescingQueueCapacity(t *testing.T) {
+	q := newCoalescingQueue(2, 1)
 	q.Insert(upd(1, 1, 1))
 	q.Insert(upd(2, 2, 2))
-	ev := q.Insert(upd(3, 3, 3))
-	if len(ev) != 1 || ev[0].Object != 1 {
-		t.Fatalf("capacity eviction = %v, want object 1", ev)
+	sup, ev := q.Insert(upd(3, 3, 3))
+	if sup != nil || ev == nil || ev.Object != 1 {
+		t.Fatalf("capacity: superseded %v and evicted %v, want object 1 evicted", sup, ev)
+	}
+	// A replace at capacity does not lengthen the queue: nothing is
+	// evicted.
+	if sup, ev := q.Insert(upd(4, 2, 4)); sup == nil || sup.Seq != 2 || ev != nil {
+		t.Fatalf("replace at capacity: superseded %v and evicted %v, want seq 2 superseded", sup, ev)
 	}
 }
 
-func TestCoalescedQueueDiscardOlderGen(t *testing.T) {
-	q := NewCoalescedQueue(0, 1)
+func TestCoalescingQueueDiscardOlderGen(t *testing.T) {
+	q := newCoalescingQueue(0, 1)
 	q.Insert(upd(1, 1, 1))
 	q.Insert(upd(2, 2, 5))
 	out := q.DiscardOlderGen(3)
@@ -317,7 +322,7 @@ func TestQuickCoalescedMatchesGenQueueNewest(t *testing.T) {
 	// must equal the newest-per-object of an unbounded GenQueue.
 	f := func(seed int64, nOps uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		cq := NewCoalescedQueue(0, 3)
+		cq := newCoalescingQueue(0, 3)
 		gq := NewGenQueue(0, 4)
 		var seq uint64
 		for i := 0; i < int(nOps)*2; i++ {

@@ -2,9 +2,10 @@
 // generation-time-ordered queue supporting FIFO (oldest generation)
 // and LIFO (newest generation) service, per-object search for the
 // On Demand algorithm, constant-time discard of expired updates from
-// the old end, and bounded capacity; a bounded kernel-side OS queue;
-// and the paper's proposed (§4.2/§7 future work) hash-coalescing queue
-// that stores at most the newest update per object.
+// the old end, and bounded capacity, with the paper's proposed (§4.2/§7
+// future work) coalescing queue, which stores at most the newest update
+// per object, as a mode of the same queue; and a bounded kernel-side OS
+// queue.
 package uqueue
 
 import "repro/internal/model"
@@ -17,7 +18,7 @@ type treap struct {
 	rngState uint64
 	size     int
 	// free is a recycled-node list threaded through right pointers:
-	// recycle pushes, insert pops. A queue oscillating around a steady
+	// recycle pushes, alloc pops. A queue oscillating around a steady
 	// depth allocates no nodes after warm-up, which keeps the
 	// per-update scheduler path allocation-free. Recycling is purely
 	// LIFO on removal order, so it is as deterministic as the treap
@@ -35,8 +36,8 @@ type node struct {
 	left     *node
 	right    *node
 	// objNext and objPrev thread GenQueue's per-object chain through
-	// the nodes it has queued (see GenQueue.heads); other users of the
-	// treap leave them nil. The node stays in the 48-byte size class
+	// the nodes it has queued (see GenQueue.heads); a bare treap
+	// leaves them nil. The node stays in the 48-byte size class
 	// a single link would already put it in.
 	objNext *node
 	objPrev *node
@@ -91,9 +92,6 @@ func (t *treap) link(n *node) {
 	t.root = t.insertNode(t.root, n)
 	t.size++
 }
-
-// insert adds u.
-func (t *treap) insert(u *model.Update) { t.link(t.alloc(u)) }
 
 func (t *treap) insertNode(root, n *node) *node {
 	if root == nil {
@@ -205,14 +203,14 @@ func (t *treap) popMax(after *model.Update) *node {
 // there is none. The caller recycles it.
 func (t *treap) remove(u *model.Update) *node {
 	var removed *node
-	t.root, removed = t.removeNode(t.root, u)
+	t.root, removed = t.removeKey(t.root, u)
 	if removed != nil {
 		t.size--
 	}
 	return removed
 }
 
-func (t *treap) removeNode(root *node, u *model.Update) (*node, *node) {
+func (t *treap) removeKey(root *node, u *model.Update) (*node, *node) {
 	if root == nil {
 		return nil, nil
 	}
@@ -221,9 +219,9 @@ func (t *treap) removeNode(root *node, u *model.Update) (*node, *node) {
 	}
 	var removed *node
 	if less(u, root.update) {
-		root.left, removed = t.removeNode(root.left, u)
+		root.left, removed = t.removeKey(root.left, u)
 	} else {
-		root.right, removed = t.removeNode(root.right, u)
+		root.right, removed = t.removeKey(root.right, u)
 	}
 	return root, removed
 }

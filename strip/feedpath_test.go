@@ -308,15 +308,24 @@ func TestConcurrentOffersDefinitionsAndClose(t *testing.T) {
 // arrival older than everything queued is the one the overflow evicts.
 // That is a capacity casualty, counted and reported as evicted — not a
 // skip, which is an update losing to a newer generation of its own
-// object. A coalescing queue rejecting an arrival for exactly that
-// reason still counts a skip.
+// object — in both queue modes, and so is an older queued update of
+// the arrival's own object that the overflow takes. A coalescing queue
+// rejecting an arrival for a newer queued generation still counts a
+// skip.
 func TestArrivalThatIsItsOwnOverflowVictim(t *testing.T) {
 	clock := newFakeClock()
 	base := clock.Now()
 	fates := map[float64]settleCause{}
-	build := func(coalesce bool) *DB {
-		db := mustOpenStepped(t, Config{Policy: TransactionsFirst, QueueCapacity: 4, Coalesce: coalesce, Clock: clock.Now})
+	open := func(capacity int, coalesce bool) *DB {
+		clear(fates)
+		db := mustOpenStepped(t, Config{Policy: TransactionsFirst, QueueCapacity: capacity, Coalesce: coalesce, Clock: clock.Now})
 		db.onSettle = func(u *model.Update, cause settleCause) { fates[u.Payload] = cause }
+		return db
+	}
+	// build fills a queue of four with v0..v3, valued 0..3, generated
+	// at 10..13 ms.
+	build := func(coalesce bool) *DB {
+		db := open(4, coalesce)
 		for i := 0; i < 4; i++ {
 			name := fmt.Sprintf("v%d", i)
 			db.DefineView(name, Low)
@@ -324,29 +333,47 @@ func TestArrivalThatIsItsOwnOverflowVictim(t *testing.T) {
 		}
 		return db
 	}
+	check := func(name string, db *DB, value float64, skipped, evicted uint64, want settleCause) {
+		t.Helper()
+		db.intake()
+		s := db.Stats()
+		if s.UpdatesSkipped != skipped || s.UpdatesEvicted != evicted || !ledgerBalanced(s) {
+			t.Errorf("%s: stats = %+v, want skipped=%d evicted=%d", name, s, skipped, evicted)
+		}
+		if cause, ok := fates[value]; !ok || cause != want {
+			t.Errorf("%s: onSettle saw %v for value %v (settled %v), want %v", name, cause, value, ok, want)
+		}
+	}
 
 	db := build(false)
 	// Older than all four queued, for an object that has one queued.
 	db.ApplyUpdate(Update{Object: "v2", Value: 99, Generated: base.Add(time.Millisecond)})
-	db.intake()
-	s := db.Stats()
-	if s.UpdatesEvicted != 1 || s.UpdatesSkipped != 0 || s.QueueLen != 4 || !ledgerBalanced(s) {
-		t.Errorf("stats = %+v, want the arrival evicted", s)
+	check("arrival older than the queue", db, 99, 0, 1, settleEvicted)
+	if s := db.Stats(); s.QueueLen != 4 {
+		t.Errorf("QueueLen = %d, want 4", s.QueueLen)
 	}
-	if cause, ok := fates[99]; !ok || cause != settleEvicted {
-		t.Errorf("onSettle saw %v (settled %v), want settleEvicted", cause, ok)
-	}
+
+	// Newer than all four: the overflow takes v0@10ms, the arrival's own
+	// object's older update. Capacity removed it (a queue that does not
+	// coalesce would have kept it until an install or a TakeFor), so it
+	// is evicted, not skipped.
+	db = build(false)
+	db.ApplyUpdate(Update{Object: "v0", Value: 50, Generated: base.Add(50 * time.Millisecond)})
+	check("overflow takes the arrival's own object", db, 0, 0, 1, settleEvicted)
 
 	db = build(true)
 	db.ApplyUpdate(Update{Object: "v2", Value: 98, Generated: base.Add(time.Millisecond)})
-	db.intake()
-	s = db.Stats()
-	if s.UpdatesSkipped != 1 || s.UpdatesEvicted != 0 || !ledgerBalanced(s) {
-		t.Errorf("coalescing: stats = %+v, want the rejected arrival skipped", s)
-	}
-	if cause := fates[98]; cause != settleSkipped {
-		t.Errorf("coalescing: onSettle saw %v, want settleSkipped", cause)
-	}
+	check("coalescing rejects an older arrival", db, 98, 1, 0, settleSkipped)
+
+	// Coalescing, at capacity, an arrival for an object with nothing
+	// queued that is older than everything queued: the overflow evicts
+	// it, and nothing superseded it.
+	db = open(1, true)
+	db.DefineView("a", Low)
+	db.DefineView("b", Low)
+	db.ApplyUpdate(Update{Object: "a", Value: 1, Generated: base.Add(-time.Second)})
+	db.ApplyUpdate(Update{Object: "b", Value: 2, Generated: base.Add(-2 * time.Second)})
+	check("coalescing overflow takes the arrival", db, 2, 0, 1, settleEvicted)
 }
 
 // TestMalformedFeedLinesAreCounted feeds Serve's connection handler a
@@ -442,6 +469,34 @@ func TestFeedPathAllocations(t *testing.T) {
 		t.Errorf("a hook-less run allocates %v times, want 0", allocs)
 	}
 	for db.step() {
+	}
+
+	// Receiving into a full queue: every arrival evicts the oldest
+	// queued update, and settling it as evicted allocates nothing.
+	const capacity = 64
+	fullQueue := mustOpenStepped(t, Config{Policy: TransactionsFirst, QueueCapacity: capacity, IngestBuffer: 2 * burst, Clock: clock.Now})
+	fullQueue.DefineView("f", Low)
+	offerFull := func() {
+		clock.Advance(time.Microsecond)
+		if err := fullQueue.ApplyUpdate(Update{Object: "f", Value: 1, Generated: clock.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*capacity; i++ {
+		offerFull()
+	}
+	fullQueue.drainIngest()
+	evicted := fullQueue.Stats().UpdatesEvicted
+	if allocs := testing.AllocsPerRun(9, func() {
+		for i := 0; i < burst; i++ {
+			offerFull()
+		}
+		fullQueue.drainIngest()
+	}); allocs != burst {
+		t.Errorf("offering %d updates and receiving them into a full queue allocates %v times, want %d: receiving and evicting allocate nothing", burst, allocs, burst)
+	}
+	if got := fullQueue.Stats().UpdatesEvicted - evicted; got != 10*burst {
+		t.Errorf("receiving %d updates into a full queue evicted %d, want one each", 10*burst, got)
 	}
 
 	// The on-demand refresh: taking the object's queued updates out and

@@ -168,21 +168,15 @@ func (db *DB) enqueueLocked(u *model.Update) {
 		}
 		db.lag.Received(u.Object, gen)
 	}
-	for _, ev := range db.queue.Insert(u) {
-		switch {
-		case ev == u && !db.cfg.Coalesce:
-			// The arrival is itself the oldest generation in a full
-			// queue: a capacity casualty like any other. (A coalescing
-			// queue hands the arrival back when it rejects it for a
-			// newer queued generation, which is a skip.)
-			db.settleLocked(ev, settleEvicted)
-		case ev.Object == u.Object:
-			// Same object: superseded by a newer generation
-			// (coalescing), not a capacity casualty.
-			db.settleLocked(ev, settleSkipped)
-		default:
-			db.settleLocked(ev, settleEvicted)
-		}
+	superseded, evicted := db.queue.Insert(u)
+	if superseded != nil {
+		// Lost to a newer generation of its own object (coalescing).
+		db.settleLocked(superseded, settleSkipped)
+	}
+	if evicted != nil {
+		// The oldest generation in a full queue, whatever its object and
+		// the arrival included: a capacity casualty.
+		db.settleLocked(evicted, settleEvicted)
 	}
 	// How many unapplied updates this arrival queues behind: the UU
 	// criterion's distribution.

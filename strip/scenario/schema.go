@@ -749,15 +749,6 @@ func (sc *Scenario) upstreamOf(name string) string {
 	return ""
 }
 
-// nodeNames returns the declared node names in order.
-func (sc *Scenario) nodeNames() []string {
-	out := make([]string, len(sc.Topology.Nodes))
-	for i, n := range sc.Topology.Nodes {
-		out[i] = n.Name
-	}
-	return out
-}
-
 // String renders a one-line summary for -list.
 func (sc *Scenario) String() string {
 	return fmt.Sprintf("%s [%s/%d nodes, %s %s] %s",

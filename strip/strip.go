@@ -186,7 +186,8 @@ type Config struct {
 	// default is FIFO (oldest first).
 	LIFO bool
 	// Coalesce keeps only the newest queued update per object (the
-	// paper's proposed hash-indexed queue). Recommended; default off
+	// paper's proposed coalescing queue), found through the queue's
+	// per-object index. Recommended; default off
 	// to match the paper's baseline. Coalescing drops superseded
 	// partial updates wholesale, so leave it off for views fed by
 	// partial updates.
